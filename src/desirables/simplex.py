@@ -1,9 +1,23 @@
 """Exact rational linear programming via a two-phase dense simplex.
 
-All coefficients are ``fractions.Fraction``; there is no floating point
-anywhere, so feasibility, optimality, and unboundedness are decided
-exactly.  Bland's rule (smallest-index entering column, smallest-index
-basic variable on ratio ties) guarantees termination.
+Problems go in and answers come out as ``fractions.Fraction``, but the
+tableau is fraction-free.  Each row is scaled once, by the lcm of its
+denominators, to a coprime ``int`` vector, and stays one: its basic column
+holds a positive scale ``d``, so the rational row it stands for is
+``row / d``.  A pivot on ``p = prow[c]`` replaces every other row by
+``p*row - row[c]*prow`` and divides out the row gcd (integer-preserving
+elimination as in Bareiss 1968 and Avis's lrs), so no rational is
+normalised inside the pivot loop.  The cost row is an ``int`` vector with
+an implicit positive scale, reduced the same way.
+
+Because every scale is positive, each sign in the integer tableau is the
+sign of the rational entry, and each ratio ``rhs / a`` is the rational
+ratio (the row scale cancels), compared by cross-multiplying.  Bland's
+rule (smallest-index entering column, smallest-index basic variable on
+ratio ties) therefore takes the same pivot path as over ``Fraction`` and
+returns the same vertex or ray, and it still guarantees termination.
+There is no floating point anywhere, so feasibility, optimality, and
+unboundedness are decided exactly.
 
 The solver reports exactly one of three outcomes: an optimum together
 with a point that satisfies every constraint exactly, infeasibility, or
@@ -16,12 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .spaces import RationalLike, as_fraction
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 LESS_EQUAL = "<="
 EQUAL = "=="
@@ -94,73 +108,61 @@ class LinearProgram:
         return colmap, ncols
 
     def solve(self) -> LPResult:
-        m = len(self.rows)
         colmap, nstruct = self._split_columns()
 
-        # Expand rows over split columns; normalise to a.x (<=|==|>=) b.
-        exp_rows: list[list[Fraction]] = []
-        rels: list[str] = []
-        rhs: list[Fraction] = []
+        # Expand rows over split columns, with one slack column per
+        # inequality.  Each row is scaled by the lcm of its denominators,
+        # negated if need be so that its right-hand side is non-negative;
+        # its slack's and its artificial's coefficient is then that scale
+        # up to sign, which also makes the int row coprime.
+        nslack = sum(1 for _, rel, _ in self.rows if rel != EQUAL)
+        width = nstruct + nslack
+        tableau: list[list[int]] = []
+        basis: list[int] = []
+        pending: list[tuple[int, int]] = []  # (row, scale) of each row needing an artificial
+        slack_at = 0
         for coeffs, rel, b in self.rows:
-            row = [_ZERO] * nstruct
+            scale = lcm(b.denominator, *(a.denominator for a in coeffs))
+            k = -scale if b < 0 else scale
+            row = [0] * (width + 1)
             for j, a in enumerate(coeffs):
                 if a == 0:
                     continue
+                v = a.numerator * (k // a.denominator)
                 plus, minus = colmap[j]
-                row[plus] = a
+                row[plus] = v
                 if minus >= 0:
-                    row[minus] = -a
-            exp_rows.append(row)
-            rels.append(rel)
-            rhs.append(b)
-
-        # Slack columns (one per inequality), then artificials as needed.
-        nslack = sum(1 for r in rels if r != EQUAL)
-        width = nstruct + nslack
-        tableau: list[list[Fraction]] = []
-        basis: list[int] = []
-        art_cols: list[int] = []
-        slack_at = 0
-        pending_artificial: list[int] = []
-        for i in range(m):
-            row = exp_rows[i] + [_ZERO] * nslack + [rhs[i]]
-            if rels[i] != EQUAL:
-                s = _ONE if rels[i] == LESS_EQUAL else -_ONE
-                row[nstruct + slack_at] = s
+                    row[minus] = -v
+            row[-1] = b.numerator * (k // b.denominator)
+            slack_col = -1
+            if rel != EQUAL:
                 slack_col = nstruct + slack_at
                 slack_at += 1
-            else:
-                slack_col = -1
-            # Make the right-hand side non-negative.
-            if row[-1] < 0:
-                row = [-v for v in row]
-            # A positive-signed slack with the (now non-negative) rhs can
-            # start in the basis; otherwise the row needs an artificial.
-            if slack_col >= 0 and row[slack_col] == _ONE:
+                row[slack_col] = k if rel == LESS_EQUAL else -k
+            # A positive slack with the (now non-negative) rhs can start in
+            # the basis; otherwise the row needs an artificial.
+            if slack_col >= 0 and row[slack_col] > 0:
                 basis.append(slack_col)
             else:
                 basis.append(-1)
-                pending_artificial.append(i)
+                pending.append((len(tableau), scale))
             tableau.append(row)
 
-        nart = len(pending_artificial)
+        nart = len(pending)
+        total_cols = width + nart
+        art_cols = list(range(width, total_cols))
         if nart:
             for row in tableau:
-                rhs_v = row.pop()
-                row.extend([_ZERO] * nart)
-                row.append(rhs_v)
-            for k, i in enumerate(pending_artificial):
-                col = width + k
-                tableau[i][col] = _ONE
+                row[-1:-1] = [0] * nart
+            for col, (i, scale) in zip(art_cols, pending):
+                tableau[i][col] = scale
                 basis[i] = col
-                art_cols.append(col)
-        total_cols = width + nart
 
         # Phase 1: maximize -(sum of artificials).
         if nart:
-            cost = [_ZERO] * (total_cols + 1)
+            cost = [0] * (total_cols + 1)
             for col in art_cols:
-                cost[col] = -_ONE
+                cost[col] = -1
             self._reduce_cost_row(cost, tableau, basis)
             status, _ = self._iterate(tableau, basis, cost, total_cols, block_cols=())
             assert status is LPStatus.OPTIMAL  # phase 1 is always bounded
@@ -168,16 +170,17 @@ class LinearProgram:
                 return LPResult(status=LPStatus.INFEASIBLE)
             self._expel_artificials(tableau, basis, art_cols, width)
 
-        # Phase 2 over the structural objective.
-        cost = [_ZERO] * (total_cols + 1)
-        for j in range(self.num_vars):
-            c = self.objective[j]
+        # Phase 2 over the structural objective, scaled to ints.
+        cost = [0] * (total_cols + 1)
+        scale = lcm(*(c.denominator for c in self.objective))
+        for j, c in enumerate(self.objective):
             if c == 0:
                 continue
+            v = c.numerator * (scale // c.denominator)
             plus, minus = colmap[j]
-            cost[plus] = c
+            cost[plus] = v
             if minus >= 0:
-                cost[minus] = -c
+                cost[minus] = -v
         self._reduce_cost_row(cost, tableau, basis)
         blocked = tuple(art_cols)
         status, entering = self._iterate(tableau, basis, cost, total_cols, block_cols=blocked)
@@ -191,45 +194,37 @@ class LinearProgram:
         return LPResult(status=LPStatus.OPTIMAL, value=value, point=point)
 
     @staticmethod
-    def _reduce_cost_row(cost: list[Fraction], tableau: list[list[Fraction]], basis: list[int]) -> None:
-        for i, b in enumerate(basis):
+    def _reduce_cost_row(cost: list[int], tableau: list[list[int]], basis: list[int]) -> None:
+        """Zero the cost of every basic column; the implicit scale of the
+        cost row stays positive because each row's basic entry is."""
+        for row, b in zip(tableau, basis):
             cb = cost[b]
-            if cb == 0:
-                continue
-            row = tableau[i]
-            for j, v in enumerate(row):
-                if v != 0:
-                    cost[j] -= cb * v
+            if cb != 0:
+                cost[:] = _coprime([row[b] * v - cb * a for v, a in zip(cost, row)])
 
     @staticmethod
-    def _pivot(tableau: list[list[Fraction]], cost: list[Fraction], basis: list[int], r: int, c: int) -> None:
+    def _pivot(tableau: list[list[int]], cost: list[int], basis: list[int], r: int, c: int) -> None:
         prow = tableau[r]
         piv = prow[c]
-        if piv != 1:
-            inv = 1 / piv
-            tableau[r] = prow = [v * inv if v != 0 else _ZERO for v in prow]
-        for row in tableau:
-            if row is prow:
-                continue
+        if piv < 0:  # keep the new basic entry, and so every row scale, positive
+            tableau[r] = prow = [-v for v in prow]
+            piv = -piv
+        for i, row in enumerate(tableau):
             f = row[c]
-            if f == 0:
+            if f == 0 or i == r:
                 continue
-            for j, v in enumerate(prow):
-                if v != 0:
-                    row[j] -= f * v
+            tableau[i] = _coprime([piv * v - f * a for v, a in zip(row, prow)])
         f = cost[c]
         if f != 0:
-            for j, v in enumerate(prow):
-                if v != 0:
-                    cost[j] -= f * v
+            cost[:] = _coprime([piv * v - f * a for v, a in zip(cost, prow)])
         basis[r] = c
 
     @classmethod
     def _iterate(
         cls,
-        tableau: list[list[Fraction]],
+        tableau: list[list[int]],
         basis: list[int],
-        cost: list[Fraction],
+        cost: list[int],
         total_cols: int,
         block_cols: tuple[int, ...],
     ) -> tuple[LPStatus, int]:
@@ -246,25 +241,31 @@ class LinearProgram:
                     break
             if enter < 0:
                 return LPStatus.OPTIMAL, -1
+            # Ratio test: rhs / a, with the row scale cancelled, compared
+            # as rhs_i * a_best < rhs_best * a_i (both a positive).
             leave = -1
-            best: Optional[Fraction] = None
+            best_rhs = best_a = 0
             for i, row in enumerate(tableau):
                 a = row[enter]
                 if a <= 0:
                     continue
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                if leave >= 0:
+                    lhs = row[-1] * best_a
+                    rhs = best_rhs * a
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                        continue
+                best_rhs, best_a = row[-1], a
+                leave = i
             if leave < 0:
                 return LPStatus.UNBOUNDED, enter
             cls._pivot(tableau, cost, basis, leave, enter)
 
     @staticmethod
     def _expel_artificials(
-        tableau: list[list[Fraction]], basis: list[int], art_cols: list[int], width: int
+        tableau: list[list[int]], basis: list[int], art_cols: list[int], width: int
     ) -> None:
-        """Pivot artificial variables out of the basis; drop redundant rows."""
+        """Pivot artificial variables out of the basis; drop redundant rows.
+        The pivot element may be negative here; ``_pivot`` negates its row."""
         art = set(art_cols)
         drop: list[int] = []
         for i in range(len(tableau)):
@@ -279,15 +280,15 @@ class LinearProgram:
             if pivot_col < 0:
                 drop.append(i)  # all-zero structural row: redundant constraint
                 continue
-            LinearProgram._pivot(tableau, [_ZERO] * len(row), basis, i, pivot_col)
+            LinearProgram._pivot(tableau, [0] * len(row), basis, i, pivot_col)
         for i in reversed(drop):
             del tableau[i]
             del basis[i]
 
     def _extract_point(
-        self, tableau: list[list[Fraction]], basis: list[int], colmap: list[tuple[int, int]]
+        self, tableau: list[list[int]], basis: list[int], colmap: list[tuple[int, int]]
     ) -> tuple[Fraction, ...]:
-        col_values: dict[int, Fraction] = {b: tableau[i][-1] for i, b in enumerate(basis)}
+        col_values: dict[int, Fraction] = {b: Fraction(row[-1], row[b]) for row, b in zip(tableau, basis)}
         point = []
         for plus, minus in colmap:
             v = col_values.get(plus, _ZERO)
@@ -298,17 +299,17 @@ class LinearProgram:
 
     @staticmethod
     def _extract_ray(
-        tableau: list[list[Fraction]],
+        tableau: list[list[int]],
         basis: list[int],
         enter: int,
         colmap: list[tuple[int, int]],
     ) -> tuple[Fraction, ...]:
         """Improving direction from the entering column that had no blocking row."""
-        direction: dict[int, Fraction] = {enter: _ONE}
-        for i, row in enumerate(tableau):
+        direction: dict[int, Fraction] = {enter: Fraction(1)}
+        for row, b in zip(tableau, basis):
             a = row[enter]
             if a != 0:
-                direction[basis[i]] = -a
+                direction[b] = Fraction(-a, row[b])
         ray = []
         for plus, minus in colmap:
             v = direction.get(plus, _ZERO)
@@ -316,6 +317,12 @@ class LinearProgram:
                 v -= direction.get(minus, _ZERO)
             ray.append(v)
         return tuple(ray)
+
+
+def _coprime(row: list[int]) -> list[int]:
+    """The row divided by the (positive) gcd of its entries."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 def solve_lp(

@@ -1,8 +1,10 @@
 """The exact rational LP core, cross-checked against independent routes."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -60,13 +62,65 @@ class TestCannedPrograms:
         rows = [([3, -2, 5], "<=", 7), ([1, 1, 1], ">=", 2), ([0, 1, -1], "==", 0)]
         result = solve_lp([2, -1, 1], rows, nonneg=[True, True, False])
         assert result.status is LPStatus.OPTIMAL
-        for coeffs, rel, rhs in rows:
-            lhs = sum(c * x for c, x in zip(coeffs, result.point))
-            assert (
-                (rel == "<=" and lhs <= rhs)
-                or (rel == ">=" and lhs >= rhs)
-                or (rel == "==" and lhs == rhs)
-            )
+        assert_satisfies(rows, [True, True, False], result.point)
+
+    @pytest.mark.parametrize(
+        "objective, rows, value",
+        [
+            ([0, 3, -2], [([-3, -1, 0], "==", 0), ([0, 1, 1], "==", 1)], -2),
+            ([3, -1, 2], [([-3, -1, 0], "==", 0), ([0, -1, 1], "<=", 3)], 6),
+        ],
+        ids=["two-equalities", "equality-and-inequality"],
+    )
+    def test_artificial_expelled_by_negative_pivot(self, objective, rows, value):
+        # Phase 1 ends with the artificial of -3x - y == 0 basic at level 0,
+        # and the first non-zero entry of its row is -3, so the expulsion
+        # pivots on a negative element.  The pivot row must be negated so
+        # that its basic entry, the row scale, stays positive; otherwise the
+        # signs the later pivots read are wrong and so is the vertex.
+        result = solve_lp(objective, rows)
+        assert result.status is LPStatus.OPTIMAL
+        assert result.value == value
+        assert_satisfies(rows, True, result.point)
+
+
+def assert_satisfies(rows, nonneg, point):
+    """Every row and every non-negativity flag holds exactly at the point."""
+    if isinstance(nonneg, bool):
+        nonneg = [nonneg] * len(point)
+    assert all(x >= 0 for x, flag in zip(point, nonneg) if flag)
+    for coeffs, rel, rhs in rows:
+        lhs = sum(c * x for c, x in zip(coeffs, point))
+        assert (
+            (rel == "<=" and lhs <= rhs)
+            or (rel == ">=" and lhs >= rhs)
+            or (rel == "==" and lhs == rhs)
+        )
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "simplex_golden.json").read_text())
+
+
+def fractions_or_none(values):
+    return None if values is None else tuple(Fraction(v) for v in values)
+
+
+class TestPivotPathGolden:
+    """Answers recorded from the rational (``Fraction``) tableau that the
+    integer tableau replaced, on seeded random LPs with mixed relations,
+    free variables, scaled duplicate rows, and infeasible and unbounded
+    cases.  Which optimal vertex or improving ray comes back depends on the
+    pivot path, so exact equality pins Bland's path and its tie-breaks."""
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=[f"lp{k:03d}" for k in range(len(GOLDEN))])
+    def test_recorded_answer(self, case):
+        objective = [Fraction(c) for c in case["objective"]]
+        rows = [([Fraction(a) for a in coeffs], rel, Fraction(rhs)) for coeffs, rel, rhs in case["rows"]]
+        result = solve_lp(objective, rows, nonneg=case["nonneg"])
+        assert result.status.value == case["status"]
+        assert result.value == (None if case["value"] is None else Fraction(case["value"]))
+        assert result.point == fractions_or_none(case["point"])
+        assert result.ray == fractions_or_none(case["ray"])
 
 
 def brute_force_box_lp(objective, rows, box):
