@@ -57,9 +57,6 @@ class DesirableCone:
     space: Space
     generators: tuple[Gamble, ...]
 
-    #: The non-negative non-zero gambles are always part of the cone.
-    include_nonneg = True
-
     def __post_init__(self) -> None:
         for g in self.generators:
             if g.space != self.space:

@@ -17,6 +17,9 @@ family events:
                                        B1 in family1 or B1 = X1,
     ext(g1) * ext(indicator(B2))   symmetrically.
 
+When the generator events of family1 are the atoms, the B1 = X1 generator
+is the sum of the atom generators and is left out (and symmetrically).
+
 Joint lower previsions are exact LP optima over this cone.  With coherent
 marginals the joint is coherent, reproduces the marginals, and satisfies
 factorisation and external additivity; those statements are executable
@@ -122,17 +125,27 @@ def _joint_generators(
     prod: ProductSpace,
     audit_families: bool = False,
 ) -> tuple[Gamble, ...]:
+    """Each generator is a marginal generator's values on the cylinder of a
+    conditioning event and zero elsewhere, in left-major outcome order.  A
+    side whose generator events are the atoms gets no full-event
+    generator: it is the sum of the atom generators."""
+    zero = Fraction(0)
+
+    def masks(family: EventFamily, factor: Space) -> list[list[bool]]:
+        events = list(family.generator_events(audit_families))
+        if not (family.kind == ATOMS or (family.kind == ALL_NONEMPTY and not audit_families)):
+            events.append(factor.full_event())
+        return [[x in e.members for x in factor.outcomes] for e in events]
+
+    left_masks = masks(left_family, prod.left)
+    right_masks = masks(right_family, prod.right)
     gens: list[Gamble] = []
-    left_events = list(left_family.generator_events(audit_families)) + [prod.left.full_event()]
-    right_events = list(right_family.generator_events(audit_families)) + [prod.right.full_event()]
     for g2 in right.generators:
-        ext_g2 = cylindrical_extension(g2, prod, "right")
-        for b1 in left_events:
-            gens.append(ext_g2 * cylindrical_extension(indicator(b1), prod, "left"))
+        for in_b1 in left_masks:
+            gens.append(Gamble(prod, tuple(v if a else zero for a in in_b1 for v in g2.values)))
     for g1 in left.generators:
-        ext_g1 = cylindrical_extension(g1, prod, "left")
-        for b2 in right_events:
-            gens.append(ext_g1 * cylindrical_extension(indicator(b2), prod, "right"))
+        for in_b2 in right_masks:
+            gens.append(Gamble(prod, tuple(v if b else zero for v in g1.values for b in in_b2)))
     return tuple(gens)
 
 

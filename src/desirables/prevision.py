@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .cones import DesirableCone
-from .simplex import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, LPResult, LPStatus
+from .simplex import BLAND, DANTZIG, EQUAL, LESS_EQUAL, LinearProgram, LPResult, LPStatus
 from .spaces import (
     Event,
     Gamble,
@@ -65,7 +65,7 @@ class BeyondSupportError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _raw_lower(cone: DesirableCone, f: Gamble, event: Event) -> LPResult:
+def _raw_lower(cone: DesirableCone, f: Gamble, event: Event, pricing: str = BLAND) -> LPResult:
     """LP for sup{mu : [f - mu] * indicator(B) in cone}.
 
     Variables are the generator coefficients followed by mu (free);
@@ -78,13 +78,47 @@ def _raw_lower(cone: DesirableCone, f: Gamble, event: Event) -> LPResult:
         row = [g.values[k] for g in cone.generators]
         row.append(_ONE if in_b else _ZERO)
         lp.add(row, LESS_EQUAL, f.values[k] if in_b else _ZERO)
-    return lp.solve()
+    return lp.solve(pricing)
+
+
+def _pmf_side_lp(cone: DesirableCone, f: Gamble, event: Event, sign: int) -> LinearProgram:
+    """The dual of ``_raw_lower``: maximize sign * sum_{x in B} f(x) r(x)
+    over r >= 0 with unit mass on B and every generator expectation
+    non-negative.  One row per generator plus one; the generator rows are
+    written -g.r <= 0 so that they start on their slacks."""
+    weights = [
+        sign * f.values[k] if x in event.members else _ZERO
+        for k, x in enumerate(cone.space.outcomes)
+    ]
+    lp = LinearProgram(cone.space.size, weights, nonneg=True)
+    lp.add([_ONE if x in event.members else _ZERO for x in cone.space.outcomes], EQUAL, 1)
+    for g in cone.generators:
+        lp.add([-v if v else v for v in g.values], LESS_EQUAL, 0)  # most joint entries are 0
+    return lp
+
+
+def _divergence(cone: DesirableCone, event: Event) -> ValueError:
+    """The error for a query whose supremum is infinite (equivalently, whose
+    pmf-side LP is infeasible)."""
+    if not cone.dominating_pmf_exists():
+        return SureLossError("the cone incurs a sure loss; lower previsions diverge")
+    return BeyondSupportError(event)
 
 
 def lower_prevision(cone: DesirableCone, f: Gamble, event: Optional[Event] = None) -> Fraction:
     """The exact lower prevision of f contingent on the event, derived from
     the cone.  Raises SureLossError or BeyondSupportError when the supremum
-    is infinite."""
+    is infinite.
+
+    Only the optimal value is returned, and it is the same at every optimal
+    vertex, so the solve uses Dantzig pricing.  Of the two LPs with this
+    value, the one with fewer rows is solved: the gamble side
+    (``_raw_lower``, one row per outcome) or, when the cone has fewer
+    generators than outcomes, the pmf side (``_pmf_side_lp``, one row per
+    generator plus one), whose optimum is the lower envelope of the
+    dominating expectations.  The pmf side is infeasible exactly when the
+    gamble side is unbounded.
+    """
     if f.space != cone.space:
         raise SpaceMismatchError("gamble on a different space")
     if event is None:
@@ -92,12 +126,15 @@ def lower_prevision(cone: DesirableCone, f: Gamble, event: Optional[Event] = Non
     elif event.space != cone.space:
         raise SpaceMismatchError("event on a different space")
     event.require_nonempty()
-    result = _raw_lower(cone, f, event)
-    if result.status is LPStatus.OPTIMAL:
-        return result.value
-    if not cone.dominating_pmf_exists():
-        raise SureLossError("the cone incurs a sure loss; lower previsions diverge")
-    raise BeyondSupportError(event)
+    if len(cone.generators) + 1 <= cone.space.size:
+        result = _pmf_side_lp(cone, f, event, sign=-1).solve(DANTZIG)
+        if result.status is LPStatus.OPTIMAL:
+            return -result.value
+    else:
+        result = _raw_lower(cone, f, event, DANTZIG)
+        if result.status is LPStatus.OPTIMAL:
+            return result.value
+    raise _divergence(cone, event)
 
 
 def upper_prevision(cone: DesirableCone, f: Gamble, event: Optional[Event] = None) -> Fraction:
@@ -233,8 +270,6 @@ class ConditionalLowerPrevision:
 
     def upper(self, f: Gamble, event: Optional[Event] = None) -> Fraction:
         return -self.lower(-f, event)
-
-    natural_extension = lower
 
     # -- coherence ---------------------------------------------------------
 
@@ -380,10 +415,11 @@ class ConditionalLowerPrevision:
         """Mass functions from the dominating set attaining the minimum and
         maximum of the conditional expectation of f given the event.
 
-        The LP runs over vectors r >= 0 with unit mass on the event and
-        non-negative expectation for every boundary generator; normalising
-        an optimal r yields a dominating pmf whose conditional expectation
-        attains the bound.
+        The LP (``_pmf_side_lp``) runs over vectors r >= 0 with unit mass on
+        the event and non-negative expectation for every boundary
+        generator; normalising an optimal r yields a dominating pmf whose
+        conditional expectation attains the bound.  The vertex is
+        published, so the solve keeps Bland's rule.
         """
         if f.space != self.space:
             raise SpaceMismatchError("gamble on a different space")
@@ -392,24 +428,9 @@ class ConditionalLowerPrevision:
         event.require_nonempty()
         points = []
         for sign in (-1, 1):  # minimize first, then maximize
-            n = self.space.size
-            weights = [
-                sign * f.values[k] if x in event.members else _ZERO
-                for k, x in enumerate(self.space.outcomes)
-            ]
-            lp = LinearProgram(n, weights, nonneg=True)
-            lp.add(
-                [_ONE if x in event.members else _ZERO for x in self.space.outcomes],
-                EQUAL,
-                1,
-            )
-            for g in self.cone.generators:
-                lp.add(list(g.values), GREATER_EQUAL, 0)
-            result = lp.solve()
+            result = _pmf_side_lp(self.cone, f, event, sign).solve()
             if result.status is LPStatus.INFEASIBLE:
-                if not self.cone.dominating_pmf_exists():
-                    raise SureLossError("no dominating pmf: the assessment incurs a sure loss")
-                raise BeyondSupportError(event)
+                raise _divergence(self.cone, event)
             assert result.status is LPStatus.OPTIMAL  # objective bounded on the event
             total = sum(result.point, _ZERO)
             points.append(tuple(v / total for v in result.point))
@@ -596,10 +617,11 @@ def check_axioms(prev: ConditionalLowerPrevision, samples: Sequence[AxiomSample]
             abs(lf_b - prev.lower(g, b)) <= bound,
         )
         add("LP6", "lower(f + mu|B) = lower(f|B) + mu", prev.lower(f + mu, b) == lf_b + mu)
-        if all((f - g).values[f.space.index(x)] >= 0 for x in b.members):
+        margin = (f - g).min_over(b)
+        if margin >= 0:
             add("LP7", "f >= g on B implies lower(f|B) >= lower(g|B)", lf_b >= prev.lower(g, b))
         else:
-            h = g + (f - g).min_over(b)  # h <= f on B by construction
+            h = g + margin  # h <= f on B by construction
             add("LP7", "f >= g on B implies lower(f|B) >= lower(g|B)", lf_b >= prev.lower(h, b))
         add("LP8", "lower(f|B) <= upper(f|B)", lf_b <= prev.upper(f, b))
 

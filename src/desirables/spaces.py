@@ -41,11 +41,6 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"not a rational value: {value!r}")
 
 
-def format_fraction(value: Fraction) -> str:
-    """Canonical text form: "p/q" with q > 0 and gcd(|p|, q) = 1, or "p" if q = 1."""
-    return str(value)
-
-
 @dataclass(frozen=True)
 class Space:
     """A finite possibility space: an ordered tuple of distinct outcome labels."""

@@ -521,9 +521,13 @@ def _measurability_suite(seed: int, trials: int) -> tuple[PropertyOutcome, ...]:
                 lambda t=t, n=n: f"trial {t}: staircase error bound failed at n={n}",
             )
 
-        field_members = [
-            Event(space, members) for members in generated_field(partition_family) if members
-        ]
+        # The field is a frozenset of outcome-name sets, whose iteration
+        # order follows the per-process string hash; sort it by outcome
+        # index so that the draws below depend on the seed alone.
+        field_members = sorted(
+            (Event(space, members) for members in generated_field(partition_family) if members),
+            key=lambda e: [space.index(x) for x in e.sorted_members()],
+        )
         field_family = EventFamily.custom(space, tuple(field_members))
         probe = rng.choice(
             [random_nonneg_gamble(rng, space), random_measurable_gamble(rng, space, field_family)]

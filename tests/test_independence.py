@@ -22,7 +22,7 @@ from desirables.independence import (
     nested_sandwich,
 )
 from desirables.measurability import MeasurabilityError
-from desirables.prevision import ConditionalLowerPrevision, LinearPrevision
+from desirables.prevision import ConditionalLowerPrevision, LinearPrevision, lower_prevision
 from desirables.spaces import (
     Gamble,
     Space,
@@ -84,12 +84,23 @@ class TestProductCone:
         assert ipc.joint.is_coherent()
 
     def test_generator_shape(self):
-        left = DesirableCone.from_generators(AB, [AB.gamble([-1, 2])])
-        right = DesirableCone.from_generators(UV, [UV.gamble([1, -1])])
+        g1, g2 = AB.gamble([-1, 2]), UV.gamble([1, -1])
+        left = DesirableCone.from_generators(AB, [g1])
+        right = DesirableCone.from_generators(UV, [g2])
         ipc = independent_product_cone(left, right)
-        # one right generator x (2 left atoms + full) + one left generator x
-        # (2 right atoms + full)
-        assert len(ipc.joint.generators) == 6
+        # one right generator x 2 left atoms + one left generator x 2 right
+        # atoms; the full-event generators are the sums of the atom ones and
+        # are left out
+        assert len(ipc.joint.generators) == 4
+        restored = ipc.joint.generators + (
+            cylindrical_extension(g2, ipc.prod, "right"),
+            cylindrical_extension(g1, ipc.prod, "left"),
+        )
+        full = DesirableCone.from_generators(ipc.prod, restored)
+        rng = random.Random(3)
+        for _ in range(6):
+            f = random_gamble(rng, ipc.prod)
+            assert lower_prevision(ipc.joint, f) == lower_prevision(full, f)
 
     def test_incoherent_marginal_rejected(self):
         bad = DesirableCone.from_generators(AB, [AB.gamble([-1, -1])])

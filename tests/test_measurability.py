@@ -1,7 +1,11 @@
 """Family-measurability: the simple cone, staircases, and field audits."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -155,3 +159,38 @@ class TestGeneratedField:
             assert is_measurable(g, field_family) == measurable_by_field_criterion(
                 g, field_family
             )
+
+
+PROBE_SCRIPT = """
+import hashlib
+import desirables.suites as suites
+
+probed = []
+original = suites.is_measurable
+
+
+def spy(g, family):
+    probed.append(g.values)
+    return original(g, family)
+
+
+suites.is_measurable = spy
+suites.run_suite("measurability", seed=5, trials=20)
+print(len(probed), hashlib.sha256(repr(probed).encode()).hexdigest())
+"""
+
+
+def test_measurability_suite_probes_do_not_depend_on_hash_seed():
+    # String hashing is salted per process, so a suite that draws from the
+    # iteration order of a set of events would probe other gambles in
+    # another process with the same seed.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = set()
+    for hash_seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c", PROBE_SCRIPT], env=env, capture_output=True, text=True, check=True
+        )
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1, digests

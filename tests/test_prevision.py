@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from desirables import prevision
 from desirables.cones import DesirableCone
 from desirables.prevision import (
     Assessment,
@@ -61,6 +62,74 @@ class TestConeQueries:
         cone = DesirableCone.from_generators(AB, [AB.gamble([0, -1])])
         with pytest.raises(BeyondSupportError):
             lower_prevision(cone, AB.gamble([0, 1]), AB.event(["b"]))
+
+
+class TestQueryFormulations:
+    """``lower_prevision`` solves the pmf side when the cone has fewer
+    generators than outcomes and the gamble side otherwise; each side must
+    give the same values and the same errors."""
+
+    @pytest.fixture
+    def sides(self, monkeypatch):
+        """Names of the LP builders that queries used, in call order."""
+        used = []
+        for name in ("_raw_lower", "_pmf_side_lp"):
+            original = getattr(prevision, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                used.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(prevision, name, spy)
+        return used
+
+    # (space size range, generator count as a function of the size)
+    SHAPES = {
+        "_pmf_side_lp": ((4, 5), lambda n: n - 2),
+        "_raw_lower": ((2, 3), lambda n: n + 1),
+    }
+
+    @pytest.mark.parametrize("side", sorted(SHAPES))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lower_matches_sympy(self, sides, side, seed):
+        rng = random.Random(8400 + seed)
+        (lo, hi), count = self.SHAPES[side]
+        space = random_space(rng, "Q", lo, hi)
+        model, _ = random_envelope_model(rng, space, n_entries=count(space.size))
+        for _ in range(3):
+            f = random_gamble(rng, space)
+            event = random_nonempty_event(rng, space)
+            expected = sympy_lower_prevision(space, model.cone.generators, f, event)
+            assert lower_prevision(model.cone, f, event) == expected
+        assert set(sides) == {side}
+
+    SURE_LOSS = {
+        "_pmf_side_lp": [ABC.gamble([-1, -1, -1])],
+        "_raw_lower": [AB.gamble([-1, 1]), AB.gamble([1, -2])],
+    }
+
+    @pytest.mark.parametrize("side", sorted(SURE_LOSS))
+    def test_sure_loss(self, sides, side):
+        gens = self.SURE_LOSS[side]
+        cone = DesirableCone.from_generators(gens[0].space, gens)
+        with pytest.raises(SureLossError):
+            lower_prevision(cone, gens[0].space.constant(0))
+        assert sides == [side]
+
+    # Each cone forces mass zero on the last outcome.
+    BEYOND_SUPPORT = {
+        "_pmf_side_lp": [ABC.gamble([0, 0, -1])],
+        "_raw_lower": [AB.gamble([0, -1]), AB.gamble([1, -1])],
+    }
+
+    @pytest.mark.parametrize("side", sorted(BEYOND_SUPPORT))
+    def test_beyond_support(self, sides, side):
+        gens = self.BEYOND_SUPPORT[side]
+        space = gens[0].space
+        cone = DesirableCone.from_generators(space, gens)
+        with pytest.raises(BeyondSupportError):
+            lower_prevision(cone, space.constant(1), space.event([space.outcomes[-1]]))
+        assert sides == [side]
 
 
 class TestNaturalExtension:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from desirables.simplex import LPStatus, solve_lp
+from desirables.simplex import BLAND, DANTZIG, LinearProgram, LPStatus, solve_lp
 
 from oracles import solve_linear_system, sympy_lp_max
 
@@ -38,9 +38,23 @@ class TestCannedPrograms:
         result = solve_lp([1, 1], [([1, 1], "==", 2), ([1, 0], "<=", 1)])
         assert result.status is LPStatus.OPTIMAL and result.value == 2
 
-    def test_beale_cycling_example_terminates(self):
-        # A classic degenerate instance that cycles without an anti-cycling rule.
-        result = solve_lp(
+    @pytest.mark.parametrize("pricing", [BLAND, DANTZIG])
+    def test_beale_cycling_example_terminates(self, pricing, monkeypatch):
+        # A classic degenerate instance that cycles without an anti-cycling
+        # rule: Dantzig's rule alone returns to its starting basis, and only
+        # the switch to Bland's rule after a run of degenerate pivots ends
+        # the cycle.  A pivot budget turns a cycle into a failure.
+        pivots = []
+        original = LinearProgram._pivot
+
+        def counted(*args):
+            pivots.append(args[-1])
+            assert len(pivots) <= 200, "the simplex is cycling"
+            return original(*args)
+
+        monkeypatch.setattr(LinearProgram, "_pivot", staticmethod(counted))
+        result = solve_priced(
+            pricing,
             [Fraction(3, 4), -150, Fraction(1, 50), -6],
             [
                 ([Fraction(1, 4), -60, Fraction(-1, 25), 9], "<=", 0),
@@ -84,6 +98,14 @@ class TestCannedPrograms:
         assert_satisfies(rows, True, result.point)
 
 
+def solve_priced(pricing, objective, rows, nonneg=True):
+    """``solve_lp`` with the given entering rule."""
+    lp = LinearProgram(len(objective), objective, nonneg=nonneg)
+    for coeffs, rel, rhs in rows:
+        lp.add(coeffs, rel, rhs)
+    return lp.solve(pricing)
+
+
 def assert_satisfies(rows, nonneg, point):
     """Every row and every non-negativity flag holds exactly at the point."""
     if isinstance(nonneg, bool):
@@ -121,6 +143,30 @@ class TestPivotPathGolden:
         assert result.value == (None if case["value"] is None else Fraction(case["value"]))
         assert result.point == fractions_or_none(case["point"])
         assert result.ray == fractions_or_none(case["ray"])
+
+
+class TestDantzigPricing:
+    """Dantzig pricing may end at another optimal vertex, so on the
+    recorded LPs only the status and the value must agree.  The point it
+    returns must still satisfy every constraint exactly, and a ray must
+    improve the objective and keep every constraint's homogeneous part."""
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=[f"lp{k:03d}" for k in range(len(GOLDEN))])
+    def test_recorded_status_and_value(self, case):
+        objective = [Fraction(c) for c in case["objective"]]
+        rows = [([Fraction(a) for a in coeffs], rel, Fraction(rhs)) for coeffs, rel, rhs in case["rows"]]
+        result = solve_priced(DANTZIG, objective, rows, nonneg=case["nonneg"])
+        assert result.status.value == case["status"]
+        assert result.value == (None if case["value"] is None else Fraction(case["value"]))
+        if result.point is not None:
+            assert_satisfies(rows, case["nonneg"], result.point)
+        if result.ray is not None:
+            assert sum(c * d for c, d in zip(objective, result.ray)) > 0
+            assert_satisfies([(coeffs, rel, 0) for coeffs, rel, _ in rows], case["nonneg"], result.ray)
+
+    def test_unknown_pricing_rejected(self):
+        with pytest.raises(ValueError):
+            solve_priced("steepest", [1], [([1], "<=", 1)])
 
 
 def brute_force_box_lp(objective, rows, box):
