@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .independence import IncoherentMarginalError, IndependentNaturalExtension
+from .independence import IndependentNaturalExtension
 from .measurability import is_measurable, level_set_approximation, non_measurability_witness
 from .modelfile import Model, ModelFormatError, load_model
 from .prevision import (
@@ -99,10 +99,12 @@ def _prevision(model: Model) -> ConditionalLowerPrevision:
         raise _CliError(f"model error: {exc}", EXIT_INPUT_ERROR)
 
 
-def _require_coherent(args, prev: ConditionalLowerPrevision, label: str = "") -> None:
+def _require_coherent(args, prev: ConditionalLowerPrevision, label: str = "") -> Optional[int]:
+    """None for a coherent model; otherwise report the violation and return
+    the exit code."""
     verdict = prev.coherence
     if verdict.coherent:
-        return
+        return None
     prefix = f"{label}: " if label else ""
     payload = {
         "value": "incoherent",
@@ -110,7 +112,7 @@ def _require_coherent(args, prev: ConditionalLowerPrevision, label: str = "") ->
         "exit_code": EXIT_INCOHERENT,
     }
     _emit(args, [f"{prefix}incoherent"] + _violation_text(verdict.violation), payload)
-    raise SystemExit(EXIT_INCOHERENT)
+    return EXIT_INCOHERENT
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +153,9 @@ def _beyond_support(args) -> int:
 def _cmd_natex(args) -> int:
     model = _load(args.model)
     prev = _prevision(model)
-    _require_coherent(args, prev)
+    code = _require_coherent(args, prev)
+    if code is not None:
+        return code
     try:
         gamble = model.gamble(args.gamble)
         if gamble.space != prev.space:
@@ -175,17 +179,16 @@ def _cmd_ine(args) -> int:
     model2 = _load(args.model2)
     prev1 = _prevision(model1)
     prev2 = _prevision(model2)
-    _require_coherent(args, prev1, "left marginal")
-    _require_coherent(args, prev2, "right marginal")
+    for prev, label in ((prev1, "left marginal"), (prev2, "right marginal")):
+        code = _require_coherent(args, prev, label)
+        if code is not None:
+            return code
     try:
         family1 = model1.family(args.family1, prev1.space)
         family2 = model2.family(args.family2, prev2.space)
     except ModelFormatError as exc:
         raise _CliError(str(exc), EXIT_INPUT_ERROR)
-    try:
-        ine = IndependentNaturalExtension(prev1, prev2, family1, family2, check_marginals=False)
-    except IncoherentMarginalError as exc:
-        raise _CliError(str(exc), EXIT_INCOHERENT)
+    ine = IndependentNaturalExtension(prev1, prev2, family1, family2)
 
     joint_model = _load(args.joint) if args.joint else None
 
@@ -390,8 +393,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except SystemExit as exc:  # raised by _require_coherent after reporting
-        return int(exc.code)
     except (SpaceMismatchError, EmptyEventError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

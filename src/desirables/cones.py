@@ -8,10 +8,12 @@ extension E(A): every gamble of the form
 or g alone, where g is non-negative and non-zero.  The non-negative part
 is always included, so a cone with no generators is the vacuous model.
 
-Membership, coherence (no non-positive element), and the dual
-strictly-positive-pmf witness are all decided by exact rational linear
-programs.  Cones are immutable; queries are pure and safe to run
-concurrently.
+Membership, coherence (no non-positive element), the dual
+strictly-positive-pmf witness, and the credal-set questions (is there a
+dominating pmf, does one give an event positive probability) are all
+decided by exact rational linear programs; the credal-set LP
+(``_pmf_side_lp``) is also the one that lower-prevision queries solve.
+Cones are immutable; queries are pure and safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from typing import Iterable, Optional
 
 from .simplex import GREATER_EQUAL, LESS_EQUAL, EQUAL, LinearProgram, LPStatus
 from .spaces import Event, Gamble, Space, SpaceMismatchError
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -44,9 +49,6 @@ class PmfWitness:
         if g.space != self.space:
             raise SpaceMismatchError("gamble on a different space")
         return sum((p * v for p, v in zip(self.masses, g.values)), Fraction(0))
-
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(zip(self.space.outcomes, self.masses))
 
 
 @dataclass(frozen=True)
@@ -155,28 +157,36 @@ class DesirableCone:
         when the generators incur a sure loss, making every lower-prevision
         query diverge.
         """
-        n = self.space.size
-        if not self.generators:
-            return True
-        lp = LinearProgram(n, [0] * n, nonneg=True)
-        lp.add([1] * n, EQUAL, 1)
-        for g in self.generators:
-            lp.add(list(g.values), GREATER_EQUAL, 0)
+        lp = _pmf_side_lp(self, self.space.zero(), self.space.full_event(), sign=1)
         return lp.solve().status is LPStatus.OPTIMAL
 
     def upper_probability_positive(self, event: Event) -> bool:
         """Whether some pmf with non-negative generator expectations gives
-        the event positive probability."""
+        the event positive probability.
+
+        That is the feasibility of ``_pmf_side_lp`` on the event: a feasible
+        r normalised by its total mass is such a pmf, and such a pmf divided
+        by the probability of the event is a feasible r.
+        """
         if event.space != self.space:
             raise SpaceMismatchError("event on a different space")
         event.require_nonempty()
-        n = self.space.size
-        weights = [Fraction(1) if x in event.members else Fraction(0) for x in self.space.outcomes]
-        lp = LinearProgram(n, weights, nonneg=True)
-        lp.add([1] * n, EQUAL, 1)
-        for g in self.generators:
-            lp.add(list(g.values), GREATER_EQUAL, 0)
-        result = lp.solve()
-        if result.status is not LPStatus.OPTIMAL:
-            return False
-        return result.value > 0
+        lp = _pmf_side_lp(self, self.space.zero(), event, sign=1)
+        return lp.solve().status is LPStatus.OPTIMAL
+
+
+def _pmf_side_lp(cone: DesirableCone, f: Gamble, event: Event, sign: int) -> LinearProgram:
+    """The credal-set LP of a query: maximize sign * sum_{x in B} f(x) r(x)
+    over r >= 0 with unit mass on B and every generator expectation
+    non-negative.  It is the dual of the cone-side lower-prevision LP.
+    One row per generator plus one; the generator rows are written
+    -g.r <= 0 so that they start on their slacks."""
+    weights = [
+        sign * f.values[k] if x in event.members else _ZERO
+        for k, x in enumerate(cone.space.outcomes)
+    ]
+    lp = LinearProgram(cone.space.size, weights, nonneg=True)
+    lp.add([_ONE if x in event.members else _ZERO for x in cone.space.outcomes], EQUAL, 1)
+    for g in cone.generators:
+        lp.add([-v if v else v for v in g.values], LESS_EQUAL, 0)  # most joint entries are 0
+    return lp

@@ -20,6 +20,12 @@ family events:
 When the generator events of family1 are the atoms, the B1 = X1 generator
 is the sum of the atom generators and is left out (and symmetrically).
 
+The joint is one object, a :class:`DesirableCone` on the product space:
+``independent_product_cone`` returns it for two marginal cones, and
+:class:`IndependentNaturalExtension` keeps it as ``joint_cone`` for two
+marginal assessments.  Its marginal and conditional cones are views of it,
+:class:`MarginalConeView`.
+
 Joint lower previsions are exact LP optima over this cone.  With coherent
 marginals the joint is coherent, reproduces the marginals, and satisfies
 factorisation and external additivity; those statements are executable
@@ -120,15 +126,20 @@ class EventFamily:
 def _joint_generators(
     left: DesirableCone,
     right: DesirableCone,
-    left_family: EventFamily,
-    right_family: EventFamily,
+    left_family: Optional[EventFamily],
+    right_family: Optional[EventFamily],
     prod: ProductSpace,
     audit_families: bool = False,
 ) -> tuple[Gamble, ...]:
     """Each generator is a marginal generator's values on the cylinder of a
     conditioning event and zero elsewhere, in left-major outcome order.  A
     side whose generator events are the atoms gets no full-event
-    generator: it is the sum of the atom generators."""
+    generator: it is the sum of the atom generators.  A missing family
+    defaults to the atoms."""
+    left_family = left_family or EventFamily.atoms(left.space)
+    right_family = right_family or EventFamily.atoms(right.space)
+    if left_family.space != left.space or right_family.space != right.space:
+        raise SpaceMismatchError("family space does not match its marginal")
     zero = Fraction(0)
 
     def masks(family: EventFamily, factor: Space) -> list[list[bool]]:
@@ -149,66 +160,39 @@ def _joint_generators(
     return tuple(gens)
 
 
-@dataclass(frozen=True)
-class IndependentProductCone:
-    """The independent natural extension of two marginal cones."""
-
-    prod: ProductSpace
-    left_marginal: DesirableCone
-    right_marginal: DesirableCone
-    left_family: EventFamily
-    right_family: EventFamily
-    joint: DesirableCone
-
-    def contains(self, f: Gamble) -> bool:
-        return self.joint.contains(f)
-
-    def marginal_view(self, side: str) -> "MarginalConeView":
-        return MarginalConeView(self.joint, self.prod, side)
-
-    def conditional_view(self, side: str, other_event: Event) -> "MarginalConeView":
-        return MarginalConeView(self.joint, self.prod, side, other_event)
-
-
 def independent_product_cone(
     left: DesirableCone,
     right: DesirableCone,
     left_family: Optional[EventFamily] = None,
     right_family: Optional[EventFamily] = None,
-    prod: Optional[ProductSpace] = None,
-    validate: bool = True,
     audit_families: bool = False,
-) -> IndependentProductCone:
-    """Build the joint cone of the independent natural extension.
+) -> DesirableCone:
+    """The joint cone of the independent natural extension of two marginal
+    cones, on their product space.
 
-    With validate=True each marginal must pass its strict coherence check
-    (no non-positive element).  Callers combining boundary or
-    self-conjugate marginal cones, which legitimately contain the zero
-    gamble, pass validate=False and rely on assessment-level checks.
+    Each marginal must pass its strict coherence check (no non-positive
+    element).  Boundary or self-conjugate marginal cones, which
+    legitimately contain the zero gamble, are combined through
+    :class:`IndependentNaturalExtension`, which checks coherence of the
+    marginal assessments instead.
     """
-    left_family = left_family or EventFamily.atoms(left.space)
-    right_family = right_family or EventFamily.atoms(right.space)
-    if left_family.space != left.space or right_family.space != right.space:
-        raise SpaceMismatchError("family space does not match its marginal")
-    if validate:
-        for name, cone in (("left", left), ("right", right)):
-            if not cone.is_coherent():
-                raise IncoherentMarginalError(f"{name} marginal cone is incoherent")
-    prod = prod or product_space(left.space, right.space)
-    gens = _joint_generators(left, right, left_family, right_family, prod, audit_families)
-    return IndependentProductCone(
-        prod=prod,
-        left_marginal=left,
-        right_marginal=right,
-        left_family=left_family,
-        right_family=right_family,
-        joint=DesirableCone(prod, gens),
+    for name, cone in (("left", left), ("right", right)):
+        if not cone.is_coherent():
+            raise IncoherentMarginalError(f"{name} marginal cone is incoherent")
+    prod = product_space(left.space, right.space)
+    return DesirableCone(
+        prod, _joint_generators(left, right, left_family, right_family, prod, audit_families)
     )
+
+
+def _other_side(side: str) -> str:
+    return "right" if side == "left" else "left"
 
 
 @dataclass(frozen=True)
 class MarginalConeView:
-    """A queryable marginal or conditional cone of a joint cone.
+    """A queryable marginal or conditional cone of a joint cone on a
+    product space.
 
     Membership of a factor gamble f means membership of its cylindrical
     extension (times the indicator of the other-factor conditioning event)
@@ -216,16 +200,20 @@ class MarginalConeView:
     """
 
     joint: DesirableCone
-    prod: ProductSpace
     side: str
     other_event: Optional[Event] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.joint.space, ProductSpace):
+            raise SpaceMismatchError("the joint cone is not on a product space")
         if self.other_event is not None:
-            other = self.prod.factor("right" if self.side == "left" else "left")
-            if self.other_event.space != other:
+            if self.other_event.space != self.prod.factor(_other_side(self.side)):
                 raise SpaceMismatchError("conditioning event on the wrong factor")
             self.other_event.require_nonempty()
+
+    @property
+    def prod(self) -> ProductSpace:
+        return self.joint.space
 
     @property
     def space(self) -> Space:
@@ -234,21 +222,10 @@ class MarginalConeView:
     def contains(self, f: Gamble) -> bool:
         lifted = cylindrical_extension(f, self.prod, self.side)
         if self.other_event is not None and not self.other_event.is_full:
-            other_side = "right" if self.side == "left" else "left"
             lifted = lifted * cylindrical_extension(
-                indicator(self.other_event), self.prod, other_side
+                indicator(self.other_event), self.prod, _other_side(self.side)
             )
         return self.joint.contains(lifted)
-
-
-def marginal_view(joint: DesirableCone, prod: ProductSpace, side: str) -> MarginalConeView:
-    return MarginalConeView(joint, prod, side)
-
-
-def conditional_view(
-    joint: DesirableCone, prod: ProductSpace, side: str, other_event: Event
-) -> MarginalConeView:
-    return MarginalConeView(joint, prod, side, other_event)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +240,8 @@ class IndependentNaturalExtension:
     Queries run over the joint cone built from the marginal natural
     extension cones; the restriction to either factor reproduces the local
     natural extension, and conditioning on family events of the other
-    factor leaves local values unchanged.
+    factor leaves local values unchanged.  Missing families default to the
+    atoms.
     """
 
     def __init__(
@@ -273,33 +251,22 @@ class IndependentNaturalExtension:
         left_family: Optional[EventFamily] = None,
         right_family: Optional[EventFamily] = None,
         audit_families: bool = False,
-        check_marginals: bool = True,
     ):
-        if check_marginals:
-            for name, model in (("left", left), ("right", right)):
-                if not model.is_coherent():
-                    raise IncoherentMarginalError(
-                        f"{name} marginal assessment is incoherent: "
-                        f"{model.coherence.violation.kind}"
-                    )
+        for name, model in (("left", left), ("right", right)):
+            if not model.is_coherent():
+                raise IncoherentMarginalError(
+                    f"{name} marginal assessment is incoherent: "
+                    f"{model.coherence.violation.kind}"
+                )
         self.left = left
         self.right = right
         self.prod = product_space(left.space, right.space)
-        self.left_family = left_family or EventFamily.atoms(left.space)
-        self.right_family = right_family or EventFamily.atoms(right.space)
-        self.product_cone = independent_product_cone(
-            left.cone,
-            right.cone,
-            self.left_family,
-            self.right_family,
-            prod=self.prod,
-            validate=False,
-            audit_families=audit_families,
+        self.joint_cone = DesirableCone(
+            self.prod,
+            _joint_generators(
+                left.cone, right.cone, left_family, right_family, self.prod, audit_families
+            ),
         )
-
-    @property
-    def joint_cone(self) -> DesirableCone:
-        return self.product_cone.joint
 
     def lower(self, f: Gamble, event: Optional[Event] = None) -> Fraction:
         return lower_prevision(self.joint_cone, f, event)
@@ -327,23 +294,6 @@ class IndependentNaturalExtension:
         if event.space == self.prod:
             return event
         raise SpaceMismatchError("event belongs to neither factor nor the product")
-
-
-def independent_lower_prevision(
-    left: ConditionalLowerPrevision,
-    right: ConditionalLowerPrevision,
-    f: Gamble,
-    event: Optional[Event] = None,
-    left_family: Optional[EventFamily] = None,
-    right_family: Optional[EventFamily] = None,
-    upper: bool = False,
-) -> Fraction:
-    """One-shot joint query; marginal coherence is checked first."""
-    ine = IndependentNaturalExtension(left, right, left_family, right_family)
-    f = ine.lift(f)
-    if event is not None:
-        event = ine.lift_event(event)
-    return ine.upper(f, event) if upper else ine.lower(f, event)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +346,7 @@ def check_epistemic_independence(
         if f.space != factor:
             raise SpaceMismatchError(f"sample gamble is not on the {side} factor")
         local_event = local_event if local_event is not None else factor.full_event()
-        other_side = "right" if side == "left" else "left"
+        other_side = _other_side(side)
         family = right_family if side == "left" else left_family
         lifted_f = cylindrical_extension(f, prod, side)
         base_event = cylinder_event(local_event, prod, side)

@@ -29,8 +29,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .cones import DesirableCone
-from .simplex import BLAND, DANTZIG, EQUAL, LESS_EQUAL, LinearProgram, LPResult, LPStatus
+from .cones import DesirableCone, _pmf_side_lp
+from .simplex import BLAND, DANTZIG, LESS_EQUAL, LinearProgram, LPResult, LPStatus
 from .spaces import (
     Event,
     Gamble,
@@ -79,22 +79,6 @@ def _raw_lower(cone: DesirableCone, f: Gamble, event: Event, pricing: str = BLAN
         row.append(_ONE if in_b else _ZERO)
         lp.add(row, LESS_EQUAL, f.values[k] if in_b else _ZERO)
     return lp.solve(pricing)
-
-
-def _pmf_side_lp(cone: DesirableCone, f: Gamble, event: Event, sign: int) -> LinearProgram:
-    """The dual of ``_raw_lower``: maximize sign * sum_{x in B} f(x) r(x)
-    over r >= 0 with unit mass on B and every generator expectation
-    non-negative.  One row per generator plus one; the generator rows are
-    written -g.r <= 0 so that they start on their slacks."""
-    weights = [
-        sign * f.values[k] if x in event.members else _ZERO
-        for k, x in enumerate(cone.space.outcomes)
-    ]
-    lp = LinearProgram(cone.space.size, weights, nonneg=True)
-    lp.add([_ONE if x in event.members else _ZERO for x in cone.space.outcomes], EQUAL, 1)
-    for g in cone.generators:
-        lp.add([-v if v else v for v in g.values], LESS_EQUAL, 0)  # most joint entries are 0
-    return lp
 
 
 def _divergence(cone: DesirableCone, event: Event) -> ValueError:

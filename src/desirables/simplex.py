@@ -77,10 +77,6 @@ class LPResult:
     #: and strictly increasing objective.
     ray: Optional[tuple[Fraction, ...]] = None
 
-    @property
-    def is_optimal(self) -> bool:
-        return self.status is LPStatus.OPTIMAL
-
 
 class LinearProgram:
     """maximize c.x subject to rows (a.x <= / == / >= b), with per-variable

@@ -128,18 +128,10 @@ class Event:
             raise EmptyEventError(f"conditioning event on {self.space.name!r} is empty")
         return self
 
-    def complement(self) -> "Event":
-        return Event(self.space, frozenset(self.space.outcomes) - self.members)
-
     def intersect(self, other: "Event") -> "Event":
         if other.space is not self.space and other.space != self.space:
             raise SpaceMismatchError("events on different spaces")
         return Event(self.space, self.members & other.members)
-
-    def union(self, other: "Event") -> "Event":
-        if other.space is not self.space and other.space != self.space:
-            raise SpaceMismatchError("events on different spaces")
-        return Event(self.space, self.members | other.members)
 
     def sorted_members(self) -> list[str]:
         """Members in the space's outcome order (deterministic)."""
@@ -211,9 +203,6 @@ class Gamble:
             raise EmptyEventError("max over the empty event is undefined")
         return max(self.values[self.space.index(x)] for x in event.members)
 
-    def minimum(self) -> Fraction:
-        return min(self.values)
-
     def maximum(self) -> Fraction:
         return max(self.values)
 
@@ -284,10 +273,6 @@ class ProductSpace(Space):
         if side == "right":
             return self.right
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-    def split(self, outcome: str) -> tuple[str, str]:
-        a, _, b = outcome.partition(PRODUCT_SEPARATOR)
-        return a, b
 
 
 def product_space(left: Space, right: Space, name: str | None = None) -> ProductSpace:

@@ -14,6 +14,7 @@ from desirables.cones import DesirableCone
 from desirables.independence import (
     EventFamily,
     IndependentNaturalExtension,
+    MarginalConeView,
     independent_product_cone,
     nested_sandwich,
 )
@@ -257,10 +258,10 @@ def test_criterion_5_ine_existence_and_marginals():
                         ),
                     ]
                     for fam_left, fam_right in family_choices:
-                        ipc = independent_product_cone(left, right, fam_left, fam_right)
-                        ok = ok and ipc.joint.is_coherent()
-                        view_left = ipc.marginal_view("left")
-                        view_right = ipc.marginal_view("right")
+                        joint = independent_product_cone(left, right, fam_left, fam_right)
+                        ok = ok and joint.is_coherent()
+                        view_left = MarginalConeView(joint, "left")
+                        view_right = MarginalConeView(joint, "right")
                         for f in _spanning_samples(left_space, rng):
                             ok = ok and view_left.contains(f) == left.contains(f)
                         for g in _spanning_samples(right_space, rng):

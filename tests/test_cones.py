@@ -7,6 +7,7 @@ import pytest
 
 from desirables.cones import DesirableCone
 from desirables.spaces import Gamble, Space, SpaceMismatchError
+from desirables.suites import random_nonempty_event
 
 from oracles import credal_vertices
 
@@ -215,3 +216,18 @@ class TestDominationSide:
         cone = DesirableCone.from_generators(AB, [AB.gamble([0, -1])])
         assert cone.upper_probability_positive(AB.event(["a"]))
         assert not cone.upper_probability_positive(AB.event(["b"]))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_upper_probability_positive_iff_a_vertex_reaches_the_event(self, seed):
+        # Entries in {-1, 0, 1} (halved at random) often pin outcomes to
+        # mass zero, so both answers occur on non-empty credal sets.
+        rng = random.Random(5100 + seed)
+        cone = random_cone(rng, max_size=4, max_gens=3, span=1)
+        vertices = credal_vertices(cone.space, cone.generators)
+        for _ in range(4):
+            event = random_nonempty_event(rng, cone.space)
+            reached = any(
+                p > 0 for vertex in vertices for x, p in zip(cone.space.outcomes, vertex)
+                if x in event.members
+            )
+            assert cone.upper_probability_positive(event) == reached

@@ -11,13 +11,11 @@ from desirables.independence import (
     IncoherentMarginalError,
     IndependentNaturalExtension,
     JointModel,
+    MarginalConeView,
     check_epistemic_independence,
-    conditional_view,
     factorisation_closed_form,
     factored_sum,
-    independent_lower_prevision,
     independent_product_cone,
-    marginal_view,
     nested_evaluation,
     nested_sandwich,
 )
@@ -26,6 +24,7 @@ from desirables.prevision import ConditionalLowerPrevision, LinearPrevision, low
 from desirables.spaces import (
     Gamble,
     Space,
+    SpaceMismatchError,
     cylindrical_extension,
     indicator,
     product_space,
@@ -79,28 +78,29 @@ class TestEventFamilies:
 
 class TestProductCone:
     def test_vacuous_marginals_give_vacuous_joint(self):
-        ipc = independent_product_cone(DesirableCone.vacuous(AB), DesirableCone.vacuous(UV))
-        assert ipc.joint.generators == ()
-        assert ipc.joint.is_coherent()
+        joint = independent_product_cone(DesirableCone.vacuous(AB), DesirableCone.vacuous(UV))
+        assert joint.generators == ()
+        assert joint.is_coherent()
 
     def test_generator_shape(self):
         g1, g2 = AB.gamble([-1, 2]), UV.gamble([1, -1])
         left = DesirableCone.from_generators(AB, [g1])
         right = DesirableCone.from_generators(UV, [g2])
-        ipc = independent_product_cone(left, right)
+        joint = independent_product_cone(left, right)
+        prod = joint.space
         # one right generator x 2 left atoms + one left generator x 2 right
         # atoms; the full-event generators are the sums of the atom ones and
         # are left out
-        assert len(ipc.joint.generators) == 4
-        restored = ipc.joint.generators + (
-            cylindrical_extension(g2, ipc.prod, "right"),
-            cylindrical_extension(g1, ipc.prod, "left"),
+        assert len(joint.generators) == 4
+        restored = joint.generators + (
+            cylindrical_extension(g2, prod, "right"),
+            cylindrical_extension(g1, prod, "left"),
         )
-        full = DesirableCone.from_generators(ipc.prod, restored)
+        full = DesirableCone.from_generators(prod, restored)
         rng = random.Random(3)
         for _ in range(6):
-            f = random_gamble(rng, ipc.prod)
-            assert lower_prevision(ipc.joint, f) == lower_prevision(full, f)
+            f = random_gamble(rng, prod)
+            assert lower_prevision(joint, f) == lower_prevision(full, f)
 
     def test_incoherent_marginal_rejected(self):
         bad = DesirableCone.from_generators(AB, [AB.gamble([-1, -1])])
@@ -110,19 +110,19 @@ class TestProductCone:
     def test_joint_membership_by_definition_unwinding(self):
         left = DesirableCone.from_generators(AB, [AB.gamble([-1, 2])])
         right = DesirableCone.vacuous(UV)
-        ipc = independent_product_cone(left, right)
-        prod = ipc.prod
+        joint = independent_product_cone(left, right)
+        prod = joint.space
         lifted = cylindrical_extension(AB.gamble([-1, 2]), prod, "left")
-        assert ipc.contains(lifted)
-        assert ipc.contains(lifted * cylindrical_extension(indicator(UV.event(["u"])), prod, "right"))
+        assert joint.contains(lifted)
+        assert joint.contains(lifted * cylindrical_extension(indicator(UV.event(["u"])), prod, "right"))
 
     def test_marginal_view_reproduces_input_memberships(self):
         rng = random.Random(2)
         left = DesirableCone.from_generators(AB, [AB.gamble([-1, 2])])
         right = DesirableCone.from_generators(UV, [UV.gamble([2, -1])])
-        ipc = independent_product_cone(left, right)
-        view_left = ipc.marginal_view("left")
-        view_right = ipc.marginal_view("right")
+        joint = independent_product_cone(left, right)
+        view_left = MarginalConeView(joint, "left")
+        view_right = MarginalConeView(joint, "right")
         for _ in range(12):
             f = random_gamble(rng, AB)
             assert view_left.contains(f) == left.contains(f)
@@ -130,28 +130,37 @@ class TestProductCone:
             assert view_right.contains(g) == right.contains(g)
 
     def test_view_satisfies_partial_gain_axiom(self):
-        ipc = independent_product_cone(DesirableCone.vacuous(AB), DesirableCone.vacuous(UV))
-        assert ipc.marginal_view("left").contains(AB.gamble([1, 0]))
+        joint = independent_product_cone(DesirableCone.vacuous(AB), DesirableCone.vacuous(UV))
+        assert MarginalConeView(joint, "left").contains(AB.gamble([1, 0]))
 
     def test_conditional_view_on_full_event_is_marginal(self):
         left = DesirableCone.from_generators(AB, [AB.gamble([-1, 2])])
-        ipc = independent_product_cone(left, DesirableCone.vacuous(UV))
+        joint = independent_product_cone(left, DesirableCone.vacuous(UV))
         rng = random.Random(3)
         for _ in range(8):
             f = random_gamble(rng, AB)
-            assert ipc.conditional_view("left", UV.full_event()).contains(f) == ipc.marginal_view(
-                "left"
+            assert MarginalConeView(joint, "left", UV.full_event()).contains(f) == MarginalConeView(
+                joint, "left"
             ).contains(f)
 
     def test_conditional_views_match_marginals_for_independent_joint(self):
         left = DesirableCone.from_generators(AB, [AB.gamble([-1, 2])])
         right = DesirableCone.from_generators(UV, [UV.gamble([2, -1])])
-        ipc = independent_product_cone(left, right)
+        joint = independent_product_cone(left, right)
         rng = random.Random(4)
         for b in (UV.event(["u"]), UV.event(["v"])):
             for _ in range(6):
                 f = random_gamble(rng, AB)
-                assert ipc.conditional_view("left", b).contains(f) == left.contains(f)
+                assert MarginalConeView(joint, "left", b).contains(f) == left.contains(f)
+
+    def test_view_needs_a_product_space_joint(self):
+        with pytest.raises(SpaceMismatchError):
+            MarginalConeView(DesirableCone.vacuous(AB), "left")
+
+    def test_conditioning_event_on_the_viewed_factor_rejected(self):
+        joint = independent_product_cone(DesirableCone.vacuous(AB), DesirableCone.vacuous(UV))
+        with pytest.raises(SpaceMismatchError):
+            MarginalConeView(joint, "left", AB.event(["a"]))
 
     def test_correlated_joint_views_differ(self):
         # Desiring [I_a - 1/2] only when the second coordinate is u makes
@@ -162,8 +171,8 @@ class TestProductCone:
         )
         joint = DesirableCone.from_generators(prod, [gen])
         f = AB.gamble(["1/2", "-1/2"])
-        assert conditional_view(joint, prod, "left", UV.event(["u"])).contains(f)
-        assert not marginal_view(joint, prod, "left").contains(f)
+        assert MarginalConeView(joint, "left", UV.event(["u"])).contains(f)
+        assert not MarginalConeView(joint, "left").contains(f)
 
     def test_factor_swap_is_a_relabelling(self):
         left = DesirableCone.from_generators(AB, [AB.gamble([-1, 2])])
@@ -172,9 +181,9 @@ class TestProductCone:
         backward = independent_product_cone(right, left)
         rng = random.Random(5)
         for _ in range(10):
-            f = random_gamble(rng, forward.prod, span=3)
+            f = random_gamble(rng, forward.space, span=3)
             swapped = Gamble(
-                backward.prod,
+                backward.space,
                 tuple(
                     f(f"{a}|{u}")
                     for u in UV.outcomes
@@ -225,14 +234,6 @@ class TestJointLowerPrevisions:
             ine.prod, ine.joint_cone.generators, xor, ine.prod.full_event()
         )
         assert oracle == Fraction(1, 2)
-
-    def test_one_shot_helper_matches_class(self):
-        rng = random.Random(9)
-        left, _ = random_envelope_model(rng, AB)
-        right, _ = random_envelope_model(rng, UV)
-        f = random_gamble(rng, AB)
-        ine = IndependentNaturalExtension(left, right)
-        assert independent_lower_prevision(left, right, f) == ine.lower(ine.lift(f))
 
 
 class TestEpistemicIndependenceCheck:
