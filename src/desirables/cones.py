@@ -11,8 +11,13 @@ is always included, so a cone with no generators is the vacuous model.
 Membership, coherence (no non-positive element), the dual
 strictly-positive-pmf witness, and the credal-set questions (is there a
 dominating pmf, does one give an event positive probability) are all
-decided by exact rational linear programs; the credal-set LP
-(``_pmf_side_lp``) is also the one that lower-prevision queries solve.
+decided by exact rational linear programs.  The credal-set LP
+(``_pmf_side_lp``) also gives the dominating pmfs of
+``ConditionalLowerPrevision.dominating_previsions``; lower-prevision
+queries solve the gamble side instead (see ``prevision``).  Membership,
+coherence and the credal-set questions answer with a status or a value
+only, so they use Dantzig pricing; the pmf witness publishes a vertex and
+keeps Bland's rule.
 Cones are immutable; queries are pure and safe to run concurrently.
 """
 
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .simplex import GREATER_EQUAL, LESS_EQUAL, EQUAL, LinearProgram, LPStatus
+from .simplex import DANTZIG, GREATER_EQUAL, LESS_EQUAL, EQUAL, LinearProgram, LPStatus
 from .spaces import Event, Gamble, Space, SpaceMismatchError
 
 _ZERO = Fraction(0)
@@ -99,7 +104,7 @@ class DesirableCone:
         lp = LinearProgram(n, [1] * n, nonneg=True)
         for k, x in enumerate(self.space.outcomes):
             lp.add([g.values[k] for g in self.generators], LESS_EQUAL, f.values[k])
-        result = lp.solve()
+        result = lp.solve(DANTZIG)
         if result.status is LPStatus.UNBOUNDED:
             return True
         if result.status is LPStatus.INFEASIBLE:
@@ -120,7 +125,7 @@ class DesirableCone:
         lp.add([1] * n, EQUAL, 1)
         for k in range(self.space.size):
             lp.add([g.values[k] for g in self.generators], LESS_EQUAL, 0)
-        return lp.solve().status is LPStatus.INFEASIBLE
+        return lp.solve(DANTZIG).status is LPStatus.INFEASIBLE
 
     def positive_pmf_witness(self) -> Optional[PmfWitness]:
         """A strictly positive pmf with positive expectation for every
@@ -158,7 +163,7 @@ class DesirableCone:
         query diverge.
         """
         lp = _pmf_side_lp(self, self.space.zero(), self.space.full_event(), sign=1)
-        return lp.solve().status is LPStatus.OPTIMAL
+        return lp.solve(DANTZIG).status is LPStatus.OPTIMAL
 
     def upper_probability_positive(self, event: Event) -> bool:
         """Whether some pmf with non-negative generator expectations gives
@@ -172,7 +177,7 @@ class DesirableCone:
             raise SpaceMismatchError("event on a different space")
         event.require_nonempty()
         lp = _pmf_side_lp(self, self.space.zero(), event, sign=1)
-        return lp.solve().status is LPStatus.OPTIMAL
+        return lp.solve(DANTZIG).status is LPStatus.OPTIMAL
 
 
 def _pmf_side_lp(cone: DesirableCone, f: Gamble, event: Event, sign: int) -> LinearProgram:

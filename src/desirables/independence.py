@@ -258,8 +258,6 @@ class IndependentNaturalExtension:
                     f"{name} marginal assessment is incoherent: "
                     f"{model.coherence.violation.kind}"
                 )
-        self.left = left
-        self.right = right
         self.prod = product_space(left.space, right.space)
         self.joint_cone = DesirableCone(
             self.prod,

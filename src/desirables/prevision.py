@@ -19,6 +19,16 @@ situations, reported as distinct errors: the assessment incurs a sure loss
 zero by every dominating pmf ("conditioning beyond support"); in the
 latter case finite mass functions cannot represent the conditional model
 and the engine refuses to guess.
+
+Queries solve the gamble side only, with mu = min_B f + nu and nu >= 0.
+The substitution is exact because lower(f | B) >= min_B f (the point
+lambda = 0, mu = min_B f is feasible), and it makes every right-hand side
+non-negative, so the solve starts at a feasible vertex and runs no
+phase 1.  Queries and the value-first coherence probes return values
+only, so they use Dantzig pricing.  Every solve whose vertex or ray is
+published keeps Bland's rule: a probe that fails is re-solved with mu
+free for its certificate, and certificate polishing and dominating pmfs
+are Bland solves too.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .cones import DesirableCone, _pmf_side_lp
-from .simplex import BLAND, DANTZIG, LESS_EQUAL, LinearProgram, LPResult, LPStatus
+from .simplex import DANTZIG, LESS_EQUAL, LinearProgram, LPResult, LPStatus
 from .spaces import (
     Event,
     Gamble,
@@ -65,20 +75,50 @@ class BeyondSupportError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _raw_lower(cone: DesirableCone, f: Gamble, event: Event, pricing: str = BLAND) -> LPResult:
+def _gamble_side_lp(
+    cone: DesirableCone, f: Gamble, event: Event, floor: Optional[Fraction] = None
+) -> LinearProgram:
     """LP for sup{mu : [f - mu] * indicator(B) in cone}.
 
-    Variables are the generator coefficients followed by mu (free);
-    one row per outcome:  sum_i lambda_i g_i(x) + I_B(x) mu <= I_B(x) f(x).
+    Variables are the generator coefficients followed by mu; one row per
+    outcome:  sum_i lambda_i g_i(x) + I_B(x) mu <= I_B(x) f(x).  With a
+    ``floor``, the last variable is mu - floor >= 0 instead of mu (free),
+    and each right-hand side is I_B(x) (f(x) - floor).
     """
     n = len(cone.generators)
-    lp = LinearProgram(n + 1, [0] * n + [1], nonneg=[True] * n + [False])
+    lp = LinearProgram(n + 1, [0] * n + [1], nonneg=[True] * n + [floor is not None])
+    shift = _ZERO if floor is None else floor
     for k, x in enumerate(cone.space.outcomes):
         in_b = x in event.members
         row = [g.values[k] for g in cone.generators]
         row.append(_ONE if in_b else _ZERO)
-        lp.add(row, LESS_EQUAL, f.values[k] if in_b else _ZERO)
-    return lp.solve(pricing)
+        lp.add(row, LESS_EQUAL, f.values[k] - shift if in_b else _ZERO)
+    return lp
+
+
+def _raw_lower(cone: DesirableCone, f: Gamble, event: Event) -> LPResult:
+    """The gamble-side LP with mu free, on Bland's rule: coherence
+    certificates publish its optimal point or improving ray."""
+    return _gamble_side_lp(cone, f, event).solve()
+
+
+def _lower_value(cone: DesirableCone, f: Gamble, event: Event) -> Optional[Fraction]:
+    """sup{mu : [f - mu] * indicator(B) in cone}, or None when it is infinite.
+
+    The LP is solved with mu = min_B f + nu, nu >= 0.  That is exact:
+    lambda = 0, mu = min_B f is feasible, because [f - min_B f] * I_B is
+    non-negative, so the supremum is at least min_B f and restricting mu to
+    that range keeps both the optimum and unboundedness.  Every right-hand
+    side I_B(x) (f(x) - min_B f) is then non-negative, so the solve starts
+    on its slack basis (lambda = nu = 0) with no phase 1 and no free-mu
+    column pair.  Only the value is returned, and it is the same at every
+    optimal vertex, so the solve uses Dantzig pricing.
+    """
+    floor = f.min_over(event)
+    result = _gamble_side_lp(cone, f, event, floor).solve(DANTZIG)
+    if result.status is LPStatus.UNBOUNDED:
+        return None
+    return floor + result.value
 
 
 def _divergence(cone: DesirableCone, event: Event) -> ValueError:
@@ -94,14 +134,12 @@ def lower_prevision(cone: DesirableCone, f: Gamble, event: Optional[Event] = Non
     the cone.  Raises SureLossError or BeyondSupportError when the supremum
     is infinite.
 
-    Only the optimal value is returned, and it is the same at every optimal
-    vertex, so the solve uses Dantzig pricing.  Of the two LPs with this
-    value, the one with fewer rows is solved: the gamble side
-    (``_raw_lower``, one row per outcome) or, when the cone has fewer
-    generators than outcomes, the pmf side (``_pmf_side_lp``, one row per
-    generator plus one), whose optimum is the lower envelope of the
-    dominating expectations.  The pmf side is infeasible exactly when the
-    gamble side is unbounded.
+    There is one formulation for every cone shape: the gamble-side LP
+    (one row per outcome), started at its feasible vertex mu = min_B f and
+    priced by Dantzig's rule (see ``_lower_value``).  Its optimum equals
+    that of the pmf-side LP (``_pmf_side_lp``), the lower envelope of the
+    dominating expectations, and it is unbounded exactly when the pmf side
+    is infeasible.
     """
     if f.space != cone.space:
         raise SpaceMismatchError("gamble on a different space")
@@ -110,15 +148,10 @@ def lower_prevision(cone: DesirableCone, f: Gamble, event: Optional[Event] = Non
     elif event.space != cone.space:
         raise SpaceMismatchError("event on a different space")
     event.require_nonempty()
-    if len(cone.generators) + 1 <= cone.space.size:
-        result = _pmf_side_lp(cone, f, event, sign=-1).solve(DANTZIG)
-        if result.status is LPStatus.OPTIMAL:
-            return -result.value
-    else:
-        result = _raw_lower(cone, f, event, DANTZIG)
-        if result.status is LPStatus.OPTIMAL:
-            return result.value
-    raise _divergence(cone, event)
+    value = _lower_value(cone, f, event)
+    if value is None:
+        raise _divergence(cone, event)
+    return value
 
 
 def upper_prevision(cone: DesirableCone, f: Gamble, event: Optional[Event] = None) -> Fraction:
@@ -347,6 +380,14 @@ class ConditionalLowerPrevision:
             if e.linear:
                 probes.append((-e.gamble, e.event, -e.lower))
             for gamble, event, assessed in probes:
+                value = _lower_value(self.cone, gamble, event)
+                if value is not None and value <= assessed:
+                    continue
+                # The probe fails: the value diverges or exceeds the
+                # assessment.  Re-solve with mu free on Bland's rule, whose
+                # point or ray the certificate publishes; the status and
+                # value are the ones just found, so the re-solve is either
+                # unbounded or a gap.
                 result = _raw_lower(self.cone, gamble, event)
                 if result.status is LPStatus.UNBOUNDED:
                     ray = result.ray[: len(gens)]
@@ -372,23 +413,21 @@ class ConditionalLowerPrevision:
                             sup_value=self._combination_sup(ray, None),
                         ),
                     )
-                value = result.value
-                if value > assessed:
-                    point = result.point[: len(gens)]
-                    support = [i for i, c in enumerate(point) if c > 0]
-                    polished = self._polish_certificate(support, minus_entry=k)
-                    lambdas, sup = polished if polished is not None else (tuple(point), None)
-                    return CoherenceVerdict(
-                        False,
-                        CoherenceViolation(
-                            kind="gap",
-                            entry_index=k,
-                            lambdas=self._entry_lambdas(lambdas),
-                            sup_value=sup,
-                            assessed=assessed,
-                            extension=value,
-                        ),
-                    )
+                point = result.point[: len(gens)]
+                support = [i for i, c in enumerate(point) if c > 0]
+                polished = self._polish_certificate(support, minus_entry=k)
+                lambdas, sup = polished if polished is not None else (tuple(point), None)
+                return CoherenceVerdict(
+                    False,
+                    CoherenceViolation(
+                        kind="gap",
+                        entry_index=k,
+                        lambdas=self._entry_lambdas(lambdas),
+                        sup_value=sup,
+                        assessed=assessed,
+                        extension=result.value,
+                    ),
+                )
         return CoherenceVerdict(True)
 
     # -- dominating linear previsions ---------------------------------------

@@ -28,9 +28,16 @@ which takes far fewer pivots; the cost row's implicit scale is positive,
 so the largest integer entry is the largest rational one.  Dantzig's rule
 alone can cycle on degenerate vertices, so after ``DEGENERATE_RUN``
 consecutive pivots that leave the objective unchanged the phase finishes
-on Bland's rule, which still guarantees termination.  Lower-prevision
-queries use it: their answer is the optimal value alone, which is the
-same whichever optimal vertex the pivots reach.
+on Bland's rule, which still guarantees termination.  Solves whose answer
+is the optimal value or the status alone use it, because those are the
+same whichever optimal vertex the pivots reach: lower-prevision queries,
+the value-first coherence probes, cone membership, the strict cone check
+and the credal-set feasibility questions.
+
+A ``<=`` row with a non-negative right-hand side (or a ``>=`` row with a
+negative one) starts on its slack; only the other rows get an artificial,
+and a solve with none runs no phase 1.  Lower-prevision queries are
+written that way (see ``prevision``), so each is a single phase-2 run.
 
 The solver reports exactly one of three outcomes: an optimum together
 with a point that satisfies every constraint exactly, infeasibility, or
@@ -105,7 +112,9 @@ class LinearProgram:
             raise ValueError("constraint length does not match variable count")
         if rel not in (LESS_EQUAL, EQUAL, GREATER_EQUAL):
             raise ValueError(f"unknown relation {rel!r}")
-        self.rows.append(([as_fraction(a) for a in coeffs], rel, as_fraction(rhs)))
+        # Callers mostly pass Fractions already; coerce only the rest.
+        row = [a if isinstance(a, Fraction) else as_fraction(a) for a in coeffs]
+        self.rows.append((row, rel, as_fraction(rhs)))
 
     # -- internal ---------------------------------------------------------
 

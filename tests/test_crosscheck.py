@@ -16,10 +16,13 @@ from fractions import Fraction
 
 import pytest
 
+from desirables.cones import _pmf_side_lp
 from desirables.prevision import (
     Assessment,
     AssessmentEntry,
+    BeyondSupportError,
     ConditionalLowerPrevision,
+    SureLossError,
     lower_prevision,
 )
 from desirables.simplex import EQUAL, GREATER_EQUAL, LinearProgram, LPStatus
@@ -159,6 +162,53 @@ class TestQueryDuality:
         assert model.dominates(argmin)
         assert argmin.probability(event) > 0
         assert argmin.conditional(f, event) == model.lower(f, event)
+
+    # (space size range, generator count as a function of the size)
+    SHAPES = {
+        "fewer-generators": ((4, 6), lambda n: n - 2),
+        "more-generators": ((2, 4), lambda n: n + 1),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_pmf_side_agrees_with_queries(self, shape):
+        """Queries solve the gamble side only.  Its dual, the pmf-side LP,
+        must give the same value, be infeasible exactly when the query
+        diverges, and yield a minimising dominating pmf whose conditional
+        expectation is the query value.  The cones have fewer and more
+        generators than outcomes, and arbitrary entry values, so that some
+        queries diverge."""
+        (lo, hi), count = self.SHAPES[shape]
+        seen = {"finite": 0, SureLossError: 0, BeyondSupportError: 0}
+        for seed in range(40):
+            rng = random.Random(8300 + seed)
+            space = random_space(rng, "P", lo, hi)
+            entries = [
+                (
+                    random_gamble(rng, space, span=3, max_den=2),
+                    random_nonempty_event(rng, space) if rng.random() < 0.5 else None,
+                    Fraction(rng.randint(-3, 1), rng.randint(1, 3)),
+                )
+                for _ in range(count(space.size))
+            ]
+            model = ConditionalLowerPrevision.from_entries(space, entries)
+            for _ in range(3):
+                f = random_gamble(rng, space)
+                event = random_nonempty_event(rng, space)
+                dual = _pmf_side_lp(model.cone, f, event, sign=-1).solve()
+                if dual.status is LPStatus.INFEASIBLE:
+                    error = SureLossError if not model.cone.dominating_pmf_exists() else BeyondSupportError
+                    seen[error] += 1
+                    with pytest.raises(error):
+                        lower_prevision(model.cone, f, event)
+                    with pytest.raises(error):
+                        model.dominating_previsions(f, event)
+                    continue
+                seen["finite"] += 1
+                value = lower_prevision(model.cone, f, event)
+                assert value == -dual.value
+                argmin, _argmax = model.dominating_previsions(f, event)
+                assert argmin.conditional(f, event) == value
+        assert all(seen.values())
 
 
 class TestConditionalEntryRoundTrips:

@@ -1,11 +1,12 @@
 """Conditional lower previsions: natural extension, coherence, envelopes."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from desirables import prevision
 from desirables.cones import DesirableCone
 from desirables.prevision import (
     Assessment,
@@ -20,6 +21,7 @@ from desirables.prevision import (
     lower_prevision,
     upper_prevision,
 )
+from desirables.simplex import LinearProgram
 from desirables.spaces import Space, indicator
 from desirables.suites import (
     random_envelope_model,
@@ -65,71 +67,75 @@ class TestConeQueries:
 
 
 class TestQueryFormulations:
-    """``lower_prevision`` solves the pmf side when the cone has fewer
-    generators than outcomes and the gamble side otherwise; each side must
-    give the same values and the same errors."""
-
-    @pytest.fixture
-    def sides(self, monkeypatch):
-        """Names of the LP builders that queries used, in call order."""
-        used = []
-        for name in ("_raw_lower", "_pmf_side_lp"):
-            original = getattr(prevision, name)
-
-            def spy(*args, _name=name, _original=original, **kwargs):
-                used.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(prevision, name, spy)
-        return used
+    """``lower_prevision`` solves one LP for every cone shape: the gamble
+    side with mu shifted by min_B f, which starts on its slack basis.  Cones
+    with fewer and with more generators than outcomes must give the sympy
+    values and the same errors, and a query must run no phase 1."""
 
     # (space size range, generator count as a function of the size)
     SHAPES = {
-        "_pmf_side_lp": ((4, 5), lambda n: n - 2),
-        "_raw_lower": ((2, 3), lambda n: n + 1),
+        "fewer-generators": ((4, 5), lambda n: n - 2),
+        "more-generators": ((2, 3), lambda n: n + 1),
     }
 
-    @pytest.mark.parametrize("side", sorted(SHAPES))
-    @pytest.mark.parametrize("seed", range(8))
-    def test_lower_matches_sympy(self, sides, side, seed):
+    def random_queries(self, shape, seed):
         rng = random.Random(8400 + seed)
-        (lo, hi), count = self.SHAPES[side]
+        (lo, hi), count = self.SHAPES[shape]
         space = random_space(rng, "Q", lo, hi)
         model, _ = random_envelope_model(rng, space, n_entries=count(space.size))
         for _ in range(3):
-            f = random_gamble(rng, space)
-            event = random_nonempty_event(rng, space)
-            expected = sympy_lower_prevision(space, model.cone.generators, f, event)
-            assert lower_prevision(model.cone, f, event) == expected
-        assert set(sides) == {side}
+            yield model.cone, random_gamble(rng, space), random_nonempty_event(rng, space)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lower_matches_sympy(self, shape, seed):
+        for cone, f, event in self.random_queries(shape, seed):
+            expected = sympy_lower_prevision(cone.space, cone.generators, f, event)
+            assert lower_prevision(cone, f, event) == expected
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_query_runs_no_phase_one(self, shape, monkeypatch):
+        """Each simplex phase is one ``_iterate`` call, so a query that
+        starts at a feasible vertex makes exactly one."""
+        calls = []
+        original = LinearProgram._iterate
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(LinearProgram, "_iterate", staticmethod(spy))
+        for seed in range(4):
+            for cone, f, event in self.random_queries(shape, seed):
+                calls.clear()
+                lower_prevision(cone, f, event)
+                assert len(calls) == 1
 
     SURE_LOSS = {
-        "_pmf_side_lp": [ABC.gamble([-1, -1, -1])],
-        "_raw_lower": [AB.gamble([-1, 1]), AB.gamble([1, -2])],
+        "fewer-generators": [ABC.gamble([-1, -1, -1])],
+        "more-generators": [AB.gamble([-1, 1]), AB.gamble([1, -2])],
     }
 
-    @pytest.mark.parametrize("side", sorted(SURE_LOSS))
-    def test_sure_loss(self, sides, side):
-        gens = self.SURE_LOSS[side]
+    @pytest.mark.parametrize("shape", sorted(SURE_LOSS))
+    def test_sure_loss(self, shape):
+        gens = self.SURE_LOSS[shape]
         cone = DesirableCone.from_generators(gens[0].space, gens)
         with pytest.raises(SureLossError):
             lower_prevision(cone, gens[0].space.constant(0))
-        assert sides == [side]
 
     # Each cone forces mass zero on the last outcome.
     BEYOND_SUPPORT = {
-        "_pmf_side_lp": [ABC.gamble([0, 0, -1])],
-        "_raw_lower": [AB.gamble([0, -1]), AB.gamble([1, -1])],
+        "fewer-generators": [ABC.gamble([0, 0, -1])],
+        "more-generators": [AB.gamble([0, -1]), AB.gamble([1, -1])],
     }
 
-    @pytest.mark.parametrize("side", sorted(BEYOND_SUPPORT))
-    def test_beyond_support(self, sides, side):
-        gens = self.BEYOND_SUPPORT[side]
+    @pytest.mark.parametrize("shape", sorted(BEYOND_SUPPORT))
+    def test_beyond_support(self, shape):
+        gens = self.BEYOND_SUPPORT[shape]
         space = gens[0].space
         cone = DesirableCone.from_generators(space, gens)
         with pytest.raises(BeyondSupportError):
             lower_prevision(cone, space.constant(1), space.event([space.outcomes[-1]]))
-        assert sides == [side]
 
 
 class TestNaturalExtension:
@@ -255,6 +261,37 @@ class TestWilliamsCoherence:
                     AssessmentEntry(f, AB.full_event(), Fraction(1, 3)),
                 ),
             )
+
+
+COHERENCE_GOLDEN = json.loads((Path(__file__).parent / "data" / "coherence_golden.json").read_text())
+
+
+class TestCoherenceGolden:
+    """Verdicts recorded on seeded random assessments (2-7 outcomes, 1-8
+    entries, some conditional, some linear; values from envelopes of
+    random pmfs, some sharing a zero block, with some values moved, or off
+    a grid between the conditional minimum and maximum) before coherence
+    probes were decided by value first: 91 coherent, 50 gap, 152 sure-loss
+    and 7 beyond-support verdicts.  Which certificate comes back depends on
+    the LP and its pivot path, so exact equality of the ``repr`` pins
+    both."""
+
+    @pytest.mark.parametrize(
+        "case", COHERENCE_GOLDEN, ids=[f"a{k:03d}" for k in range(len(COHERENCE_GOLDEN))]
+    )
+    def test_recorded_verdict(self, case):
+        space = Space("W", tuple(f"w{i}" for i in range(case["outcomes"])))
+        entries = tuple(
+            AssessmentEntry(
+                gamble=space.gamble([Fraction(v) for v in e["gamble"]]),
+                event=space.event(space.outcomes[i] for i in e["event"]),
+                lower=Fraction(e["lower"]),
+                linear=e["linear"],
+            )
+            for e in case["entries"]
+        )
+        verdict = ConditionalLowerPrevision(Assessment(space, entries)).coherence
+        assert repr(verdict) == case["verdict"]
 
 
 class TestEnvelopeAgainstVertexOracle:
