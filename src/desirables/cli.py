@@ -10,6 +10,7 @@ identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -382,10 +383,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process; parsing never changes it,
+    so consecutive in-process calls of ``main`` share no state."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse usage errors are input errors
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else 0
     try:

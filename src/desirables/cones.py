@@ -18,13 +18,23 @@ queries solve the gamble side instead (see ``prevision``).  Membership,
 coherence and the credal-set questions answer with a status or a value
 only, so they use Dantzig pricing; the pmf witness publishes a vertex and
 keeps Bland's rule.
-Cones are immutable; queries are pure and safe to run concurrently.
+
+Every LP over a cone's outcome rows (membership, coherence and the
+lower-prevision queries of ``prevision``) takes its generator entries as
+integer rows: per outcome, the values g_i(x) times the lcm of their
+denominators.  They are computed once per cone, on first use, and cached
+as tuples of ints, so later queries convert no ``Fraction``.
+Cones are immutable: the cache is not a field, so it takes no part in
+equality or hashing, and it never changes once built.  Queries are pure
+and safe to run concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Optional
 
 from .simplex import DANTZIG, GREATER_EQUAL, LESS_EQUAL, EQUAL, LinearProgram, LPStatus
@@ -77,11 +87,13 @@ class DesirableCone:
     def from_generators(space: Space, generators: Iterable[Gamble]) -> "DesirableCone":
         return DesirableCone(space, tuple(generators))
 
-    def extended_with(self, f: Gamble) -> "DesirableCone":
-        """The cone generated by the current generators together with f."""
-        if f.space != self.space:
-            raise SpaceMismatchError("gamble on a different space")
-        return DesirableCone(self.space, self.generators + (f,))
+    @cached_property
+    def _integer_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per outcome x, ``(scale, ints)``: the generator values g_i(x) times
+        ``scale``, the lcm of their denominators, as immutable ints.  Built
+        on first use and kept, so every LP over this cone's outcome rows
+        skips the ``Fraction`` layer."""
+        return _outcome_rows(self.generators, self.space.size)
 
     # -- decision procedures ------------------------------------------------
 
@@ -102,8 +114,8 @@ class DesirableCone:
         if n == 0:
             return False
         lp = LinearProgram(n, [1] * n, nonneg=True)
-        for k, x in enumerate(self.space.outcomes):
-            lp.add([g.values[k] for g in self.generators], LESS_EQUAL, f.values[k])
+        for (scale, ints), v in zip(self._integer_rows, f.values):
+            lp._add_scaled(scale, ints, LESS_EQUAL, v)
         result = lp.solve(DANTZIG)
         if result.status is LPStatus.UNBOUNDED:
             return True
@@ -123,8 +135,8 @@ class DesirableCone:
             return True
         lp = LinearProgram(n, [0] * n, nonneg=True)
         lp.add([1] * n, EQUAL, 1)
-        for k in range(self.space.size):
-            lp.add([g.values[k] for g in self.generators], LESS_EQUAL, 0)
+        for scale, ints in self._integer_rows:
+            lp._add_scaled(scale, ints, LESS_EQUAL, 0)
         return lp.solve(DANTZIG).status is LPStatus.INFEASIBLE
 
     def positive_pmf_witness(self) -> Optional[PmfWitness]:
@@ -178,6 +190,19 @@ class DesirableCone:
         event.require_nonempty()
         lp = _pmf_side_lp(self, self.space.zero(), event, sign=1)
         return lp.solve(DANTZIG).status is LPStatus.OPTIMAL
+
+
+def _outcome_rows(generators: tuple[Gamble, ...], size: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The outcome rows of a cone as ``(scale, ints)`` (see
+    ``DesirableCone._integer_rows``)."""
+    if not generators:
+        return ((1, ()),) * size
+    rows = []
+    for column in zip(*(g.values for g in generators)):
+        ratios = list(map(Fraction.as_integer_ratio, column))
+        scale = lcm(*{d for _, d in ratios})
+        rows.append((scale, tuple(n * (scale // d) for n, d in ratios)))
+    return tuple(rows)
 
 
 def _pmf_side_lp(cone: DesirableCone, f: Gamble, event: Event, sign: int) -> LinearProgram:

@@ -84,15 +84,22 @@ def _gamble_side_lp(
     outcome:  sum_i lambda_i g_i(x) + I_B(x) mu <= I_B(x) f(x).  With a
     ``floor``, the last variable is mu - floor >= 0 instead of mu (free),
     and each right-hand side is I_B(x) (f(x) - floor).
+
+    The generator part of each row is the cone's cached integer row
+    (``DesirableCone._integer_rows``), so no ``Fraction`` is converted per
+    query; the mu entry is the row's scale on B and 0 off it.  The LP
+    raises a row's scale only when the right-hand side brings a
+    denominator that the scale does not divide.
     """
     n = len(cone.generators)
-    lp = LinearProgram(n + 1, [0] * n + [1], nonneg=[True] * n + [floor is not None])
+    lp = LinearProgram(n + 1, [_ZERO] * n + [_ONE], nonneg=[True] * n + [floor is not None])
     shift = _ZERO if floor is None else floor
-    for k, x in enumerate(cone.space.outcomes):
-        in_b = x in event.members
-        row = [g.values[k] for g in cone.generators]
-        row.append(_ONE if in_b else _ZERO)
-        lp.add(row, LESS_EQUAL, f.values[k] - shift if in_b else _ZERO)
+    members = event.members
+    for x, (scale, ints), v in zip(cone.space.outcomes, cone._integer_rows, f.values):
+        if x in members:
+            lp._add_scaled(scale, ints + (scale,), LESS_EQUAL, v - shift)
+        else:
+            lp._add_scaled(scale, ints + (0,), LESS_EQUAL, 0)
     return lp
 
 

@@ -1,43 +1,57 @@
 """Exact rational linear programming via a two-phase dense simplex.
 
 Problems go in and answers come out as ``fractions.Fraction``, but the
-tableau is fraction-free.  Each row is scaled once, by the lcm of its
-denominators, to a coprime ``int`` vector, and stays one: its basic column
-holds a positive scale ``d``, so the rational row it stands for is
-``row / d``.  A pivot on ``p = prow[c]`` replaces every other row by
-``p*row - row[c]*prow`` and divides out the row gcd (integer-preserving
-elimination as in Bareiss 1968 and Avis's lrs), so no rational is
-normalised inside the pivot loop.  The cost row is an ``int`` vector with
-an implicit positive scale, reduced the same way.
+tableau is fraction-free.  ``LinearProgram`` keeps each constraint row as
+an ``int`` vector scaled once, on entry, by the lcm of its denominators;
+that scale becomes the row's positive scale ``d`` in the tableau, so the
+rational row it stands for is ``row / d``.
+
+The tableau is a compact exchange tableau (a dictionary): it stores the
+non-basic columns only.  Each row is ``[d, entries..., rhs]``, ``labels``
+names the variable in each non-basic position, and ``basis`` names each
+row's basic variable, whose column is the unit vector times ``d`` and so
+is never stored.  A pivot on ``p = prow[c]`` exchanges the entering
+variable ``labels[c]`` with the leaving one ``basis[r]``.  With ``s`` the
+sign of ``p``, the pivot row becomes ``s * prow`` with scale ``|p|`` and
+``s * d_r`` in position ``c``.  Every other row becomes
+``|p| * row - f * s * prow`` with ``f = row[c]``, scale ``|p| * d_i`` and
+``-f * s * d_r`` in position ``c``, and is divided by its gcd
+(integer-preserving elimination as in Bareiss 1968 and Avis's lrs), so no
+rational is normalised inside the pivot loop.  These are the integers the
+full-width tableau would hold, minus its basic columns.  The cost row is
+an ``int`` vector with an implicit positive scale, kept in the same layout
+with a 0 in the scale slot and updated the same way.
 
 Because every scale is positive, each sign in the integer tableau is the
 sign of the rational entry, and each ratio ``rhs / a`` is the rational
 ratio (the row scale cancels), compared by cross-multiplying.  Bland's
-rule (smallest-index entering column, smallest-index basic variable on
-ratio ties) therefore takes the same pivot path as over ``Fraction`` and
-returns the same vertex or ray, and it still guarantees termination.
-There is no floating point anywhere, so feasibility, optimality, and
-unboundedness are decided exactly.
+rule (smallest entering label, smallest basic label on ratio ties)
+therefore takes the same pivot path as over ``Fraction``, or over the
+full-width tableau, and returns the same vertex or ray; it still
+guarantees termination.  There is no floating point anywhere, so
+feasibility, optimality, and unboundedness are decided exactly.
 
 Two entering rules are offered.  ``BLAND`` is the default, and every
 solve whose vertex or ray is published (coherence certificates, pmf
 witnesses, dominating pmfs, measurability coefficients) uses it, because
 another rule may end at another optimal vertex and so change those
-answers.  ``DANTZIG`` enters the column with the largest reduced cost,
-which takes far fewer pivots; the cost row's implicit scale is positive,
-so the largest integer entry is the largest rational one.  Dantzig's rule
-alone can cycle on degenerate vertices, so after ``DEGENERATE_RUN``
-consecutive pivots that leave the objective unchanged the phase finishes
-on Bland's rule, which still guarantees termination.  Solves whose answer
-is the optimal value or the status alone use it, because those are the
-same whichever optimal vertex the pivots reach: lower-prevision queries,
-the value-first coherence probes, cone membership, the strict cone check
-and the credal-set feasibility questions.
+answers.  ``DANTZIG`` enters the variable with the largest reduced cost,
+smallest label on ties, which takes far fewer pivots; the cost row's
+implicit scale is positive, so the largest integer entry is the largest
+rational one.  Dantzig's rule alone can cycle on degenerate vertices, so
+after ``DEGENERATE_RUN`` consecutive pivots that leave the objective
+unchanged the phase finishes on Bland's rule, which still guarantees
+termination.  Solves whose answer is the optimal value or the status
+alone use it, because those are the same whichever optimal vertex the
+pivots reach: lower-prevision queries, the value-first coherence probes,
+cone membership, the strict cone check and the credal-set feasibility
+questions.
 
 A ``<=`` row with a non-negative right-hand side (or a ``>=`` row with a
 negative one) starts on its slack; only the other rows get an artificial,
 and a solve with none runs no phase 1.  Lower-prevision queries are
 written that way (see ``prevision``), so each is a single phase-2 run.
+Artificial columns leave the tableau once phase 1 ends.
 
 The solver reports exactly one of three outcomes: an optimum together
 with a point that satisfies every constraint exactly, infeasibility, or
@@ -105,7 +119,8 @@ class LinearProgram:
             if len(nonneg) != num_vars:
                 raise ValueError("nonneg flags length does not match variable count")
             self.nonneg = list(nonneg)
-        self.rows: list[tuple[list[Fraction], str, Fraction]] = []
+        #: (scale, coefficients * scale, relation, rhs * scale), all ints.
+        self.rows: list[tuple[int, Sequence[int], str, int]] = []
 
     def add(self, coeffs: Sequence[RationalLike], rel: str, rhs: RationalLike) -> None:
         if len(coeffs) != self.num_vars:
@@ -114,7 +129,29 @@ class LinearProgram:
             raise ValueError(f"unknown relation {rel!r}")
         # Callers mostly pass Fractions already; coerce only the rest.
         row = [a if isinstance(a, Fraction) else as_fraction(a) for a in coeffs]
-        self.rows.append((row, rel, as_fraction(rhs)))
+        b = as_fraction(rhs)
+        scale = lcm(b.denominator, *(a.denominator for a in row))
+        self.rows.append(
+            (
+                scale,
+                [a.numerator * (scale // a.denominator) for a in row],
+                rel,
+                b.numerator * (scale // b.denominator),
+            )
+        )
+
+    def _add_scaled(self, scale: int, coeffs: Sequence[int], rel: str, rhs: Fraction | int) -> None:
+        """Add the row ``coeffs / scale  rel  rhs``, whose coefficients come
+        already scaled to ints by the positive ``scale`` (callers that cache
+        integer rows use this).  The scale is raised, and the coefficients
+        with it, only when it is not a multiple of the denominator of
+        ``rhs``."""
+        q = rhs.denominator
+        if scale % q:
+            m = q // gcd(scale, q)
+            scale *= m
+            coeffs = [a * m for a in coeffs]
+        self.rows.append((scale, coeffs, rel, rhs.numerator * (scale // q)))
 
     # -- internal ---------------------------------------------------------
 
@@ -137,143 +174,180 @@ class LinearProgram:
         if pricing not in (BLAND, DANTZIG):
             raise ValueError(f"unknown pricing {pricing!r}")
         colmap, nstruct = self._split_columns()
+        split = nstruct != self.num_vars
 
-        # Expand rows over split columns, with one slack column per
-        # inequality.  Each row is scaled by the lcm of its denominators,
-        # negated if need be so that its right-hand side is non-negative;
-        # its slack's and its artificial's coefficient is then that scale
-        # up to sign, which also makes the int row coprime.
-        nslack = sum(1 for _, rel, _ in self.rows if rel != EQUAL)
-        width = nstruct + nslack
+        # Variables are labelled as the full-width tableau's columns:
+        # structural, then one slack per inequality, then one artificial per
+        # row that cannot start on its slack.  A row is negated if need be so
+        # that its right-hand side is non-negative; a positive slack then
+        # starts in the basis, and otherwise the row's slack (if any) is
+        # non-basic at -scale and an artificial at +scale is basic.
+        slack_label: list[int] = []
+        starts_on_slack: list[bool] = []
+        width = nstruct
+        for _, _, rel, b in self.rows:
+            if rel == EQUAL:
+                slack_label.append(-1)
+                starts_on_slack.append(False)
+            else:
+                slack_label.append(width)
+                width += 1
+                starts_on_slack.append((rel == LESS_EQUAL) == (b >= 0))
+        labels = [-1, *range(nstruct)]  # labels[0] stands for the scale slot
+        slack_pos: dict[int, int] = {}
+        for i, s in enumerate(slack_label):
+            if s >= 0 and not starts_on_slack[i]:
+                slack_pos[i] = len(labels)
+                labels.append(s)
+        pad = [0] * len(slack_pos)
+
         tableau: list[list[int]] = []
         basis: list[int] = []
-        pending: list[tuple[int, int]] = []  # (row, scale) of each row needing an artificial
-        slack_at = 0
-        for coeffs, rel, b in self.rows:
-            scale = lcm(b.denominator, *(a.denominator for a in coeffs))
-            k = -scale if b < 0 else scale
-            row = [0] * (width + 1)
-            for j, a in enumerate(coeffs):
-                if a == 0:
-                    continue
-                v = a.numerator * (k // a.denominator)
-                plus, minus = colmap[j]
-                row[plus] = v
-                if minus >= 0:
-                    row[minus] = -v
-            row[-1] = b.numerator * (k // b.denominator)
-            slack_col = -1
-            if rel != EQUAL:
-                slack_col = nstruct + slack_at
-                slack_at += 1
-                row[slack_col] = k if rel == LESS_EQUAL else -k
-            # A positive slack with the (now non-negative) rhs can start in
-            # the basis; otherwise the row needs an artificial.
-            if slack_col >= 0 and row[slack_col] > 0:
-                basis.append(slack_col)
+        nart = 0
+        for i, (scale, coeffs, rel, b) in enumerate(self.rows):
+            if split:
+                entries = [0] * nstruct
+                for (plus, minus), v in zip(colmap, coeffs):
+                    entries[plus] = v
+                    if minus >= 0:
+                        entries[minus] = -v
             else:
-                basis.append(-1)
-                pending.append((len(tableau), scale))
+                entries = coeffs
+            if b < 0:
+                row = [scale, *(-v for v in entries), *pad, -b]
+            else:
+                row = [scale, *entries, *pad, b]
+            if starts_on_slack[i]:
+                basis.append(slack_label[i])
+            else:
+                basis.append(width + nart)
+                nart += 1
+                if i in slack_pos:
+                    row[slack_pos[i]] = -scale
             tableau.append(row)
-
-        nart = len(pending)
-        total_cols = width + nart
-        art_cols = list(range(width, total_cols))
-        if nart:
-            for row in tableau:
-                row[-1:-1] = [0] * nart
-            for col, (i, scale) in zip(art_cols, pending):
-                tableau[i][col] = scale
-                basis[i] = col
 
         # Phase 1: maximize -(sum of artificials).
         if nart:
-            cost = [0] * (total_cols + 1)
-            for col in art_cols:
-                cost[col] = -1
-            self._reduce_cost_row(cost, tableau, basis)
-            status, _ = self._iterate(tableau, basis, cost, total_cols, (), pricing)
+            cost = self._cost_row([-1 if v >= width else 0 for v in basis], tableau, labels, {})
+            status, _ = self._iterate(tableau, basis, labels, cost, pricing)
             assert status is LPStatus.OPTIMAL  # phase 1 is always bounded
             if cost[-1] != 0:  # cost[-1] holds -z; z* < 0 means infeasible
                 return LPResult(status=LPStatus.INFEASIBLE)
-            self._expel_artificials(tableau, basis, art_cols, width)
+            self._expel_artificials(tableau, basis, labels, width)
+            keep = [j for j in range(1, len(labels)) if labels[j] < width]
+            if len(keep) < len(labels) - 1:
+                labels = [-1, *(labels[j] for j in keep)]
+                tableau[:] = [_coprime([row[0], *(row[j] for j in keep), row[-1]]) for row in tableau]
 
         # Phase 2 over the structural objective, scaled to ints.
-        cost = [0] * (total_cols + 1)
+        costs: dict[int, int] = {}
         scale = lcm(*(c.denominator for c in self.objective))
-        for j, c in enumerate(self.objective):
+        for (plus, minus), c in zip(colmap, self.objective):
             if c == 0:
                 continue
             v = c.numerator * (scale // c.denominator)
-            plus, minus = colmap[j]
-            cost[plus] = v
+            costs[plus] = v
             if minus >= 0:
-                cost[minus] = -v
-        self._reduce_cost_row(cost, tableau, basis)
-        status, entering = self._iterate(tableau, basis, cost, total_cols, tuple(art_cols), pricing)
+                costs[minus] = -v
+        cost = self._cost_row([costs.get(v, 0) for v in basis], tableau, labels, costs)
+        status, entering = self._iterate(tableau, basis, labels, cost, pricing)
 
         if status is LPStatus.UNBOUNDED:
-            ray = self._extract_ray(tableau, basis, entering, colmap)
+            ray = self._extract_ray(tableau, basis, labels[entering], entering, colmap)
             return LPResult(status=LPStatus.UNBOUNDED, ray=ray)
 
-        point = self._extract_point(tableau, basis, colmap)
-        value = sum((c * x for c, x in zip(self.objective, point)), _ZERO)
+        point = self._extract_point(tableau, basis, colmap, nstruct)
+        value = sum((c * x for c, x in zip(self.objective, point) if c), _ZERO)
         return LPResult(status=LPStatus.OPTIMAL, value=value, point=point)
 
     @staticmethod
-    def _reduce_cost_row(cost: list[int], tableau: list[list[int]], basis: list[int]) -> None:
-        """Zero the cost of every basic column; the implicit scale of the
-        cost row stays positive because each row's basic entry is."""
-        for row, b in zip(tableau, basis):
-            cb = cost[b]
-            if cb != 0:
-                cost[:] = _coprime([row[b] * v - cb * a for v, a in zip(cost, row)])
+    def _cost_row(
+        pending: list[int], tableau: list[list[int]], labels: list[int], costs: dict[int, int]
+    ) -> list[int]:
+        """The cost row over the non-basic positions, with the cost of every
+        basic variable priced out.  ``costs`` gives the non-basic costs by
+        label and ``pending`` each row's basic cost.  Pricing out row i
+        multiplies the whole cost row by its scale, so the costs still
+        pending scale with it, and the gcd divides them too; the implicit
+        scale of the cost row stays positive because each row scale is."""
+        cost = [0, *(costs.get(v, 0) for v in labels[1:]), 0]
+        for i, row in enumerate(tableau):
+            cb = pending[i]
+            if cb == 0:
+                continue
+            d = row[0]
+            cost = [d * v - cb * a for v, a in zip(cost, row)]
+            cost[0] = 0
+            pending = [d * v for v in pending]
+            pending[i] = 0
+            g = gcd(*cost, *pending)
+            if g > 1:
+                cost = [v // g for v in cost]
+                pending = [v // g for v in pending]
+        return cost
 
     @staticmethod
-    def _pivot(tableau: list[list[int]], cost: list[int], basis: list[int], r: int, c: int) -> None:
+    def _pivot(
+        tableau: list[list[int]],
+        cost: list[int],
+        basis: list[int],
+        labels: list[int],
+        r: int,
+        c: int,
+    ) -> None:
+        """Exchange the non-basic variable in position ``c`` with the basic
+        variable of row ``r``."""
         prow = tableau[r]
         piv = prow[c]
-        if piv < 0:  # keep the new basic entry, and so every row scale, positive
-            tableau[r] = prow = [-v for v in prow]
+        if piv < 0:  # keep the new row scale positive
+            prow = [-v for v in prow]
             piv = -piv
+        d = prow[0]  # s * d_r
+        # Eliminating with ``elim`` gives every other row scale piv * d_i
+        # (elim[0] = 0) and -f * s * d_r in position c.
+        elim = prow.copy()
+        elim[0] = 0
+        elim[c] = piv + d
         for i, row in enumerate(tableau):
             f = row[c]
             if f == 0 or i == r:
                 continue
-            tableau[i] = _coprime([piv * v - f * a for v, a in zip(row, prow)])
+            tableau[i] = _coprime([piv * v - f * a for v, a in zip(row, elim)])
         f = cost[c]
         if f != 0:
-            cost[:] = _coprime([piv * v - f * a for v, a in zip(cost, prow)])
-        basis[r] = c
+            cost[:] = _coprime([piv * v - f * a for v, a in zip(cost, elim)])
+        prow[0] = piv
+        prow[c] = d
+        tableau[r] = prow
+        basis[r], labels[c] = labels[c], basis[r]
 
     @classmethod
     def _iterate(
         cls,
         tableau: list[list[int]],
         basis: list[int],
+        labels: list[int],
         cost: list[int],
-        total_cols: int,
-        block_cols: tuple[int, ...],
         pricing: str,
     ) -> tuple[LPStatus, int]:
         """Pivot to optimality; on unboundedness, also return the entering
-        column whose ray escapes."""
-        blocked = set(block_cols)
-        open_cols = [j for j in range(total_cols) if j not in blocked]
+        position whose ray escapes."""
+        positions = range(1, len(labels))
         bland = pricing == BLAND
         degenerate = 0
         while True:
             enter = -1
-            if bland:  # smallest improving index
-                for j in open_cols:
-                    if cost[j] > 0:
+            if bland:  # smallest improving label
+                for j in positions:
+                    if cost[j] > 0 and (enter < 0 or labels[j] < labels[enter]):
                         enter = j
-                        break
-            else:  # largest reduced cost, smallest index on ties
-                best = 0
-                for j in open_cols:
-                    if cost[j] > best:
-                        best, enter = cost[j], j
+            else:  # largest reduced cost, smallest label on ties
+                reduced = cost[1:-1]
+                best = max(reduced, default=0)
+                if best > 0:
+                    enter = reduced.index(best) + 1
+                    if reduced.count(best) > 1:
+                        enter = min((j for j in positions if cost[j] == best), key=labels.__getitem__)
             if enter < 0:
                 return LPStatus.OPTIMAL, -1
             # Ratio test: rhs / a, with the row scale cancelled, compared
@@ -296,37 +370,40 @@ class LinearProgram:
             if not bland:
                 degenerate = degenerate + 1 if best_rhs == 0 else 0
                 bland = degenerate >= DEGENERATE_RUN
-            cls._pivot(tableau, cost, basis, leave, enter)
+            cls._pivot(tableau, cost, basis, labels, leave, enter)
 
     @staticmethod
     def _expel_artificials(
-        tableau: list[list[int]], basis: list[int], art_cols: list[int], width: int
+        tableau: list[list[int]], basis: list[int], labels: list[int], width: int
     ) -> None:
-        """Pivot artificial variables out of the basis; drop redundant rows.
-        The pivot element may be negative here; ``_pivot`` negates its row."""
-        art = set(art_cols)
+        """Pivot artificial variables out of the basis, each on its row's
+        smallest-labelled non-artificial entry; drop redundant rows.  The
+        pivot element may be negative here; ``_pivot`` negates its row."""
         drop: list[int] = []
         for i in range(len(tableau)):
-            if basis[i] not in art:
+            if basis[i] < width:
                 continue
             row = tableau[i]
-            pivot_col = -1
-            for j in range(width):
-                if row[j] != 0:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
+            pivot_pos = -1
+            for j in range(1, len(labels)):
+                if row[j] != 0 and labels[j] < width and (pivot_pos < 0 or labels[j] < labels[pivot_pos]):
+                    pivot_pos = j
+            if pivot_pos < 0:
                 drop.append(i)  # all-zero structural row: redundant constraint
                 continue
-            LinearProgram._pivot(tableau, [0] * len(row), basis, i, pivot_col)
+            LinearProgram._pivot(tableau, [0] * len(row), basis, labels, i, pivot_pos)
         for i in reversed(drop):
             del tableau[i]
             del basis[i]
 
+    @staticmethod
     def _extract_point(
-        self, tableau: list[list[int]], basis: list[int], colmap: list[tuple[int, int]]
+        tableau: list[list[int]], basis: list[int], colmap: list[tuple[int, int]], nstruct: int
     ) -> tuple[Fraction, ...]:
-        col_values: dict[int, Fraction] = {b: Fraction(row[-1], row[b]) for row, b in zip(tableau, basis)}
+        """The basic solution's structural part; slacks are not read."""
+        col_values: dict[int, Fraction] = {
+            b: Fraction(row[-1], row[0]) for row, b in zip(tableau, basis) if b < nstruct
+        }
         point = []
         for plus, minus in colmap:
             v = col_values.get(plus, _ZERO)
@@ -340,14 +417,16 @@ class LinearProgram:
         tableau: list[list[int]],
         basis: list[int],
         enter: int,
+        pos: int,
         colmap: list[tuple[int, int]],
     ) -> tuple[Fraction, ...]:
-        """Improving direction from the entering column that had no blocking row."""
+        """Improving direction from the entering variable ``enter``, in
+        position ``pos``, that had no blocking row."""
         direction: dict[int, Fraction] = {enter: Fraction(1)}
         for row, b in zip(tableau, basis):
-            a = row[enter]
+            a = row[pos]
             if a != 0:
-                direction[b] = Fraction(-a, row[b])
+                direction[b] = Fraction(-a, row[0])
         ray = []
         for plus, minus in colmap:
             v = direction.get(plus, _ZERO)
@@ -361,15 +440,3 @@ def _coprime(row: list[int]) -> list[int]:
     """The row divided by the (positive) gcd of its entries."""
     g = gcd(*row)
     return [v // g for v in row] if g > 1 else row
-
-
-def solve_lp(
-    objective: Sequence[RationalLike],
-    constraints: Sequence[tuple[Sequence[RationalLike], str, RationalLike]],
-    nonneg: Sequence[bool] | bool = True,
-) -> LPResult:
-    """One-shot helper: maximize objective subject to (coeffs, rel, rhs) rows."""
-    lp = LinearProgram(len(objective), objective, nonneg=nonneg)
-    for coeffs, rel, rhs in constraints:
-        lp.add(coeffs, rel, rhs)
-    return lp.solve()

@@ -114,16 +114,19 @@ class TestPmfWitness:
 
 class TestExtension:
     def test_extension_keeps_generator_list(self):
-        cone = DesirableCone.vacuous(AB).extended_with(AB.gamble([-1, 2]))
+        vacuous = DesirableCone.vacuous(AB)
+        cone = DesirableCone(AB, vacuous.generators + (AB.gamble([-1, 2]),))
         assert [g.values for g in cone.generators] == [(Fraction(-1), Fraction(2))]
 
     def test_new_generator_is_member(self):
         f = AB.gamble([-2, 3])
-        cone = DesirableCone.from_generators(AB, [AB.gamble([-1, 2])]).extended_with(f)
+        base = DesirableCone.from_generators(AB, [AB.gamble([-1, 2])])
+        cone = DesirableCone(AB, base.generators + (f,))
         assert cone.contains(f)
 
     def test_extension_with_partial_loss_breaks_coherence(self):
-        cone = DesirableCone.vacuous(AB).extended_with(AB.gamble([-1, -1]))
+        vacuous = DesirableCone.vacuous(AB)
+        cone = DesirableCone(AB, vacuous.generators + (AB.gamble([-1, -1]),))
         assert not cone.is_coherent()
 
     @pytest.mark.parametrize("seed", range(15))
@@ -141,7 +144,7 @@ class TestExtension:
                 break
         if member is None:
             pytest.skip("no member found for this seed")
-        extended = cone.extended_with(member)
+        extended = DesirableCone(space, cone.generators + (member,))
         for _ in range(12):
             probe = Gamble(
                 space, tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in space.outcomes)
@@ -179,7 +182,7 @@ class TestClosureProperties:
             cone.space,
             tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in cone.space.outcomes),
         )
-        bigger = cone.extended_with(extra)
+        bigger = DesirableCone(cone.space, cone.generators + (extra,))
         for _ in range(10):
             probe = Gamble(
                 cone.space,

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from desirables import cli
 from desirables.cli import main
 from desirables.modelfile import (
     ModelFormatError,
@@ -210,6 +211,39 @@ class TestNatexCommand:
         assert main(["natex", "-m", credal_path, "--gamble", "ia", "--output", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"value": "1/4", "certificate": None, "exit_code": 0}
+
+
+class TestConsecutiveCalls:
+    """``main`` builds its parser once per process, so one call must leave
+    nothing behind that changes the next."""
+
+    def test_parser_built_once(self, credal_path, monkeypatch, capsys):
+        builds = []
+        build = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return build()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counted)
+        try:
+            assert main(["check", "-m", credal_path]) == 0
+            assert main(["natex", "-m", credal_path, "--gamble", "ia"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+        assert capsys.readouterr().out == "coherent\n1/4\n"
+
+    def test_upper_then_lower(self, credal_path, capsys):
+        assert main(["natex", "-m", credal_path, "--gamble", "ia", "--upper"]) == 0
+        assert main(["natex", "-m", credal_path, "--gamble", "ia"]) == 0
+        assert capsys.readouterr().out == "3/4\n1/4\n"
+
+    def test_usage_error_then_valid_check(self, credal_path, capsys):
+        assert main(["check"]) == 3  # --model is missing
+        assert main(["check", "-m", credal_path]) == 0
+        assert capsys.readouterr().out == "coherent\n"
 
 
 def _write_linear_model(tmp_path, name, space_id, masses):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from desirables import cones
 from desirables.cones import DesirableCone
 from desirables.prevision import (
     Assessment,
@@ -136,6 +137,65 @@ class TestQueryFormulations:
         cone = DesirableCone.from_generators(space, gens)
         with pytest.raises(BeyondSupportError):
             lower_prevision(cone, space.constant(1), space.event([space.outcomes[-1]]))
+
+
+class TestIntegerRows:
+    """Queries read each cone's outcome rows as cached integer rows, scaled
+    by the lcm of the generator denominators; a right-hand side with a
+    denominator the scale does not divide must raise that row's scale."""
+
+    @staticmethod
+    def thirds_cone(rng, space):
+        """Generators with entries in thirds, each shifted so that the
+        uniform pmf gives it a positive expectation: every query is finite."""
+        gens = []
+        for _ in range(rng.randint(1, space.size + 1)):
+            thirds = [rng.randint(-6, 6) for _ in space.outcomes]
+            shift = max(1, -sum(thirds) // space.size + 1)
+            gens.append(space.gamble([Fraction(t + shift, 3) for t in thirds]))
+        return DesirableCone(space, tuple(gens))
+
+    @pytest.mark.parametrize("conditional", [False, True], ids=["unconditional", "conditional"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sevenths_queries_match_sympy(self, seed, conditional):
+        rng = random.Random(9100 + seed)
+        space = random_space(rng, "T", 3, 5)
+        cone = self.thirds_cone(rng, space)
+        assert any(scale % 3 == 0 for scale, _ in cone._integer_rows)
+        for _ in range(3):
+            f = space.gamble([Fraction(rng.randint(-20, 20), 7) for _ in space.outcomes])
+            event = random_nonempty_event(rng, space) if conditional else space.full_event()
+            expected = sympy_lower_prevision(space, cone.generators, f, event)
+            assert expected is not None
+            assert lower_prevision(cone, f, event) == expected
+            bounds = (expected, upper_prevision(cone, f, event))
+            assert bounds == envelope_bounds_by_vertices(space, cone.generators, f, event)
+
+    def test_rows_built_once_per_cone(self, monkeypatch):
+        builds = []
+        build = cones._outcome_rows
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(cones, "_outcome_rows", counted)
+        pmfs = [LinearPrevision.from_masses(ABC, m) for m in (["1/2", "1/4", "1/4"], ["1/5", "2/5", "2/5"])]
+        pairs = [(ABC.gamble([1, 0, 2]), None), (ABC.gamble(["1/3", "-2/3", 0]), ABC.event(["x1", "x2"]))]
+        model = ConditionalLowerPrevision(envelope_assessment(ABC, pmfs, pairs))
+        f = ABC.gamble(["3/7", -1, "2/7"])
+        for event in (None, ABC.event(["x1", "x3"])):
+            model.lower(f, event)
+            model.upper(f, event)
+        assert model.is_coherent()
+        assert model.cone.is_coherent()
+        assert model.cone.contains(f + 2)
+        assert len(builds) == 1
+        rows = model.cone._integer_rows
+        assert isinstance(rows, tuple) and len(rows) == ABC.size
+        for scale, ints in rows:
+            assert isinstance(scale, int) and scale > 0
+            assert isinstance(ints, tuple) and all(isinstance(a, int) for a in ints)
 
 
 class TestNaturalExtension:

@@ -8,34 +8,34 @@ from pathlib import Path
 
 import pytest
 
-from desirables.simplex import BLAND, DANTZIG, LinearProgram, LPStatus, solve_lp
+from desirables.simplex import BLAND, DANTZIG, LinearProgram, LPStatus
 
 from oracles import solve_linear_system, sympy_lp_max
 
 
 class TestCannedPrograms:
     def test_bounded_optimum(self):
-        result = solve_lp([1, 1], [([1, 2], "<=", 4), ([1, 0], "<=", 1)])
+        result = solve_priced(BLAND, [1, 1], [([1, 2], "<=", 4), ([1, 0], "<=", 1)])
         assert result.status is LPStatus.OPTIMAL
         assert result.value == Fraction(5, 2)
         assert result.point == (Fraction(1), Fraction(3, 2))
 
     def test_infeasible(self):
-        result = solve_lp([1], [([1], ">=", 1), ([1], "<=", 0)])
+        result = solve_priced(BLAND, [1], [([1], ">=", 1), ([1], "<=", 0)])
         assert result.status is LPStatus.INFEASIBLE
 
     def test_unbounded_with_ray(self):
-        result = solve_lp([1, 0], [([0, 1], "<=", 3)])
+        result = solve_priced(BLAND, [1, 0], [([0, 1], "<=", 3)])
         assert result.status is LPStatus.UNBOUNDED
         assert result.ray is not None and result.ray[0] > 0
 
     def test_free_variable(self):
-        result = solve_lp([-1], [([1], ">=", -3)], nonneg=[False])
+        result = solve_priced(BLAND, [-1], [([1], ">=", -3)], nonneg=[False])
         assert result.status is LPStatus.OPTIMAL
         assert result.value == 3 and result.point == (Fraction(-3),)
 
     def test_equality_constraint(self):
-        result = solve_lp([1, 1], [([1, 1], "==", 2), ([1, 0], "<=", 1)])
+        result = solve_priced(BLAND, [1, 1], [([1, 1], "==", 2), ([1, 0], "<=", 1)])
         assert result.status is LPStatus.OPTIMAL and result.value == 2
 
     @pytest.mark.parametrize("pricing", [BLAND, DANTZIG])
@@ -66,7 +66,8 @@ class TestCannedPrograms:
         assert result.value == Fraction(1, 20)
 
     def test_redundant_equalities(self):
-        result = solve_lp(
+        result = solve_priced(
+            BLAND,
             [1, 1],
             [([1, 1], "==", 1), ([2, 2], "==", 2), ([1, 0], "<=", Fraction(1, 3))],
         )
@@ -74,7 +75,7 @@ class TestCannedPrograms:
 
     def test_point_satisfies_all_constraints_exactly(self):
         rows = [([3, -2, 5], "<=", 7), ([1, 1, 1], ">=", 2), ([0, 1, -1], "==", 0)]
-        result = solve_lp([2, -1, 1], rows, nonneg=[True, True, False])
+        result = solve_priced(BLAND, [2, -1, 1], rows, nonneg=[True, True, False])
         assert result.status is LPStatus.OPTIMAL
         assert_satisfies(rows, [True, True, False], result.point)
 
@@ -92,14 +93,15 @@ class TestCannedPrograms:
         # pivots on a negative element.  The pivot row must be negated so
         # that its basic entry, the row scale, stays positive; otherwise the
         # signs the later pivots read are wrong and so is the vertex.
-        result = solve_lp(objective, rows)
+        result = solve_priced(BLAND, objective, rows)
         assert result.status is LPStatus.OPTIMAL
         assert result.value == value
         assert_satisfies(rows, True, result.point)
 
 
 def solve_priced(pricing, objective, rows, nonneg=True):
-    """``solve_lp`` with the given entering rule."""
+    """Maximize the objective subject to (coeffs, rel, rhs) rows with the
+    given entering rule."""
     lp = LinearProgram(len(objective), objective, nonneg=nonneg)
     for coeffs, rel, rhs in rows:
         lp.add(coeffs, rel, rhs)
@@ -138,7 +140,7 @@ class TestPivotPathGolden:
     def test_recorded_answer(self, case):
         objective = [Fraction(c) for c in case["objective"]]
         rows = [([Fraction(a) for a in coeffs], rel, Fraction(rhs)) for coeffs, rel, rhs in case["rows"]]
-        result = solve_lp(objective, rows, nonneg=case["nonneg"])
+        result = solve_priced(BLAND, objective, rows, nonneg=case["nonneg"])
         assert result.status.value == case["status"]
         assert result.value == (None if case["value"] is None else Fraction(case["value"]))
         assert result.point == fractions_or_none(case["point"])
@@ -233,7 +235,7 @@ class TestAgainstBruteForce:
             )
             for k in range(n)
         ]
-        result = solve_lp(objective, boxed_rows)
+        result = solve_priced(BLAND, objective, boxed_rows)
         expected = brute_force_box_lp(objective, rows, box)
         if expected is None:
             assert result.status is LPStatus.INFEASIBLE
@@ -255,7 +257,7 @@ class TestAgainstSympy:
             rhs = Fraction(rng.randint(-3, 3))
             rows.append((coeffs, rel, rhs))
         nonneg = [True] * n
-        result = solve_lp(objective, rows, nonneg=nonneg)
+        result = solve_priced(BLAND, objective, rows, nonneg=nonneg)
         status, value = sympy_lp_max(objective, rows, nonneg)
         assert result.status.value == status
         if status == "optimal":
