@@ -21,9 +21,9 @@ keeps Bland's rule.
 
 Every LP over a cone's outcome rows (membership, coherence and the
 lower-prevision queries of ``prevision``) takes its generator entries as
-integer rows: per outcome, the values g_i(x) times the lcm of their
-denominators.  They are computed once per cone, on first use, and cached
-as tuples of ints, so later queries convert no ``Fraction``.
+``scaled_rows``: per outcome, the values g_i(x) as the integer row of
+``simplex.scaled_row``.  They are computed once per cone, on first use,
+and cached as tuples of ints, so later queries convert no ``Fraction``.
 Cones are immutable: the cache is not a field, so it takes no part in
 equality or hashing, and it never changes once built.  Queries are pure
 and safe to run concurrently.
@@ -34,10 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Iterable, Optional
 
-from .simplex import DANTZIG, GREATER_EQUAL, LESS_EQUAL, EQUAL, LinearProgram, LPStatus
+from .simplex import DANTZIG, GREATER_EQUAL, LESS_EQUAL, EQUAL, LinearProgram, LPStatus, scaled_row
 from .spaces import Event, Gamble, Space, SpaceMismatchError
 
 _ZERO = Fraction(0)
@@ -88,12 +87,13 @@ class DesirableCone:
         return DesirableCone(space, tuple(generators))
 
     @cached_property
-    def _integer_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Per outcome x, ``(scale, ints)``: the generator values g_i(x) times
-        ``scale``, the lcm of their denominators, as immutable ints.  Built
-        on first use and kept, so every LP over this cone's outcome rows
-        skips the ``Fraction`` layer."""
-        return _outcome_rows(self.generators, self.space.size)
+    def scaled_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per outcome x, the generator values g_i(x) as a ``scaled_row``.
+        Built on first use and kept, so every LP over this cone's outcome
+        rows skips the ``Fraction`` layer."""
+        if not self.generators:
+            return tuple(map(scaled_row, [()] * self.space.size))
+        return tuple(map(scaled_row, zip(*(g.values for g in self.generators))))
 
     # -- decision procedures ------------------------------------------------
 
@@ -114,8 +114,8 @@ class DesirableCone:
         if n == 0:
             return False
         lp = LinearProgram(n, [1] * n, nonneg=True)
-        for (scale, ints), v in zip(self._integer_rows, f.values):
-            lp._add_scaled(scale, ints, LESS_EQUAL, v)
+        for row, v in zip(self.scaled_rows, f.values):
+            lp.add_scaled(row, LESS_EQUAL, v)
         result = lp.solve(DANTZIG)
         if result.status is LPStatus.UNBOUNDED:
             return True
@@ -135,8 +135,8 @@ class DesirableCone:
             return True
         lp = LinearProgram(n, [0] * n, nonneg=True)
         lp.add([1] * n, EQUAL, 1)
-        for scale, ints in self._integer_rows:
-            lp._add_scaled(scale, ints, LESS_EQUAL, 0)
+        for row in self.scaled_rows:
+            lp.add_scaled(row, LESS_EQUAL, 0)
         return lp.solve(DANTZIG).status is LPStatus.INFEASIBLE
 
     def positive_pmf_witness(self) -> Optional[PmfWitness]:
@@ -190,19 +190,6 @@ class DesirableCone:
         event.require_nonempty()
         lp = _pmf_side_lp(self, self.space.zero(), event, sign=1)
         return lp.solve(DANTZIG).status is LPStatus.OPTIMAL
-
-
-def _outcome_rows(generators: tuple[Gamble, ...], size: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The outcome rows of a cone as ``(scale, ints)`` (see
-    ``DesirableCone._integer_rows``)."""
-    if not generators:
-        return ((1, ()),) * size
-    rows = []
-    for column in zip(*(g.values for g in generators)):
-        ratios = list(map(Fraction.as_integer_ratio, column))
-        scale = lcm(*{d for _, d in ratios})
-        rows.append((scale, tuple(n * (scale // d) for n, d in ratios)))
-    return tuple(rows)
 
 
 def _pmf_side_lp(cone: DesirableCone, f: Gamble, event: Event, sign: int) -> LinearProgram:

@@ -86,20 +86,18 @@ def _gamble_side_lp(
     and each right-hand side is I_B(x) (f(x) - floor).
 
     The generator part of each row is the cone's cached integer row
-    (``DesirableCone._integer_rows``), so no ``Fraction`` is converted per
-    query; the mu entry is the row's scale on B and 0 off it.  The LP
-    raises a row's scale only when the right-hand side brings a
-    denominator that the scale does not divide.
+    (``DesirableCone.scaled_rows``), so no ``Fraction`` is converted per
+    query; the mu coefficient is appended to it, 1 on B and 0 off it.
     """
     n = len(cone.generators)
     lp = LinearProgram(n + 1, [_ZERO] * n + [_ONE], nonneg=[True] * n + [floor is not None])
     shift = _ZERO if floor is None else floor
     members = event.members
-    for x, (scale, ints), v in zip(cone.space.outcomes, cone._integer_rows, f.values):
+    for x, row, v in zip(cone.space.outcomes, cone.scaled_rows, f.values):
         if x in members:
-            lp._add_scaled(scale, ints + (scale,), LESS_EQUAL, v - shift)
+            lp.add_scaled(row, LESS_EQUAL, v - shift, last=1)
         else:
-            lp._add_scaled(scale, ints + (0,), LESS_EQUAL, 0)
+            lp.add_scaled(row, LESS_EQUAL, 0, last=0)
     return lp
 
 

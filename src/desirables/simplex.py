@@ -99,6 +99,17 @@ class LPResult:
     ray: Optional[tuple[Fraction, ...]] = None
 
 
+def scaled_row(values: Sequence[Fraction | int]) -> tuple[int, tuple[int, ...]]:
+    """The rationals ``values`` as ``(scale, ints)``: ``scale`` is the lcm
+    of their denominators and ``ints`` are the values times ``scale``.  This
+    is the form in which ``LinearProgram`` keeps its rows; a caller that
+    sends the same coefficients to many programs scales them once here and
+    adds them with ``LinearProgram.add_scaled``."""
+    ratios = [a.as_integer_ratio() for a in values]
+    scale = lcm(*{d for _, d in ratios})
+    return scale, tuple(n * (scale // d) for n, d in ratios)
+
+
 class LinearProgram:
     """maximize c.x subject to rows (a.x <= / == / >= b), with per-variable
     non-negativity flags (free variables are split internally)."""
@@ -123,29 +134,28 @@ class LinearProgram:
         self.rows: list[tuple[int, Sequence[int], str, int]] = []
 
     def add(self, coeffs: Sequence[RationalLike], rel: str, rhs: RationalLike) -> None:
+        # Callers mostly pass Fractions already; coerce only the rest.
+        row = [a if isinstance(a, Fraction) else as_fraction(a) for a in coeffs]
+        self.add_scaled(scaled_row(row), rel, as_fraction(rhs))
+
+    def add_scaled(
+        self,
+        row: tuple[int, Sequence[int]],
+        rel: str,
+        rhs: Fraction | int,
+        last: Optional[int] = None,
+    ) -> None:
+        """Add a row given as ``scaled_row`` returns it, with the int
+        ``last``, when given, as one more coefficient.  The scale is raised,
+        and the coefficients with it, only when it is not a multiple of the
+        denominator of ``rhs``."""
+        scale, coeffs = row
+        if last is not None:
+            coeffs = (*coeffs, last * scale)
         if len(coeffs) != self.num_vars:
             raise ValueError("constraint length does not match variable count")
         if rel not in (LESS_EQUAL, EQUAL, GREATER_EQUAL):
             raise ValueError(f"unknown relation {rel!r}")
-        # Callers mostly pass Fractions already; coerce only the rest.
-        row = [a if isinstance(a, Fraction) else as_fraction(a) for a in coeffs]
-        b = as_fraction(rhs)
-        scale = lcm(b.denominator, *(a.denominator for a in row))
-        self.rows.append(
-            (
-                scale,
-                [a.numerator * (scale // a.denominator) for a in row],
-                rel,
-                b.numerator * (scale // b.denominator),
-            )
-        )
-
-    def _add_scaled(self, scale: int, coeffs: Sequence[int], rel: str, rhs: Fraction | int) -> None:
-        """Add the row ``coeffs / scale  rel  rhs``, whose coefficients come
-        already scaled to ints by the positive ``scale`` (callers that cache
-        integer rows use this).  The scale is raised, and the coefficients
-        with it, only when it is not a multiple of the denominator of
-        ``rhs``."""
         q = rhs.denominator
         if scale % q:
             m = q // gcd(scale, q)

@@ -161,7 +161,7 @@ class TestIntegerRows:
         rng = random.Random(9100 + seed)
         space = random_space(rng, "T", 3, 5)
         cone = self.thirds_cone(rng, space)
-        assert any(scale % 3 == 0 for scale, _ in cone._integer_rows)
+        assert any(scale % 3 == 0 for scale, _ in cone.scaled_rows)
         for _ in range(3):
             f = space.gamble([Fraction(rng.randint(-20, 20), 7) for _ in space.outcomes])
             event = random_nonempty_event(rng, space) if conditional else space.full_event()
@@ -173,13 +173,13 @@ class TestIntegerRows:
 
     def test_rows_built_once_per_cone(self, monkeypatch):
         builds = []
-        build = cones._outcome_rows
+        build = cones.scaled_row
 
-        def counted(*args):
-            builds.append(args)
-            return build(*args)
+        def counted(values):
+            builds.append(values)
+            return build(values)
 
-        monkeypatch.setattr(cones, "_outcome_rows", counted)
+        monkeypatch.setattr(cones, "scaled_row", counted)
         pmfs = [LinearPrevision.from_masses(ABC, m) for m in (["1/2", "1/4", "1/4"], ["1/5", "2/5", "2/5"])]
         pairs = [(ABC.gamble([1, 0, 2]), None), (ABC.gamble(["1/3", "-2/3", 0]), ABC.event(["x1", "x2"]))]
         model = ConditionalLowerPrevision(envelope_assessment(ABC, pmfs, pairs))
@@ -190,8 +190,8 @@ class TestIntegerRows:
         assert model.is_coherent()
         assert model.cone.is_coherent()
         assert model.cone.contains(f + 2)
-        assert len(builds) == 1
-        rows = model.cone._integer_rows
+        assert len(builds) == ABC.size
+        rows = model.cone.scaled_rows
         assert isinstance(rows, tuple) and len(rows) == ABC.size
         for scale, ints in rows:
             assert isinstance(scale, int) and scale > 0

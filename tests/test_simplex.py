@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from desirables.simplex import BLAND, DANTZIG, LinearProgram, LPStatus
+from desirables.simplex import BLAND, DANTZIG, LinearProgram, LPStatus, scaled_row
 
 from oracles import solve_linear_system, sympy_lp_max
 
@@ -262,3 +262,35 @@ class TestAgainstSympy:
         assert result.status.value == status
         if status == "optimal":
             assert result.value == value
+
+
+class TestScaledRows:
+    """``add_scaled`` with a ``scaled_row`` stores the row that ``add``
+    stores for the same rationals, the rhs denominator included."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_add_scaled_matches_add(self, seed):
+        rng = random.Random(3300 + seed)
+        n = rng.randint(0, 5)
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+        last = rng.choice([0, 1])
+        rhs = Fraction(rng.randint(-9, 9), rng.randint(1, 10))
+        rel = rng.choice(["<=", ">=", "=="])
+        scale, ints = scaled_row(coeffs)
+        assert scale > 0 and all(Fraction(a, scale) == c for a, c in zip(ints, coeffs))
+        plain = LinearProgram(n + 1, [0] * (n + 1))
+        plain.add(coeffs + [last], rel, rhs)
+        scaled = LinearProgram(n + 1, [0] * (n + 1))
+        scaled.add_scaled((scale, ints), rel, rhs, last=last)
+        (s1, c1, r1, b1), (s2, c2, r2, b2) = plain.rows[0], scaled.rows[0]
+        assert (s1, list(c1), r1, b1) == (s2, list(c2), r2, b2)
+
+    def test_add_scaled_checks_length_and_relation(self):
+        lp = LinearProgram(2, [0, 0])
+        with pytest.raises(ValueError):
+            lp.add_scaled(scaled_row([Fraction(1, 2)]), "<=", 0)
+        with pytest.raises(ValueError):
+            lp.add_scaled(scaled_row([Fraction(1, 2)]), "<", 0, last=1)
+        lp.add_scaled(scaled_row([Fraction(1, 2)]), "<=", Fraction(1, 3), last=1)
+        [(scale, coeffs, rel, rhs)] = lp.rows
+        assert (scale, list(coeffs), rel, rhs) == (6, [3, 6], "<=", 2)
