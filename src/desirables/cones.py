@@ -24,6 +24,10 @@ lower-prevision queries of ``prevision``) takes its generator entries as
 ``scaled_rows``: per outcome, the values g_i(x) as the integer row of
 ``simplex.scaled_row``.  They are computed once per cone, on first use,
 and cached as tuples of ints, so later queries convert no ``Fraction``.
+Code that already knows these rows hands them over with
+``DesirableCone.with_scaled_rows``: the joint cone of the independent
+natural extension arrives with rows assembled from the marginal cones'
+rows (see ``independence``), so no joint entry is converted at all.
 Cones are immutable: the cache is not a field, so it takes no part in
 equality or hashing, and it never changes once built.  Queries are pure
 and safe to run concurrently.
@@ -85,6 +89,16 @@ class DesirableCone:
     @staticmethod
     def from_generators(space: Space, generators: Iterable[Gamble]) -> "DesirableCone":
         return DesirableCone(space, tuple(generators))
+
+    @staticmethod
+    def with_scaled_rows(
+        space: Space, generators: tuple[Gamble, ...], rows: tuple[tuple[int, tuple[int, ...]], ...]
+    ) -> "DesirableCone":
+        """The cone on these generators with its ``scaled_rows`` cache set
+        to ``rows``, which must be exactly what that property would build."""
+        cone = DesirableCone(space, generators)
+        cone.__dict__["scaled_rows"] = rows
+        return cone
 
     @cached_property
     def scaled_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:

@@ -23,8 +23,12 @@ is the sum of the atom generators and is left out (and symmetrically).
 The joint is one object, a :class:`DesirableCone` on the product space:
 ``independent_product_cone`` returns it for two marginal cones, and
 :class:`IndependentNaturalExtension` keeps it as ``joint_cone`` for two
-marginal assessments.  Its marginal and conditional cones are views of it,
-:class:`MarginalConeView`.
+marginal assessments.  Both take it from ``_joint_cone``, which also assembles
+its integer outcome rows (``DesirableCone.scaled_rows``): every joint entry
+is a marginal value or zero, so the row at (x1, x2) is the marginal cones'
+cached rows at x1 and x2, brought to one scale and masked by event
+membership, and no joint ``Fraction`` is converted.  Its marginal and
+conditional cones are views of it, :class:`MarginalConeView`.
 
 Joint lower previsions are exact LP optima over this cone.  With coherent
 marginals the joint is coherent, reproduces the marginals, and satisfies
@@ -46,6 +50,7 @@ from .prevision import (
     LinearPrevision,
     lower_prevision,
 )
+from .simplex import common_scale
 from .spaces import (
     Event,
     Gamble,
@@ -123,41 +128,78 @@ class EventFamily:
         return self.events()
 
 
-def _joint_generators(
+def _joint_cone(
     left: DesirableCone,
     right: DesirableCone,
     left_family: Optional[EventFamily],
     right_family: Optional[EventFamily],
-    prod: ProductSpace,
-    audit_families: bool = False,
-) -> tuple[Gamble, ...]:
-    """Each generator is a marginal generator's values on the cylinder of a
-    conditioning event and zero elsewhere, in left-major outcome order.  A
-    side whose generator events are the atoms gets no full-event
-    generator: it is the sum of the atom generators.  A missing family
-    defaults to the atoms."""
+    audit_families: bool,
+) -> DesirableCone:
+    """The INE cone on the product of the marginal spaces, with its
+    ``scaled_rows`` taken from the marginal cones' rows.
+
+    Each generator is a marginal generator's values on the cylinder of a
+    conditioning event and zero elsewhere, in left-major outcome order:
+    first every right generator on every left event, then every left
+    generator on every right event.  A side whose generator events are the
+    atoms gets no full-event generator: it is the sum of the atom
+    generators.  A missing family defaults to the atoms.
+
+    So the row at outcome (x1, x2) holds the right generators' values at
+    x2, the left generators' values at x1, and zeros.  Every value occurs
+    in it, because each side's events cover its space (the atoms, or the
+    full event appended), so that row is ``simplex.common_scale`` of the
+    two marginal rows, masked by event membership.
+    """
     left_family = left_family or EventFamily.atoms(left.space)
     right_family = right_family or EventFamily.atoms(right.space)
     if left_family.space != left.space or right_family.space != right.space:
         raise SpaceMismatchError("family space does not match its marginal")
-    zero = Fraction(0)
+    prod = product_space(left.space, right.space)
 
-    def masks(family: EventFamily, factor: Space) -> list[list[bool]]:
+    def members(family: EventFamily, factor: Space) -> list[list[int]]:
+        """The outcome indices of each generator event."""
         events = list(family.generator_events(audit_families))
         if not (family.kind == ATOMS or (family.kind == ALL_NONEMPTY and not audit_families)):
             events.append(factor.full_event())
-        return [[x in e.members for x in factor.outcomes] for e in events]
+        return [[k for k, x in enumerate(factor.outcomes) if x in e.members] for e in events]
 
-    left_masks = masks(left_family, prod.left)
-    right_masks = masks(right_family, prod.right)
+    left_events = members(left_family, left.space)
+    right_events = members(right_family, right.space)
+    n2 = right.space.size
+    blank = [Fraction(0)] * prod.size
     gens: list[Gamble] = []
     for g2 in right.generators:
-        for in_b1 in left_masks:
-            gens.append(Gamble(prod, tuple(v if a else zero for a in in_b1 for v in g2.values)))
+        for b1 in left_events:
+            values = blank.copy()
+            for i in b1:
+                values[i * n2 : (i + 1) * n2] = g2.values
+            gens.append(Gamble(prod, tuple(values)))
     for g1 in left.generators:
-        for in_b2 in right_masks:
-            gens.append(Gamble(prod, tuple(v if b else zero for v in g1.values for b in in_b2)))
-    return tuple(gens)
+        for b2 in right_events:
+            values = blank.copy()
+            for j in b2:
+                values[j::n2] = g1.values
+            gens.append(Gamble(prod, tuple(values)))
+
+    # Generator k * m1 + e is the right generator k on left event e, and
+    # r_block + k * m2 + e the left generator k on right event e.
+    m1, m2 = len(left_events), len(right_events)
+    r_block = len(right.generators) * m1
+    width = len(gens)
+    left_in = [[e for e, b in enumerate(left_events) if i in b] for i in range(left.space.size)]
+    right_in = [[e for e, b in enumerate(right_events) if j in b] for j in range(n2)]
+    rows = []
+    for row1, in1 in zip(left.scaled_rows, left_in):
+        for row2, in2 in zip(right.scaled_rows, right_in):
+            scale, ints1, ints2 = common_scale(row1, row2)
+            ints = [0] * width
+            for e in in1:
+                ints[e:r_block:m1] = ints2
+            for e in in2:
+                ints[r_block + e :: m2] = ints1
+            rows.append((scale, tuple(ints)))
+    return DesirableCone.with_scaled_rows(prod, tuple(gens), tuple(rows))
 
 
 def independent_product_cone(
@@ -179,10 +221,7 @@ def independent_product_cone(
     for name, cone in (("left", left), ("right", right)):
         if not cone.is_coherent():
             raise IncoherentMarginalError(f"{name} marginal cone is incoherent")
-    prod = product_space(left.space, right.space)
-    return DesirableCone(
-        prod, _joint_generators(left, right, left_family, right_family, prod, audit_families)
-    )
+    return _joint_cone(left, right, left_family, right_family, audit_families)
 
 
 def _other_side(side: str) -> str:
@@ -258,13 +297,8 @@ class IndependentNaturalExtension:
                     f"{name} marginal assessment is incoherent: "
                     f"{model.coherence.violation.kind}"
                 )
-        self.prod = product_space(left.space, right.space)
-        self.joint_cone = DesirableCone(
-            self.prod,
-            _joint_generators(
-                left.cone, right.cone, left_family, right_family, self.prod, audit_families
-            ),
-        )
+        self.joint_cone = _joint_cone(left.cone, right.cone, left_family, right_family, audit_families)
+        self.prod = self.joint_cone.space
 
     def lower(self, f: Gamble, event: Optional[Event] = None) -> Fraction:
         return lower_prevision(self.joint_cone, f, event)

@@ -17,8 +17,12 @@ sign of ``p``, the pivot row becomes ``s * prow`` with scale ``|p|`` and
 ``|p| * row - f * s * prow`` with ``f = row[c]``, scale ``|p| * d_i`` and
 ``-f * s * d_r`` in position ``c``, and is divided by its gcd
 (integer-preserving elimination as in Bareiss 1968 and Avis's lrs), so no
-rational is normalised inside the pivot loop.  These are the integers the
-full-width tableau would hold, minus its basic columns.  The cost row is
+rational is normalised inside the pivot loop.  The common factor
+``g = gcd(|p|, f)`` is cancelled from both multipliers before the products
+are formed: a row divided by the gcd of its entries is unique, so every
+integer stays the same, while the products shrink and, where ``g`` was
+the whole row gcd, the division pass is skipped.  These are the integers
+the full-width tableau would hold, minus its basic columns.  The cost row is
 an ``int`` vector with an implicit positive scale, kept in the same layout
 with a 0 in the scale slot and updated the same way.
 
@@ -108,6 +112,24 @@ def scaled_row(values: Sequence[Fraction | int]) -> tuple[int, tuple[int, ...]]:
     ratios = [a.as_integer_ratio() for a in values]
     scale = lcm(*{d for _, d in ratios})
     return scale, tuple(n * (scale // d) for n, d in ratios)
+
+
+def common_scale(
+    a: tuple[int, tuple[int, ...]], b: tuple[int, tuple[int, ...]]
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Two ``scaled_row`` rows brought to the lcm of their scales:
+    ``(scale, a_ints, b_ints)``.  A row whose entries are every value of
+    both rows plus any zeros, in any order, has this scale as its
+    ``scaled_row`` scale, and its ints are taken from these."""
+    (sa, ia), (sb, ib) = a, b
+    scale = lcm(sa, sb)
+    if sa != scale:
+        m = scale // sa
+        ia = tuple(v * m for v in ia)
+    if sb != scale:
+        m = scale // sb
+        ib = tuple(v * m for v in ib)
+    return scale, ia, ib
 
 
 class LinearProgram:
@@ -322,10 +344,10 @@ class LinearProgram:
             f = row[c]
             if f == 0 or i == r:
                 continue
-            tableau[i] = _coprime([piv * v - f * a for v, a in zip(row, elim)])
+            tableau[i] = _eliminate(row, elim, piv, f)
         f = cost[c]
         if f != 0:
-            cost[:] = _coprime([piv * v - f * a for v, a in zip(cost, elim)])
+            cost[:] = _eliminate(cost, elim, piv, f)
         prow[0] = piv
         prow[c] = d
         tableau[r] = prow
@@ -444,6 +466,18 @@ class LinearProgram:
                 v -= direction.get(minus, _ZERO)
             ray.append(v)
         return tuple(ray)
+
+
+def _eliminate(row: list[int], elim: list[int], piv: int, f: int) -> list[int]:
+    """``_coprime(piv * row - f * elim)``, with g = gcd(piv, f) cancelled
+    from both multipliers first: the row is the same, because a row divided
+    by its gcd is unique, but the products are smaller and, where g was the
+    whole row gcd, no division pass is left to do."""
+    g = gcd(piv, f)
+    if g > 1:
+        piv //= g
+        f //= g
+    return _coprime([piv * v - f * a for v, a in zip(row, elim)])
 
 
 def _coprime(row: list[int]) -> list[int]:

@@ -125,10 +125,13 @@ def sympy_lower_prevision(
     signals sure loss or conditioning beyond support there).
 
     sympy 1.14 sometimes reports an optimum with an infeasible point
-    instead of raising on empty regions, so every claimed point is
-    re-validated in exact arithmetic; a failed validation is accepted as
-    emptiness only when independent vertex enumeration confirms that no
-    dominating pmf gives the event positive probability.
+    instead of raising on empty regions, and sometimes raises
+    ``InfeasibleLPError`` on regions that are not empty.  So every claimed
+    point is re-validated in exact arithmetic, and whenever sympy's answer
+    fails that check or claims emptiness, the answer comes from
+    independent vertex enumeration instead: the minimum over the
+    dominating pmfs that give the event positive probability, or None when
+    there are none.
     """
     names = symbols(f"r0:{space.size}")
     constraints = [v >= 0 for v in names]
@@ -145,32 +148,28 @@ def sympy_lower_prevision(
         if x in event.members
     )
 
-    def _vertex_confirmed_empty() -> Optional[Fraction]:
-        if envelope_bounds_by_vertices(space, generators, f, event) is not None:
-            raise AssertionError(
-                "sympy returned an invalid point on a region the vertex "
-                "enumerator says is non-empty"
-            )
-        return None
+    def _by_vertices() -> Optional[Fraction]:
+        bounds = envelope_bounds_by_vertices(space, generators, f, event)
+        return None if bounds is None else bounds[0]
 
     try:
         value, point = lpmin(objective, constraints)
     except InfeasibleLPError:
-        return None
+        return _by_vertices()
     except UnboundedLPError:  # pragma: no cover - objective is event-bounded
         raise AssertionError("the credal objective cannot be unbounded")
 
     r = [_from_sym(point[n]) for n in names]
     if any(v < 0 for v in r):
-        return _vertex_confirmed_empty()
+        return _by_vertices()
     mass = sum(
         (r[k] for k, x in enumerate(space.outcomes) if x in event.members), ZERO
     )
     if mass != 1:
-        return _vertex_confirmed_empty()
+        return _by_vertices()
     for g in generators:
         if sum((a * b for a, b in zip(r, g.values)), ZERO) < 0:
-            return _vertex_confirmed_empty()
+            return _by_vertices()
     return _from_sym(value)
 
 

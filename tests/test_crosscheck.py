@@ -8,7 +8,9 @@ credal set, no simplex involved) on adversarial random assessments,
 covering sure-loss, gap, and beyond-support cases.  A second group
 checks strong duality of the query LP explicitly: the primal
 supremum-of-acceptable-prices program and the dual
-envelope-over-dominating-mass program must agree to the rational.
+envelope-over-dominating-mass program must agree to the rational.  A
+third compares independent natural extensions at sizes the sympy oracle
+cannot reach with SciPy's HiGHS, in floating point.
 """
 
 import random
@@ -17,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 from desirables.cones import _pmf_side_lp
+from desirables.independence import EventFamily, IndependentNaturalExtension
 from desirables.prevision import (
     Assessment,
     AssessmentEntry,
@@ -225,3 +228,46 @@ class TestConditionalEntryRoundTrips:
             # and brackets the engine's interval.
             for p in pmfs:
                 assert low <= p.conditional(entry.gamble, entry.event) <= high
+
+
+def highs_lower(optimize, generators, f, event):
+    """sup{mu : [f - mu] * I_B in the cone} by HiGHS on the gamble-side LP:
+    maximize mu over lambda >= 0 and free mu subject to
+    sum_i lambda_i g_i(x) + I_B(x) mu <= I_B(x) f(x) at every outcome."""
+    members = [x in event.members for x in f.space.outcomes]
+    rows = [[float(g.values[k]) for g in generators] + [1.0 if b else 0.0] for k, b in enumerate(members)]
+    rhs = [float(v) if b else 0.0 for v, b in zip(f.values, members)]
+    cost = [0.0] * len(generators) + [-1.0]
+    bounds = [(0, None)] * len(generators) + [(None, None)]
+    result = optimize.linprog(cost, A_ub=rows, b_ub=rhs, bounds=bounds, method="highs")
+    assert result.status == 0, result.message
+    return -result.fun
+
+
+class TestIndependentNaturalExtensionAgainstHighs:
+    """6x6 and 7x7 joints: the exact lower, upper and conditional values
+    must match HiGHS on the LP over ``joint_cone.generators`` within 1e-6
+    relative to max(1, |value|).  The joint rows the engine solves over
+    are assembled from the marginal rows, so this also checks that path."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_queries_match_highs(self, n, seed):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(f"highs:{n}:{seed}")
+        x = Space("X", tuple(f"x{i}" for i in range(n)))
+        y = Space("Y", tuple(f"y{i}" for i in range(n)))
+        left, _ = random_envelope_model(rng, x, n_pmfs=3, n_entries=3)
+        right, _ = random_envelope_model(rng, y, n_pmfs=3, n_entries=3)
+        right_family = EventFamily.custom(y, [random_nonempty_event(rng, y) for _ in range(2)])
+        ine = IndependentNaturalExtension(left, right, EventFamily.atoms(x), right_family)
+        generators = ine.joint_cone.generators
+        full = ine.prod.full_event()
+        f = random_gamble(rng, ine.prod, span=3)
+        event = ine.lift_event(random_nonempty_event(rng, rng.choice([x, y])))
+        for exact, approx in (
+            (ine.lower(f), highs_lower(optimize, generators, f, full)),
+            (ine.upper(f), -highs_lower(optimize, generators, -f, full)),
+            (ine.lower(f, event), highs_lower(optimize, generators, f, event)),
+        ):
+            assert abs(float(exact) - approx) <= 1e-6 * max(1.0, abs(float(exact)))

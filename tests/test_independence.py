@@ -1,10 +1,12 @@
 """Independent natural extension, epistemic independence, factorisation."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from desirables import cones, simplex
 from desirables.cones import DesirableCone
 from desirables.independence import (
     EventFamily,
@@ -20,11 +22,19 @@ from desirables.independence import (
     nested_sandwich,
 )
 from desirables.measurability import MeasurabilityError
-from desirables.prevision import ConditionalLowerPrevision, LinearPrevision, lower_prevision
+from desirables.prevision import (
+    ConditionalLowerPrevision,
+    LinearPrevision,
+    envelope_assessment,
+    lower_prevision,
+    upper_prevision,
+)
+from desirables.simplex import scaled_row
 from desirables.spaces import (
     Gamble,
     Space,
     SpaceMismatchError,
+    cylinder_event,
     cylindrical_extension,
     indicator,
     product_space,
@@ -33,6 +43,8 @@ from desirables.suites import (
     gap_instance_values,
     random_envelope_model,
     random_gamble,
+    random_nonempty_event,
+    random_space,
     random_strict_pmf,
     restricted_family_gap_instance,
 )
@@ -459,3 +471,106 @@ class TestFamilyEquivalence:
         for _ in range(5):
             f = random_gamble(rng, ine_atoms.prod, span=3)
             assert ine_atoms.lower(f) == ine_all.lower(f)
+
+
+def sevenths_cone(rng, space, count):
+    """A coherent cone of ``count`` generators with denominators up to 7:
+    each is shifted by an integer so that the uniform pmf gives it a
+    positive expectation."""
+    gens = []
+    for _ in range(count):
+        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in space.outcomes]
+        shift = 1 - math.floor(sum(values) / space.size)
+        gens.append(space.gamble([v + shift for v in values]))
+    return DesirableCone(space, tuple(gens))
+
+
+def sevenths_model(rng, space, count):
+    """A coherent assessment of ``count`` entries whose boundary gambles
+    have denominators up to 7: lower envelopes of two pmfs in sevenths on
+    integer gambles (every event has probability k/7 with k <= 7)."""
+    pmfs = []
+    for _ in range(2):
+        cuts = sorted(rng.sample(range(1, 7), space.size - 1))
+        pmfs.append(LinearPrevision.from_masses(space, [Fraction(b - a, 7) for a, b in zip([0, *cuts], [*cuts, 7])]))
+    pairs = [(random_gamble(rng, space, span=4, max_den=1), random_nonempty_event(rng, space)) for _ in range(count)]
+    return ConditionalLowerPrevision(envelope_assessment(space, pmfs, pairs))
+
+
+#: Family setting name -> (family for a factor space, audit_families).
+FAMILY_SETTINGS = {
+    "default": (lambda rng, space: None, False),
+    "atoms": (lambda rng, space: EventFamily.atoms(space), False),
+    "all": (lambda rng, space: EventFamily.all_nonempty(space), False),
+    "all-audit": (lambda rng, space: EventFamily.all_nonempty(space), True),
+    "custom": (
+        lambda rng, space: EventFamily.custom(space, [random_nonempty_event(rng, space) for _ in range(2)]),
+        False,
+    ),
+    "empty": (lambda rng, space: EventFamily.empty(space), False),
+    "mixed": (
+        lambda rng, space: rng.choice(
+            [None, EventFamily.atoms(space), EventFamily.all_nonempty(space), EventFamily.empty(space)]
+        ),
+        False,
+    ),
+}
+
+
+def build_joint(route, rng, setting):
+    """A joint cone from seeded marginals with 0-3 generators or entries,
+    through ``independent_product_cone`` or ``IndependentNaturalExtension``."""
+    family, audit = FAMILY_SETTINGS[setting]
+    spaces = random_space(rng, "L", 1, 3), random_space(rng, "R", 1, 3)
+    families = [family(rng, space) for space in spaces]
+    if route == "product":
+        left, right = (sevenths_cone(rng, space, rng.randint(0, 3)) for space in spaces)
+        return independent_product_cone(left, right, *families, audit_families=audit)
+    left, right = (sevenths_model(rng, space, rng.randint(0, 3)) for space in spaces)
+    return IndependentNaturalExtension(left, right, *families, audit_families=audit).joint_cone
+
+
+class TestJointRows:
+    """The joint cone's integer rows are assembled from the marginal cones'
+    cached rows, never by converting joint entries, and equal the rows
+    ``scaled_row`` would build from the joint generators."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("setting", sorted(FAMILY_SETTINGS))
+    @pytest.mark.parametrize("route", ["product", "ine"])
+    def test_rows_are_scaled_rows_of_the_generators(self, route, setting, seed):
+        rng = random.Random(f"{route}:{setting}:{seed}")
+        for _ in range(3):
+            joint = build_joint(route, rng, setting)
+            columns = list(zip(*(g.values for g in joint.generators))) or [()] * joint.space.size
+            assert joint.scaled_rows == tuple(map(scaled_row, columns))
+            assert joint == DesirableCone(joint.space, joint.generators)
+
+    @pytest.mark.parametrize("route", ["product", "ine"])
+    def test_queries_convert_no_joint_row(self, route, monkeypatch):
+        rng = random.Random(4100)
+        x, y = random_space(rng, "X", 3, 3), random_space(rng, "Y", 3, 3)
+        if route == "product":
+            left, right = sevenths_cone(rng, x, 3), sevenths_cone(rng, y, 2)
+        else:
+            left, right = random_envelope_model(rng, x)[0], random_envelope_model(rng, y)[0]
+        # The marginal coherence checks build the marginal rows.
+        assert left.is_coherent() and right.is_coherent()
+        calls = []
+        for module in (cones, simplex):
+            original = module.scaled_row
+            monkeypatch.setattr(
+                module, "scaled_row", lambda values, original=original: calls.append(values) or original(values)
+            )
+        families = EventFamily.atoms(x), EventFamily.custom(y, [y.event([y.outcomes[0]])])
+        if route == "product":
+            joint = independent_product_cone(left, right, *families)
+        else:
+            joint = IndependentNaturalExtension(left, right, *families).joint_cone
+        f = random_gamble(rng, joint.space)
+        event = cylinder_event(x.event(x.outcomes[1:]), joint.space, "left")
+        lower_prevision(joint, f)
+        upper_prevision(joint, f)
+        lower_prevision(joint, f, event)
+        # Only the marginal coherence LPs of independent_product_cone add rows here.
+        assert not any(len(values) == len(joint.generators) for values in calls)

@@ -168,8 +168,18 @@ class TestIntegerRows:
             expected = sympy_lower_prevision(space, cone.generators, f, event)
             assert expected is not None
             assert lower_prevision(cone, f, event) == expected
-            bounds = (expected, upper_prevision(cone, f, event))
-            assert bounds == envelope_bounds_by_vertices(space, cone.generators, f, event)
+            upper = -sympy_lower_prevision(space, cone.generators, -f, event)
+            assert upper_prevision(cone, f, event) == upper
+
+    def test_oracle_checks_a_claimed_infeasibility(self):
+        """sympy 1.14 raises ``InfeasibleLPError`` on this feasible cone;
+        the oracle must then answer by vertex enumeration, not with None."""
+        space = Space("T", ("t0", "t1", "t2"))
+        rows = (["-1/9", "2/9", "8/9"], ["-4/3", "7/3", 0], [1, 1, -1])
+        cone = DesirableCone(space, tuple(space.gamble(v) for v in rows))
+        f = space.gamble(["-3/7", "15/7", "17/7"])
+        assert lower_prevision(cone, f) == Fraction(39, 77)
+        assert sympy_lower_prevision(space, cone.generators, f, space.full_event()) == Fraction(39, 77)
 
     def test_rows_built_once_per_cone(self, monkeypatch):
         builds = []

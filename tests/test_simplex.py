@@ -7,8 +7,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from desirables.simplex import BLAND, DANTZIG, LinearProgram, LPStatus, scaled_row
+from desirables.simplex import BLAND, DANTZIG, LinearProgram, LPStatus, _coprime, scaled_row
 
 from oracles import solve_linear_system, sympy_lp_max
 
@@ -294,3 +295,45 @@ class TestScaledRows:
         lp.add_scaled(scaled_row([Fraction(1, 2)]), "<=", Fraction(1, 3), last=1)
         [(scale, coeffs, rel, rhs)] = lp.rows
         assert (scale, list(coeffs), rel, rhs) == (6, [3, 6], "<=", 2)
+
+
+# Entries that often share factors, so that gcd(pivot, multiplier) > 1.
+_entries = st.one_of(st.integers(-30, 30), st.integers(-6, 6).map(lambda v: 12 * v))
+
+
+@st.composite
+def pivot_cases(draw):
+    """A random compact tableau with positive row scales, a cost row, and a
+    non-zero pivot position."""
+    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    tableau = [
+        [draw(st.integers(1, 36)), *draw(st.lists(_entries, min_size=k + 1, max_size=k + 1))] for _ in range(m)
+    ]
+    cost = [0, *draw(st.lists(_entries, min_size=k + 1, max_size=k + 1))]
+    r, c = draw(st.integers(0, m - 1)), draw(st.integers(1, k))
+    if tableau[r][c] == 0:
+        tableau[r][c] = draw(st.sampled_from([-1, 1])) * draw(st.integers(1, 36))
+    return tableau, cost, r, c
+
+
+class TestCancelledPivot:
+    @given(pivot_cases())
+    def test_same_rows_as_the_uncancelled_elimination(self, case):
+        """``_pivot`` cancels gcd(pivot, multiplier) before eliminating; the
+        rows must be those of ``_coprime(piv * row - f * elim)``."""
+        tableau, cost, r, c = case
+        prow = tableau[r] if tableau[r][c] > 0 else [-v for v in tableau[r]]
+        piv, d = prow[c], prow[0]
+        elim = [0, *prow[1:]]
+        elim[c] = piv + d
+        expected = [
+            row if row[c] == 0 else _coprime([piv * v - row[c] * a for v, a in zip(row, elim)])
+            for row in tableau
+        ]
+        expected[r] = [piv, *prow[1:]]
+        expected[r][c] = d
+        expected_cost = cost if cost[c] == 0 else _coprime([piv * v - cost[c] * a for v, a in zip(cost, elim)])
+        basis, labels = list(range(10, 10 + len(tableau))), [-1, *range(len(cost) - 2)]
+        LinearProgram._pivot(tableau, cost, basis, labels, r, c)
+        assert tableau == expected
+        assert cost == expected_cost
