@@ -196,12 +196,12 @@ def _cmd_ine(args) -> int:
     def joint_gamble(gamble_id: str) -> Gamble:
         source = joint_model if joint_model is not None else model1
         gamble = source.gamble(gamble_id)
-        if gamble.space.outcomes != ine.prod.outcomes:
+        if gamble.space.outcomes != ine.space.outcomes:
             raise ModelFormatError(
                 f"gamble {gamble_id!r} is not on the product space "
-                f"(expected outcomes {list(ine.prod.outcomes)})"
+                f"(expected outcomes {list(ine.space.outcomes)})"
             )
-        return Gamble(ine.prod, gamble.values)
+        return Gamble(ine.space, gamble.values)
 
     try:
         gamble = joint_gamble(args.gamble)
@@ -212,9 +212,9 @@ def _cmd_ine(args) -> int:
             if args.event not in source.events:
                 raise ModelFormatError(f"unknown event id {args.event!r}")
             raw = source.events[args.event]
-            if raw.space.outcomes != ine.prod.outcomes:
+            if raw.space.outcomes != ine.space.outcomes:
                 raise ModelFormatError(f"event {args.event!r} is not on the product space")
-            event = ine.prod.event(raw.members).require_nonempty()
+            event = ine.space.event(raw.members).require_nonempty()
     except (ModelFormatError, EmptyEventError) as exc:
         raise _CliError(str(exc), EXIT_INPUT_ERROR)
     try:

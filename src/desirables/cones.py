@@ -8,19 +8,22 @@ extension E(A): every gamble of the form
 or g alone, where g is non-negative and non-zero.  The non-negative part
 is always included, so a cone with no generators is the vacuous model.
 
-Membership, coherence (no non-positive element), the dual
-strictly-positive-pmf witness, and the credal-set questions (is there a
-dominating pmf, does one give an event positive probability) are all
-decided by exact rational linear programs.  The credal-set LP
-(``_pmf_side_lp``) also gives the dominating pmfs of
-``ConditionalLowerPrevision.dominating_previsions``; lower-prevision
-queries solve the gamble side instead (see ``prevision``).  Membership,
-coherence and the credal-set questions answer with a status or a value
-only, so they use Dantzig pricing; the pmf witness publishes a vertex and
-keeps Bland's rule.
+This module owns the lower-prevision LP of a cone,
 
-Every LP over a cone's outcome rows (membership, coherence and the
-lower-prevision queries of ``prevision``) takes its generator entries as
+    lower(f | B) = sup { mu : [f - mu] * indicator(B) in cone },
+
+solved on the gamble side from its slacks (``_lower_value``); ``prevision``
+builds its queries, coherence probes and certificates on it.  Three
+status questions are one such solve each: f with a negative value is a
+member iff lower(f) >= 0 or it diverges, a dominating pmf exists iff
+lower(0) is finite, and one gives B positive mass iff lower(-I_B) is
+finite and negative.  Coherence (no non-positive element) is lost exactly
+when max sum lambda subject to sum lambda_i f_i <= 0 is unbounded.  None
+of these runs phase 1, and as they answer with a status or a value they
+use Dantzig pricing.  The strictly-positive-pmf witness publishes a
+vertex, so it has its own LP on Bland's rule.
+
+Every LP over a cone's outcome rows takes its generator entries as
 ``scaled_rows``: per outcome, the values g_i(x) as the integer row of
 ``simplex.scaled_row``.  They are computed once per cone, on first use,
 and cached as tuples of ints, so later queries convert no ``Fraction``.
@@ -40,8 +43,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .simplex import DANTZIG, GREATER_EQUAL, LESS_EQUAL, EQUAL, LinearProgram, LPStatus, scaled_row
-from .spaces import Event, Gamble, Space, SpaceMismatchError
+from .simplex import DANTZIG, EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, LPResult, LPStatus, scaled_row
+from .spaces import Event, Gamble, Space, SpaceMismatchError, indicator
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -118,40 +121,34 @@ class DesirableCone:
         sum lambda_i f_i with lambda >= 0 and sum lambda_i > 0 satisfies
         sum lambda_i f_i <= f pointwise (the remainder is then absorbed by
         the non-negative part).  The zero gamble is handled literally: it
-        belongs to the cone exactly when the cone is incoherent.
+        belongs to the cone exactly when the cone is incoherent.  For any
+        other f, lambda = 0 cannot serve, so f is a member iff
+        lower(f) >= 0 or it diverges.
         """
         if f.space != self.space:
             raise SpaceMismatchError("gamble on a different space")
-        if f.is_nonneg and not f.is_zero:
+        if f.is_zero:
+            return not self.is_coherent()
+        if f.is_nonneg:
             return True
-        n = len(self.generators)
-        if n == 0:
+        if not self.generators:
             return False
-        lp = LinearProgram(n, [1] * n, nonneg=True)
-        for row, v in zip(self.scaled_rows, f.values):
-            lp.add_scaled(row, LESS_EQUAL, v)
-        result = lp.solve(DANTZIG)
-        if result.status is LPStatus.UNBOUNDED:
-            return True
-        if result.status is LPStatus.INFEASIBLE:
-            return False
-        return result.value > 0
+        return (v := _lower_value(self, f, self.space.full_event())) is None or v >= 0
 
     def is_coherent(self) -> bool:
         """True iff the cone contains no gamble f <= 0.
 
-        Only generator combinations can produce a non-positive element, so
-        this is the infeasibility of {lambda >= 0, sum lambda = 1,
-        sum lambda_i f_i <= 0}.
+        Only generator combinations can produce a non-positive element, and
+        such a lambda scales without bound, so the cone is incoherent iff
+        max sum lambda subject to sum lambda_i f_i <= 0 is unbounded.
         """
         n = len(self.generators)
         if n == 0:
             return True
-        lp = LinearProgram(n, [0] * n, nonneg=True)
-        lp.add([1] * n, EQUAL, 1)
+        lp = LinearProgram(n, [1] * n, nonneg=True)
         for row in self.scaled_rows:
             lp.add_scaled(row, LESS_EQUAL, 0)
-        return lp.solve(DANTZIG).status is LPStatus.INFEASIBLE
+        return lp.solve(DANTZIG).status is not LPStatus.UNBOUNDED
 
     def positive_pmf_witness(self) -> Optional[PmfWitness]:
         """A strictly positive pmf with positive expectation for every
@@ -186,38 +183,76 @@ class DesirableCone:
 
         This is the (non-strict) dual cone being non-empty; it fails exactly
         when the generators incur a sure loss, making every lower-prevision
-        query diverge.
+        query diverge.  By duality, it holds iff lower(0) is finite.
         """
-        lp = _pmf_side_lp(self, self.space.zero(), self.space.full_event(), sign=1)
-        return lp.solve(DANTZIG).status is LPStatus.OPTIMAL
+        return _lower_value(self, self.space.zero(), self.space.full_event()) is not None
 
     def upper_probability_positive(self, event: Event) -> bool:
         """Whether some pmf with non-negative generator expectations gives
         the event positive probability.
 
-        That is the feasibility of ``_pmf_side_lp`` on the event: a feasible
-        r normalised by its total mass is such a pmf, and such a pmf divided
-        by the probability of the event is a feasible r.
+        The lower prevision of -I_B is minus the largest probability a
+        dominating pmf gives B: it diverges when there is no dominating pmf
+        and is negative exactly when one reaches B.
         """
         if event.space != self.space:
             raise SpaceMismatchError("event on a different space")
         event.require_nonempty()
-        lp = _pmf_side_lp(self, self.space.zero(), event, sign=1)
-        return lp.solve(DANTZIG).status is LPStatus.OPTIMAL
+        value = _lower_value(self, -indicator(event), self.space.full_event())
+        return value is not None and value < 0
 
 
-def _pmf_side_lp(cone: DesirableCone, f: Gamble, event: Event, sign: int) -> LinearProgram:
-    """The credal-set LP of a query: maximize sign * sum_{x in B} f(x) r(x)
-    over r >= 0 with unit mass on B and every generator expectation
-    non-negative.  It is the dual of the cone-side lower-prevision LP.
-    One row per generator plus one; the generator rows are written
-    -g.r <= 0 so that they start on their slacks."""
-    weights = [
-        sign * f.values[k] if x in event.members else _ZERO
-        for k, x in enumerate(cone.space.outcomes)
-    ]
-    lp = LinearProgram(cone.space.size, weights, nonneg=True)
-    lp.add([_ONE if x in event.members else _ZERO for x in cone.space.outcomes], EQUAL, 1)
-    for g in cone.generators:
-        lp.add([-v if v else v for v in g.values], LESS_EQUAL, 0)  # most joint entries are 0
+# ---------------------------------------------------------------------------
+# The lower-prevision LP
+# ---------------------------------------------------------------------------
+
+
+def _gamble_side_lp(
+    cone: DesirableCone, f: Gamble, event: Event, floor: Optional[Fraction] = None
+) -> LinearProgram:
+    """LP for sup{mu : [f - mu] * indicator(B) in cone}.
+
+    Variables are the generator coefficients followed by mu; one row per
+    outcome:  sum_i lambda_i g_i(x) + I_B(x) mu <= I_B(x) f(x).  With a
+    ``floor``, the last variable is mu - floor >= 0 instead of mu (free),
+    and each right-hand side is I_B(x) (f(x) - floor).
+
+    The generator part of each row is the cone's cached integer row
+    (``DesirableCone.scaled_rows``), so no ``Fraction`` is converted per
+    query; the mu coefficient is appended to it, 1 on B and 0 off it.
+    """
+    n = len(cone.generators)
+    lp = LinearProgram(n + 1, [_ZERO] * n + [_ONE], nonneg=[True] * n + [floor is not None])
+    shift = _ZERO if floor is None else floor
+    members = event.members
+    for x, row, v in zip(cone.space.outcomes, cone.scaled_rows, f.values):
+        if x in members:
+            lp.add_scaled(row, LESS_EQUAL, v - shift, last=1)
+        else:
+            lp.add_scaled(row, LESS_EQUAL, 0, last=0)
     return lp
+
+
+def _raw_lower(cone: DesirableCone, f: Gamble, event: Event) -> LPResult:
+    """The gamble-side LP with mu free, on Bland's rule: coherence
+    certificates publish its optimal point or improving ray."""
+    return _gamble_side_lp(cone, f, event).solve()
+
+
+def _lower_value(cone: DesirableCone, f: Gamble, event: Event) -> Optional[Fraction]:
+    """sup{mu : [f - mu] * indicator(B) in cone}, or None when it is infinite.
+
+    The LP is solved with mu = min_B f + nu, nu >= 0.  That is exact:
+    lambda = 0, mu = min_B f is feasible, because [f - min_B f] * I_B is
+    non-negative, so the supremum is at least min_B f and restricting mu to
+    that range keeps both the optimum and unboundedness.  Every right-hand
+    side I_B(x) (f(x) - min_B f) is then non-negative, so the solve starts
+    on its slack basis (lambda = nu = 0) with no phase 1 and no free-mu
+    column pair.  Only the value is returned, and it is the same at every
+    optimal vertex, so the solve uses Dantzig pricing.
+    """
+    floor = f.min_over(event)
+    result = _gamble_side_lp(cone, f, event, floor).solve(DANTZIG)
+    if result.status is LPStatus.UNBOUNDED:
+        return None
+    return floor + result.value

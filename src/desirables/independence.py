@@ -298,7 +298,7 @@ class IndependentNaturalExtension:
                     f"{model.coherence.violation.kind}"
                 )
         self.joint_cone = _joint_cone(left.cone, right.cone, left_family, right_family, audit_families)
-        self.prod = self.joint_cone.space
+        self.space = self.joint_cone.space
 
     def lower(self, f: Gamble, event: Optional[Event] = None) -> Fraction:
         return lower_prevision(self.joint_cone, f, event)
@@ -310,20 +310,20 @@ class IndependentNaturalExtension:
 
     def lift(self, f: Gamble) -> Gamble:
         """Cylindrically extend a factor gamble to the product space."""
-        if f.space == self.prod.left:
-            return cylindrical_extension(f, self.prod, "left")
-        if f.space == self.prod.right:
-            return cylindrical_extension(f, self.prod, "right")
-        if f.space == self.prod:
+        if f.space == self.space.left:
+            return cylindrical_extension(f, self.space, "left")
+        if f.space == self.space.right:
+            return cylindrical_extension(f, self.space, "right")
+        if f.space == self.space:
             return f
         raise SpaceMismatchError("gamble belongs to neither factor nor the product")
 
     def lift_event(self, event: Event) -> Event:
-        if event.space == self.prod.left:
-            return cylinder_event(event, self.prod, "left")
-        if event.space == self.prod.right:
-            return cylinder_event(event, self.prod, "right")
-        if event.space == self.prod:
+        if event.space == self.space.left:
+            return cylinder_event(event, self.space, "left")
+        if event.space == self.space.right:
+            return cylinder_event(event, self.space, "right")
+        if event.space == self.space:
             return event
         raise SpaceMismatchError("event belongs to neither factor nor the product")
 
@@ -360,7 +360,7 @@ class IndependenceReport:
 
 
 def check_epistemic_independence(
-    joint: "IndependentNaturalExtension | JointModel",
+    joint: "IndependentNaturalExtension | ConditionalLowerPrevision",
     left_family: EventFamily,
     right_family: EventFamily,
     samples: Sequence[tuple[str, Gamble, Optional[Event]]],
@@ -368,10 +368,14 @@ def check_epistemic_independence(
     """Compare local conditional values with and without extra conditioning
     on family events of the other factor, exactly.
 
-    ``samples`` holds (side, local gamble, local event or None) triples;
-    the caller chooses the local domain to probe.
+    ``joint`` is an independent natural extension, or any
+    ``ConditionalLowerPrevision`` on a product space (to probe a direct
+    joint assessment).  ``samples`` holds (side, local gamble, local event
+    or None) triples; the caller chooses the local domain to probe.
     """
-    prod = joint.prod
+    prod = joint.space
+    if not isinstance(prod, ProductSpace):
+        raise SpaceMismatchError("the joint model is not on a product space")
     checks = []
     for side, f, local_event in samples:
         factor = prod.factor(side)
@@ -397,23 +401,6 @@ def check_epistemic_independence(
                 )
             )
     return IndependenceReport(tuple(checks))
-
-
-class JointModel:
-    """A direct joint assessment on a product space, queryable like an
-    independent natural extension; used to probe non-independent models."""
-
-    def __init__(self, prevision: ConditionalLowerPrevision, prod: ProductSpace):
-        if prevision.space != prod:
-            raise SpaceMismatchError("assessment is not on the product space")
-        self.prevision = prevision
-        self.prod = prod
-
-    def lower(self, f: Gamble, event: Optional[Event] = None) -> Fraction:
-        return self.prevision.lower(f, event)
-
-    def upper(self, f: Gamble, event: Optional[Event] = None) -> Fraction:
-        return self.prevision.upper(f, event)
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +498,10 @@ def nested_sandwich(
         left_family,
         right_family,
     )
-    if f.space != ine.prod:
+    if f.space != ine.space:
         raise SpaceMismatchError("gamble is not on the product space")
-    nested_lr = left.expectation(nested_evaluation(right, f, ine.prod, "right"))
-    nested_rl = right.expectation(nested_evaluation(left, f, ine.prod, "left"))
+    nested_lr = left.expectation(nested_evaluation(right, f, ine.space, "right"))
+    nested_rl = right.expectation(nested_evaluation(left, f, ine.space, "left"))
     return SandwichReport(
         lower_joint=ine.lower(f),
         nested_left_of_right=nested_lr,

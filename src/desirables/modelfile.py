@@ -33,7 +33,10 @@ class ModelFormatError(ValueError):
 def parse_rational(text: object, where: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ModelFormatError(f"{where}: rational values must be canonical strings, got {text!r}")
-    value = Fraction(text)
+    try:
+        value = Fraction(text)
+    except ValueError as exc:  # more digits than int() converts
+        raise ModelFormatError(f"{where}: {exc}") from None
     if str(value) != text:
         raise ModelFormatError(f"{where}: {text!r} is not in lowest terms (expected {value})")
     return value
@@ -142,7 +145,9 @@ def _expect(obj: dict, key: str, kind, where: str, optional: bool = False, defau
     return value
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
+def _check_keys(obj: object, allowed: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"{where} must be a JSON object")
     extra = set(obj) - allowed
     if extra:
         raise ModelFormatError(f"{where}: unknown keys {sorted(extra)}")
@@ -151,10 +156,8 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
 def parse_model(text: str) -> Model:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
         raise ModelFormatError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ModelFormatError("the top level must be a JSON object")
     _check_keys(doc, {"spaces", "gambles", "events", "assessments", "families"}, "model")
 
     model = Model()
@@ -255,7 +258,7 @@ def parse_model(text: str) -> Model:
                 raise ModelFormatError(f"family {fid!r}: custom families list their events")
             events = []
             for eid in event_ids:
-                if eid not in model.events:
+                if not isinstance(eid, str) or eid not in model.events:
                     raise ModelFormatError(f"family {fid!r}: unknown event id {eid!r}")
                 events.append(model.events[eid])
             try:

@@ -20,15 +20,16 @@ zero by every dominating pmf ("conditioning beyond support"); in the
 latter case finite mass functions cannot represent the conditional model
 and the engine refuses to guess.
 
-Queries solve the gamble side only, with mu = min_B f + nu and nu >= 0.
-The substitution is exact because lower(f | B) >= min_B f (the point
-lambda = 0, mu = min_B f is feasible), and it makes every right-hand side
-non-negative, so the solve starts at a feasible vertex and runs no
-phase 1.  Queries and the value-first coherence probes return values
-only, so they use Dantzig pricing.  Every solve whose vertex or ray is
-published keeps Bland's rule: a probe that fails is re-solved with mu
-free for its certificate, and certificate polishing and dominating pmfs
-are Bland solves too.
+Queries solve the gamble side (``cones._lower_value``), with
+mu = min_B f + nu and nu >= 0.  The substitution is exact because
+lower(f | B) >= min_B f (the point lambda = 0, mu = min_B f is feasible),
+and it makes every right-hand side non-negative, so the solve starts at a
+feasible vertex and runs no phase 1.  Queries and the value-first
+coherence probes return values only, so they use Dantzig pricing.  Every
+solve whose vertex or ray is published keeps Bland's rule: a probe that
+fails is re-solved with mu free for its certificate, and certificate
+polishing and dominating pmfs (the pmf side, ``_pmf_side_lp``) are Bland
+solves too.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .cones import DesirableCone, _pmf_side_lp
-from .simplex import DANTZIG, LESS_EQUAL, LinearProgram, LPResult, LPStatus
+from .cones import DesirableCone, _lower_value, _raw_lower
+from .simplex import EQUAL, LESS_EQUAL, LinearProgram, LPStatus
 from .spaces import (
     Event,
     Gamble,
@@ -73,57 +74,6 @@ class BeyondSupportError(ValueError):
 # ---------------------------------------------------------------------------
 # Cone-level queries
 # ---------------------------------------------------------------------------
-
-
-def _gamble_side_lp(
-    cone: DesirableCone, f: Gamble, event: Event, floor: Optional[Fraction] = None
-) -> LinearProgram:
-    """LP for sup{mu : [f - mu] * indicator(B) in cone}.
-
-    Variables are the generator coefficients followed by mu; one row per
-    outcome:  sum_i lambda_i g_i(x) + I_B(x) mu <= I_B(x) f(x).  With a
-    ``floor``, the last variable is mu - floor >= 0 instead of mu (free),
-    and each right-hand side is I_B(x) (f(x) - floor).
-
-    The generator part of each row is the cone's cached integer row
-    (``DesirableCone.scaled_rows``), so no ``Fraction`` is converted per
-    query; the mu coefficient is appended to it, 1 on B and 0 off it.
-    """
-    n = len(cone.generators)
-    lp = LinearProgram(n + 1, [_ZERO] * n + [_ONE], nonneg=[True] * n + [floor is not None])
-    shift = _ZERO if floor is None else floor
-    members = event.members
-    for x, row, v in zip(cone.space.outcomes, cone.scaled_rows, f.values):
-        if x in members:
-            lp.add_scaled(row, LESS_EQUAL, v - shift, last=1)
-        else:
-            lp.add_scaled(row, LESS_EQUAL, 0, last=0)
-    return lp
-
-
-def _raw_lower(cone: DesirableCone, f: Gamble, event: Event) -> LPResult:
-    """The gamble-side LP with mu free, on Bland's rule: coherence
-    certificates publish its optimal point or improving ray."""
-    return _gamble_side_lp(cone, f, event).solve()
-
-
-def _lower_value(cone: DesirableCone, f: Gamble, event: Event) -> Optional[Fraction]:
-    """sup{mu : [f - mu] * indicator(B) in cone}, or None when it is infinite.
-
-    The LP is solved with mu = min_B f + nu, nu >= 0.  That is exact:
-    lambda = 0, mu = min_B f is feasible, because [f - min_B f] * I_B is
-    non-negative, so the supremum is at least min_B f and restricting mu to
-    that range keeps both the optimum and unboundedness.  Every right-hand
-    side I_B(x) (f(x) - min_B f) is then non-negative, so the solve starts
-    on its slack basis (lambda = nu = 0) with no phase 1 and no free-mu
-    column pair.  Only the value is returned, and it is the same at every
-    optimal vertex, so the solve uses Dantzig pricing.
-    """
-    floor = f.min_over(event)
-    result = _gamble_side_lp(cone, f, event, floor).solve(DANTZIG)
-    if result.status is LPStatus.UNBOUNDED:
-        return None
-    return floor + result.value
 
 
 def _divergence(cone: DesirableCone, event: Event) -> ValueError:
@@ -467,6 +417,23 @@ class ConditionalLowerPrevision:
     def dominates(self, pmf: "LinearPrevision") -> bool:
         """Whether the pmf gives every boundary generator non-negative expectation."""
         return all(pmf.expectation(g) >= 0 for g in self.cone.generators)
+
+
+def _pmf_side_lp(cone: DesirableCone, f: Gamble, event: Event, sign: int) -> LinearProgram:
+    """The credal-set LP of a query: maximize sign * sum_{x in B} f(x) r(x)
+    over r >= 0 with unit mass on B and every generator expectation
+    non-negative.  It is the dual of the gamble-side lower-prevision LP.
+    One row per generator plus one; the generator rows are written
+    -g.r <= 0 so that they start on their slacks."""
+    weights = [
+        sign * f.values[k] if x in event.members else _ZERO
+        for k, x in enumerate(cone.space.outcomes)
+    ]
+    lp = LinearProgram(cone.space.size, weights, nonneg=True)
+    lp.add([_ONE if x in event.members else _ZERO for x in cone.space.outcomes], EQUAL, 1)
+    for g in cone.generators:
+        lp.add([-v if v else v for v in g.values], LESS_EQUAL, 0)  # most joint entries are 0
+    return lp
 
 
 # ---------------------------------------------------------------------------

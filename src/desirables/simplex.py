@@ -48,13 +48,13 @@ unchanged the phase finishes on Bland's rule, which still guarantees
 termination.  Solves whose answer is the optimal value or the status
 alone use it, because those are the same whichever optimal vertex the
 pivots reach: lower-prevision queries, the value-first coherence probes,
-cone membership, the strict cone check and the credal-set feasibility
-questions.
+cone membership, the strict cone check and the credal-set questions.
 
 A ``<=`` row with a non-negative right-hand side (or a ``>=`` row with a
 negative one) starts on its slack; only the other rows get an artificial,
-and a solve with none runs no phase 1.  Lower-prevision queries are
-written that way (see ``prevision``), so each is a single phase-2 run.
+and a solve with none runs no phase 1.  Lower-prevision queries and every
+cone status question are written that way (see ``cones``), so each is a
+single phase-2 run.
 Artificial columns leave the tableau once phase 1 ends.
 
 The solver reports exactly one of three outcomes: an optimum together

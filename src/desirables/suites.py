@@ -334,7 +334,7 @@ def _independence_suite(seed: int, trials: int) -> tuple[PropertyOutcome, ...]:
             )
 
         # Nested families: empty subset-of one-atom subset-of all atoms.
-        f_joint = random_gamble(rng, ine.prod, span=3, max_den=2)
+        f_joint = random_gamble(rng, ine.space, span=3, max_den=2)
         one_atom_left = EventFamily.custom(left_space, (left_space.atoms()[0],))
         one_atom_right = EventFamily.custom(right_space, (right_space.atoms()[0],))
         chain_values = [

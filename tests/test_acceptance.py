@@ -307,7 +307,7 @@ def test_criterion_6_atoms_equal_events():
                         EventFamily.all_nonempty(right_space),
                         audit_families=True,
                     )
-                    prod = atoms.prod
+                    prod = atoms.space
                     gambles = [indicator(Event(prod, frozenset([x]))) for x in prod.outcomes]
                     gambles += [random_gamble(rng, prod, span=2, max_den=2) for _ in range(2)]
                     conditioning = [None]
@@ -401,7 +401,7 @@ def test_criterion_8_restricted_family_gap():
         target = ine.lift(inst.odd) * ine.lift(inst.even)
         oracle_values.append(
             sympy_lower_prevision(
-                ine.prod, ine.joint_cone.generators, target, ine.prod.full_event()
+                ine.space, ine.joint_cone.generators, target, ine.space.full_event()
             )
         )
 
@@ -434,11 +434,11 @@ def test_criterion_9_nested_sandwich():
         p2 = random_strict_pmf(rng, right_space)
         prod_probe = nested_sandwich(p1, p2, random_gamble(rng, IndependentNaturalExtension(
             p1.as_lower_prevision(), p2.as_lower_prevision()
-        ).prod, span=3))
+        ).space, span=3))
         ok = ok and prod_probe.holds
         swapped = nested_sandwich(p2, p1, random_gamble(rng, IndependentNaturalExtension(
             p2.as_lower_prevision(), p1.as_lower_prevision()
-        ).prod, span=3))
+        ).space, span=3))
         ok = ok and swapped.holds
         instances += 1
     report(9, ok, f"nested evaluations sit inside the joint bounds on {instances} instances")

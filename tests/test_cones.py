@@ -1,11 +1,14 @@
 """Desirable-gamble cones: membership, coherence, and the dual pmf witness."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from desirables.cones import DesirableCone
+from desirables.simplex import LinearProgram
 from desirables.spaces import Gamble, Space, SpaceMismatchError
 from desirables.suites import random_nonempty_event
 
@@ -234,3 +237,86 @@ class TestDominationSide:
                 if x in event.members
             )
             assert cone.upper_probability_positive(event) == reached
+
+
+CONE_GOLDEN = json.loads((Path(__file__).parent / "data" / "cone_golden.json").read_text())
+
+
+class TestConeGolden:
+    """Status answers recorded on 300 seeded random cones (2-8 outcomes,
+    0-8 generators; coherent, incoherent, sure-loss and generator-free)
+    while membership ran its own LP and the credal-set questions solved
+    the pmf side with a unit-mass row.  ``make_cone_golden.py`` in the
+    data directory recorded them."""
+
+    @pytest.mark.parametrize(
+        "case", CONE_GOLDEN, ids=[f"c{k:03d}" for k in range(len(CONE_GOLDEN))]
+    )
+    def test_recorded_answers(self, case):
+        space = Space("K", tuple(f"k{i}" for i in range(case["outcomes"])))
+        cone = DesirableCone(
+            space, tuple(space.gamble([Fraction(v) for v in g]) for g in case["generators"])
+        )
+        mixed = space.gamble([Fraction(v) for v in case["mixed"]])
+        assert cone.is_coherent() is case["is_coherent"]
+        assert cone.dominating_pmf_exists() is case["dominating_pmf_exists"]
+        assert cone.contains(mixed) is case["contains_mixed"]
+        assert cone.contains(space.zero()) is case["contains_zero"]
+        if cone.generators:
+            assert cone.contains(cone.generators[0]) is case["contains_generator"]
+        for members, want in zip(case["events"], case["upper_probability_positive"]):
+            event = space.event(space.outcomes[i] for i in members)
+            assert cone.upper_probability_positive(event) is want
+
+
+class TestStatusSolvesRunNoPhaseOne:
+    """Each simplex phase is one ``_iterate`` call, so a status question
+    whose LP starts on its slacks makes exactly one."""
+
+    @pytest.fixture
+    def iterate_calls(self, monkeypatch):
+        calls = []
+        original = LinearProgram._iterate
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(LinearProgram, "_iterate", staticmethod(spy))
+        return calls
+
+    def cones(self):
+        rng = random.Random(5300)
+        cones = [random_cone(rng, max_gens=6) for _ in range(40)]
+        return [c for c in cones if c.generators and c.space.size > 1]
+
+    def test_contains_of_a_gamble_with_a_negative_value(self, iterate_calls):
+        rng = random.Random(5400)
+        for cone in self.cones():
+            f = cone.space.gamble([Fraction(rng.randint(-3, 3)) for _ in range(cone.space.size)])
+            low = f.min_over(cone.space.full_event())
+            if low >= 0:
+                f = f - (low + 1)
+            iterate_calls.clear()
+            cone.contains(f)
+            assert len(iterate_calls) == 1
+
+    def test_is_coherent(self, iterate_calls):
+        for cone in self.cones():
+            iterate_calls.clear()
+            cone.is_coherent()
+            assert len(iterate_calls) == 1
+
+    def test_dominating_pmf_exists(self, iterate_calls):
+        for cone in self.cones():
+            iterate_calls.clear()
+            cone.dominating_pmf_exists()
+            assert len(iterate_calls) == 1
+
+    def test_upper_probability_positive(self, iterate_calls):
+        rng = random.Random(5500)
+        for cone in self.cones():
+            event = random_nonempty_event(rng, cone.space)
+            iterate_calls.clear()
+            cone.upper_probability_positive(event)
+            assert len(iterate_calls) == 1

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from desirables.cones import _pmf_side_lp
+from desirables.prevision import _pmf_side_lp
 from desirables.independence import EventFamily, IndependentNaturalExtension
 from desirables.prevision import (
     Assessment,
@@ -262,8 +262,8 @@ class TestIndependentNaturalExtensionAgainstHighs:
         right_family = EventFamily.custom(y, [random_nonempty_event(rng, y) for _ in range(2)])
         ine = IndependentNaturalExtension(left, right, EventFamily.atoms(x), right_family)
         generators = ine.joint_cone.generators
-        full = ine.prod.full_event()
-        f = random_gamble(rng, ine.prod, span=3)
+        full = ine.space.full_event()
+        f = random_gamble(rng, ine.space, span=3)
         event = ine.lift_event(random_nonempty_event(rng, rng.choice([x, y])))
         for exact, approx in (
             (ine.lower(f), highs_lower(optimize, generators, f, full)),

@@ -12,7 +12,6 @@ from desirables.independence import (
     EventFamily,
     IncoherentMarginalError,
     IndependentNaturalExtension,
-    JointModel,
     MarginalConeView,
     check_epistemic_independence,
     factorisation_closed_form,
@@ -239,11 +238,11 @@ class TestJointLowerPrevisions:
         p1 = LinearPrevision.from_masses(AB, ["1/2", "1/2"])
         p2 = LinearPrevision.from_masses(UV, ["1/3", "2/3"])
         ine = IndependentNaturalExtension(p1.as_lower_prevision(), p2.as_lower_prevision())
-        xor = ine.prod.gamble({"a|u": 0, "a|v": 1, "b|u": 1, "b|v": 0})
+        xor = ine.space.gamble({"a|u": 0, "a|v": 1, "b|u": 1, "b|v": 0})
         assert ine.lower(xor) == Fraction(1, 2)
         assert ine.upper(xor) == Fraction(1, 2)
         oracle = sympy_lower_prevision(
-            ine.prod, ine.joint_cone.generators, xor, ine.prod.full_event()
+            ine.space, ine.joint_cone.generators, xor, ine.space.full_event()
         )
         assert oracle == Fraction(1, 2)
 
@@ -273,9 +272,8 @@ class TestEpistemicIndependenceCheck:
                 (indicator(prod.event(["b|v"])), None, "1/2"),
             ],
         )
-        model = JointModel(joint, prod)
         report = check_epistemic_independence(
-            model,
+            joint,
             EventFamily.atoms(AB),
             EventFamily.atoms(UV),
             [("left", AB.gamble([1, 0]), None)],
@@ -284,6 +282,14 @@ class TestEpistemicIndependenceCheck:
         # Conditioning on U = u reveals the first coordinate completely.
         bad = [c for c in report.violations() if sorted(c.other_event.members) == ["u"]]
         assert bad and bad[0].unconditional == Fraction(1, 2) and bad[0].conditioned == 1
+
+    def test_joint_model_off_a_product_space_rejected(self):
+        flat = Space("F", ("au", "av", "bu", "bv"))
+        model = ConditionalLowerPrevision.from_entries(flat, [(flat.gamble([1, 0, 0, 0]), None, "1/4")])
+        with pytest.raises(SpaceMismatchError):
+            check_epistemic_independence(
+                model, EventFamily.atoms(AB), EventFamily.atoms(UV), [("left", AB.gamble([1, 0]), None)]
+            )
 
     def test_trivial_on_full_event(self):
         rng = random.Random(12)
@@ -399,7 +405,7 @@ class TestRestrictedFamilyGap:
             )
             target = ine.lift(inst.odd) * ine.lift(inst.even)
             oracle = sympy_lower_prevision(
-                ine.prod, ine.joint_cone.generators, target, ine.prod.full_event()
+                ine.space, ine.joint_cone.generators, target, ine.space.full_event()
             )
             assert oracle == expected == ine.lower(target)
 
@@ -469,7 +475,7 @@ class TestFamilyEquivalence:
             audit_families=True,
         )
         for _ in range(5):
-            f = random_gamble(rng, ine_atoms.prod, span=3)
+            f = random_gamble(rng, ine_atoms.space, span=3)
             assert ine_atoms.lower(f) == ine_all.lower(f)
 
 

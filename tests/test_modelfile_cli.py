@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from desirables import cli
 from desirables.cli import main
@@ -76,6 +77,10 @@ class TestRationalStrings:
         with pytest.raises(ModelFormatError):
             parse_rational(bad, "t")
 
+    def test_more_digits_than_int_converts_rejected(self):
+        with pytest.raises(ModelFormatError):
+            parse_rational("1" * 5000, "t")
+
 
 class TestParsing:
     def test_valid_model(self):
@@ -120,6 +125,114 @@ class TestParsing:
             parse_model(json.dumps(doc))
 
 
+# Keys and scalars of the model-file schema, so that fuzzed documents reach
+# past the top-level checks.
+_KEYS = ["spaces", "gambles", "events", "assessments", "families", "id", "outcomes", "space",
+         "values", "members", "gamble", "event", "lower", "linear", "kind", "X", "a", "b"]
+_SCALARS = st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(
+    ["X", "a", "b", "ia", "just_a", "F", "ALL", "atoms", "all", "custom", "1/4", "2/4", "1/0", ""]
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=4),
+    max_leaves=16,
+)
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON document, as the keys and indices leading to it."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*prefix, key))
+
+
+_CREDAL_PATHS = list(_paths(json.loads(CREDAL)))[1:]
+
+
+def _parses_or_rejects(text: str) -> None:
+    try:
+        parse_model(text)
+    except ModelFormatError:
+        pass
+
+
+@st.composite
+def _canonical_documents(draw):
+    """A well-formed model file, written as ``serialize_model`` writes it."""
+    rational = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6)).map(str)
+    names = st.text(alphabet="abxyz", min_size=1, max_size=3)
+    spaces = [
+        {"id": f"S{k}", "outcomes": draw(st.lists(names, min_size=1, max_size=4, unique=True))}
+        for k in range(draw(st.integers(1, 2)))
+    ]
+    gambles = []
+    for k in range(draw(st.integers(0, 3))):
+        space = draw(st.sampled_from(spaces))
+        values = {x: draw(rational) for x in space["outcomes"]}
+        gambles.append({"id": f"g{k}", "space": space["id"], "values": values})
+    events, seen = [], set()
+    for k in range(draw(st.integers(0, 3))):
+        space = draw(st.sampled_from(spaces))
+        members = [x for x in space["outcomes"] if draw(st.booleans())]
+        if (space["id"], tuple(members)) not in seen:  # equal events would share an id on output
+            seen.add((space["id"], tuple(members)))
+            events.append({"id": f"e{k}", "space": space["id"], "members": members})
+
+    def conditioning(space_id):
+        return [e["id"] for e in events if e["space"] == space_id and e["members"]]
+
+    assessments = [
+        {
+            "gamble": g["id"],
+            "event": draw(st.sampled_from(["ALL", *conditioning(g["space"])])),
+            "lower": draw(rational),
+            "linear": draw(st.booleans()),
+        }
+        for g in (draw(st.lists(st.sampled_from(gambles), max_size=3)) if gambles else [])
+    ]
+    families = []
+    for k in range(draw(st.integers(0, 2))):
+        space = draw(st.sampled_from(spaces))
+        family = {"id": f"F{k}", "space": space["id"], "kind": draw(st.sampled_from(["atoms", "all", "custom"]))}
+        if family["kind"] == "custom":
+            options = conditioning(space["id"])
+            family["events"] = draw(st.lists(st.sampled_from(options), max_size=2)) if options else []
+        families.append(family)
+    doc = {"spaces": spaces, "gambles": gambles, "events": events, "assessments": assessments, "families": families}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class TestParsingFuzz:
+    """Malformed input may only ever raise ``ModelFormatError`` (exit 3),
+    and canonical files round-trip byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=40))
+    def test_arbitrary_text(self, text):
+        _parses_or_rejects(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON)
+    def test_arbitrary_json(self, doc):
+        _parses_or_rejects(json.dumps(doc))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_CREDAL_PATHS), _JSON)
+    def test_one_position_of_a_valid_model_replaced(self, path, value):
+        doc = json.loads(CREDAL)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        _parses_or_rejects(json.dumps(doc))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_canonical_documents())
+    def test_canonical_documents_round_trip(self, text):
+        assert serialize_model(parse_model(text)) == text
+
+
 class TestCheckCommand:
     def test_coherent_model(self, credal_path, capsys):
         assert main(["check", "-m", credal_path]) == 0
@@ -142,6 +255,23 @@ class TestCheckCommand:
         path = tmp_path / "dangling.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["check", "-m", str(path)]) == 3
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"spaces": [5]}', '{"events": [null]}', '{"gambles": [[[1]]]}', "[null]"],
+    )
+    def test_entry_that_is_not_an_object_exit_code(self, tmp_path, capsys, text):
+        path = tmp_path / "entry.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", "-m", str(path)]) == 3
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[" * 100000, '{"spaces": ' + "1" * 5000 + "}"])
+    def test_json_too_deep_or_too_long_exit_code(self, tmp_path, capsys, text):
+        path = tmp_path / "huge.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", "-m", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("model error: invalid JSON")
 
     def test_json_output(self, credal_path, capsys):
         assert main(["check", "-m", credal_path, "--output", "json"]) == 0
