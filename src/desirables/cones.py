@@ -21,7 +21,10 @@ finite and negative.  Coherence (no non-positive element) is lost exactly
 when max sum lambda subject to sum lambda_i f_i <= 0 is unbounded.  None
 of these runs phase 1, and as they answer with a status or a value they
 use Dantzig pricing.  The strictly-positive-pmf witness publishes a
-vertex, so it has its own LP on Bland's rule.
+vertex, so it has its own LP on Bland's rule.  Every ``LinearProgram``
+variable is non-negative, so the LPs here that need a signed unknown (mu
+left free for a certificate, the witness margin t) write it as the
+difference of their last two columns.
 
 Every LP over a cone's outcome rows takes its generator entries as
 ``scaled_rows``: per outcome, the values g_i(x) as the integer row of
@@ -145,7 +148,7 @@ class DesirableCone:
         n = len(self.generators)
         if n == 0:
             return True
-        lp = LinearProgram(n, [1] * n, nonneg=True)
+        lp = LinearProgram(n, [1] * n)
         for row in self.scaled_rows:
             lp.add_scaled(row, LESS_EQUAL, 0)
         return lp.solve(DANTZIG).status is not LPStatus.UNBOUNDED
@@ -159,17 +162,16 @@ class DesirableCone:
         """
         n = self.space.size
         m = len(self.generators)
-        # Variables: p_1..p_n >= 0, t free.  Maximize t subject to
-        # p_k >= t, sum p = 1, p.f_i >= t.
-        lp = LinearProgram(n + 1, [0] * n + [1], nonneg=[True] * n + [False])
-        lp.add([1] * n + [0], EQUAL, 1)
+        # Variables: p_1..p_n >= 0 and the margin t = t+ - t-.  Maximize t
+        # subject to p_k >= t, sum p = 1, p.f_i >= t.
+        lp = LinearProgram(n + 2, [0] * n + [1, -1])
+        lp.add([1] * n + [0, 0], EQUAL, 1)
         for k in range(n):
-            row = [Fraction(0)] * (n + 1)
-            row[k] = Fraction(1)
-            row[n] = Fraction(-1)
+            row = [_ZERO] * n + [-_ONE, _ONE]
+            row[k] = _ONE
             lp.add(row, GREATER_EQUAL, 0)
         for g in self.generators:
-            lp.add(list(g.values) + [Fraction(-1)], GREATER_EQUAL, 0)
+            lp.add([*g.values, -_ONE, _ONE], GREATER_EQUAL, 0)
         result = lp.solve()
         assert result.status is LPStatus.OPTIMAL  # always feasible and bounded
         if result.value <= 0:
@@ -213,29 +215,36 @@ def _gamble_side_lp(
     """LP for sup{mu : [f - mu] * indicator(B) in cone}.
 
     Variables are the generator coefficients followed by mu; one row per
-    outcome:  sum_i lambda_i g_i(x) + I_B(x) mu <= I_B(x) f(x).  With a
-    ``floor``, the last variable is mu - floor >= 0 instead of mu (free),
-    and each right-hand side is I_B(x) (f(x) - floor).
+    outcome:  sum_i lambda_i g_i(x) + I_B(x) mu <= I_B(x) f(x).  Every
+    variable of a ``LinearProgram`` is non-negative, so mu, which has no
+    sign, is written mu+ - mu- in the last two columns.  With a ``floor``,
+    the last variable is instead the single column mu - floor >= 0, and each
+    right-hand side is I_B(x) (f(x) - floor).
 
     The generator part of each row is the cone's cached integer row
     (``DesirableCone.scaled_rows``), so no ``Fraction`` is converted per
-    query; the mu coefficient is appended to it, 1 on B and 0 off it.
+    query; the mu coefficients are appended to it: (1, -1), or 1 with a
+    floor, on B and zeros off it.
     """
     n = len(cone.generators)
-    lp = LinearProgram(n + 1, [_ZERO] * n + [_ONE], nonneg=[True] * n + [floor is not None])
-    shift = _ZERO if floor is None else floor
+    if floor is None:
+        objective, on, off, shift = [_ZERO] * n + [_ONE, -_ONE], (1, -1), (0, 0), _ZERO
+    else:
+        objective, on, off, shift = [_ZERO] * n + [_ONE], (1,), (0,), floor
+    lp = LinearProgram(len(objective), objective)
     members = event.members
     for x, row, v in zip(cone.space.outcomes, cone.scaled_rows, f.values):
         if x in members:
-            lp.add_scaled(row, LESS_EQUAL, v - shift, last=1)
+            lp.add_scaled(row, LESS_EQUAL, v - shift, last=on)
         else:
-            lp.add_scaled(row, LESS_EQUAL, 0, last=0)
+            lp.add_scaled(row, LESS_EQUAL, 0, last=off)
     return lp
 
 
 def _raw_lower(cone: DesirableCone, f: Gamble, event: Event) -> LPResult:
-    """The gamble-side LP with mu free, on Bland's rule: coherence
-    certificates publish its optimal point or improving ray."""
+    """The gamble-side LP with mu free (mu+ - mu-), on Bland's rule:
+    coherence certificates publish the generator part of its optimal point
+    or improving ray."""
     return _gamble_side_lp(cone, f, event).solve()
 
 
@@ -247,7 +256,7 @@ def _lower_value(cone: DesirableCone, f: Gamble, event: Event) -> Optional[Fract
     non-negative, so the supremum is at least min_B f and restricting mu to
     that range keeps both the optimum and unboundedness.  Every right-hand
     side I_B(x) (f(x) - min_B f) is then non-negative, so the solve starts
-    on its slack basis (lambda = nu = 0) with no phase 1 and no free-mu
+    on its slack basis (lambda = nu = 0) with no phase 1 and no mu+ - mu-
     column pair.  Only the value is returned, and it is the same at every
     optimal vertex, so the solve uses Dantzig pricing.
     """

@@ -6,9 +6,9 @@ assessment is set by a conditioning-event family per factor: atoms
 (singleton events), all non-empty events, or a custom list taken
 literally.  On a finite space, closing a family under finite disjoint
 unions never changes the joint values, so the all-events family is
-realised through the atoms during construction; an audit switch
-materialises every subset instead, which is how that equivalence is
-tested rather than assumed.
+realised through the atoms during construction.  The custom family of
+every non-empty subset materialises them instead, which is how that
+equivalence is tested rather than assumed.
 
 The joint cone is generated by the marginal generators conditioned on
 family events:
@@ -119,11 +119,12 @@ class EventFamily:
             return tuple(members)
         return self.custom_events
 
-    def generator_events(self, audit: bool = False) -> tuple[Event, ...]:
-        """Events used to build joint generators.  The all-events family
-        rides on the atoms (finite disjoint unions add nothing) unless the
-        audit flag forces full materialisation."""
-        if self.kind == ALL_NONEMPTY and not audit:
+    def generator_events(self) -> tuple[Event, ...]:
+        """Events used to build joint generators and simple gambles.  The
+        all-events family rides on the atoms (finite disjoint unions add
+        nothing); ``custom(space, all_nonempty(space).events())`` is the
+        same family with every subset materialised."""
+        if self.kind == ALL_NONEMPTY:
             return self.space.atoms()
         return self.events()
 
@@ -133,7 +134,6 @@ def _joint_cone(
     right: DesirableCone,
     left_family: Optional[EventFamily],
     right_family: Optional[EventFamily],
-    audit_families: bool,
 ) -> DesirableCone:
     """The INE cone on the product of the marginal spaces, with its
     ``scaled_rows`` taken from the marginal cones' rows.
@@ -159,8 +159,8 @@ def _joint_cone(
 
     def members(family: EventFamily, factor: Space) -> list[list[int]]:
         """The outcome indices of each generator event."""
-        events = list(family.generator_events(audit_families))
-        if not (family.kind == ATOMS or (family.kind == ALL_NONEMPTY and not audit_families)):
+        events = list(family.generator_events())
+        if family.kind == CUSTOM:
             events.append(factor.full_event())
         return [[k for k, x in enumerate(factor.outcomes) if x in e.members] for e in events]
 
@@ -207,7 +207,6 @@ def independent_product_cone(
     right: DesirableCone,
     left_family: Optional[EventFamily] = None,
     right_family: Optional[EventFamily] = None,
-    audit_families: bool = False,
 ) -> DesirableCone:
     """The joint cone of the independent natural extension of two marginal
     cones, on their product space.
@@ -221,7 +220,7 @@ def independent_product_cone(
     for name, cone in (("left", left), ("right", right)):
         if not cone.is_coherent():
             raise IncoherentMarginalError(f"{name} marginal cone is incoherent")
-    return _joint_cone(left, right, left_family, right_family, audit_families)
+    return _joint_cone(left, right, left_family, right_family)
 
 
 def _other_side(side: str) -> str:
@@ -289,7 +288,6 @@ class IndependentNaturalExtension:
         right: ConditionalLowerPrevision,
         left_family: Optional[EventFamily] = None,
         right_family: Optional[EventFamily] = None,
-        audit_families: bool = False,
     ):
         for name, model in (("left", left), ("right", right)):
             if not model.is_coherent():
@@ -297,7 +295,7 @@ class IndependentNaturalExtension:
                     f"{name} marginal assessment is incoherent: "
                     f"{model.coherence.violation.kind}"
                 )
-        self.joint_cone = _joint_cone(left.cone, right.cone, left_family, right_family, audit_families)
+        self.joint_cone = _joint_cone(left.cone, right.cone, left_family, right_family)
         self.space = self.joint_cone.space
 
     def lower(self, f: Gamble, event: Optional[Event] = None) -> Fraction:

@@ -67,13 +67,15 @@ class SimpleGambleCone:
         self, g: Gamble
     ) -> Optional[tuple[Fraction, tuple[tuple[Event, Fraction], ...]]]:
         """Non-negative (c0, per-event coefficients) reconstructing g
-        exactly, or None when g lies outside the cone."""
+        exactly, or None when g lies outside the cone.  The events are the
+        family's generator events: for the all-events family the atoms,
+        whose indicators span the same cone as those of every subset."""
         _require_nonneg(g)
         if g.space != self.space:
             raise SpaceMismatchError("gamble on a different space")
-        events = self.family.events()
+        events = self.family.generator_events()
         n = 1 + len(events)
-        lp = LinearProgram(n, [0] * n, nonneg=True)
+        lp = LinearProgram(n, [0] * n)
         for k, x in enumerate(self.space.outcomes):
             row = [Fraction(1)]
             for e in events:
@@ -101,13 +103,16 @@ def level_set(g: Gamble, level: Fraction) -> Event:
 
 def split_into_disjoint(event: Event, family: "EventFamily") -> Optional[tuple[Event, ...]]:
     """Write the event as a disjoint union of family events (the whole
-    space counts; the empty event is the empty union), or None."""
+    space counts; the empty event is the empty union), or None.  The
+    search runs over the family's generator events: every union of atoms
+    is a disjoint union of atoms, so the all-events family needs no
+    other candidate."""
     if event.is_empty:
         return ()
     if event.is_full:
         return (event,)
     space = event.space
-    candidates = [e for e in family.events() if e.members <= event.members]
+    candidates = [e for e in family.generator_events() if e.members <= event.members]
 
     def cover(remaining: frozenset[str]) -> Optional[tuple[Event, ...]]:
         if not remaining:

@@ -57,6 +57,10 @@ class Model:
     events: dict[str, Event] = field(default_factory=dict)
     assessments: list[AssessmentRecord] = field(default_factory=list)
     families: dict[str, EventFamily] = field(default_factory=dict)
+    #: The event ids each custom family lists, as written, which
+    #: ``serialize_model`` writes back; two ids may name equal events, so
+    #: they are not recovered from the events.
+    family_event_ids: dict[str, list[str]] = field(default_factory=dict)
     #: Declaration order of ids, preserved for canonical output.
     order: dict[str, list[str]] = field(default_factory=lambda: {
         "spaces": [], "gambles": [], "events": [], "families": []
@@ -265,6 +269,7 @@ def parse_model(text: str) -> Model:
                 model.families[fid] = EventFamily.custom(space, events)
             except ValueError as exc:
                 raise ModelFormatError(f"family {fid!r}: {exc}") from None
+            model.family_event_ids[fid] = event_ids
         else:
             if event_ids is not None:
                 raise ModelFormatError(f"family {fid!r}: only custom families list events")
@@ -320,13 +325,7 @@ def serialize_model(model: Model) -> str:
         fam = model.families[fid]
         entry: dict = {"id": fid, "space": fam.space.name, "kind": fam.kind}
         if fam.kind == CUSTOM:
-            ids = []
-            for event in fam.custom_events:
-                for eid, known in model.events.items():
-                    if known == event:
-                        ids.append(eid)
-                        break
-            entry["events"] = ids
+            entry["events"] = model.family_event_ids[fid]
         families.append(entry)
     doc["families"] = families
     return json.dumps(doc, indent=2) + "\n"

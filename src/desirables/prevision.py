@@ -304,7 +304,7 @@ class ConditionalLowerPrevision:
                     continue
                 # Variables: lambda_i for i in subset, then eps; maximize eps.
                 nv = len(subset) + 1
-                lp = LinearProgram(nv, [0] * len(subset) + [1], nonneg=True)
+                lp = LinearProgram(nv, [0] * len(subset) + [1])
                 minus = (
                     self.assessment.entries[minus_entry].boundary_gamble()
                     if minus_entry is not None
@@ -429,7 +429,7 @@ def _pmf_side_lp(cone: DesirableCone, f: Gamble, event: Event, sign: int) -> Lin
         sign * f.values[k] if x in event.members else _ZERO
         for k, x in enumerate(cone.space.outcomes)
     ]
-    lp = LinearProgram(cone.space.size, weights, nonneg=True)
+    lp = LinearProgram(cone.space.size, weights)
     lp.add([_ONE if x in event.members else _ZERO for x in cone.space.outcomes], EQUAL, 1)
     for g in cone.generators:
         lp.add([-v if v else v for v in g.values], LESS_EQUAL, 0)  # most joint entries are 0

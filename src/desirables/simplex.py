@@ -1,5 +1,11 @@
 """Exact rational linear programming via a two-phase dense simplex.
 
+``LinearProgram`` maximises c.x subject to its rows over x >= 0: every
+variable is non-negative, so each one is a tableau column as it stands.
+The few quantities in this package that have no sign (the price mu of a
+lower-prevision query, the margin of the pmf witness) are written by
+their callers as differences of two such columns.
+
 Problems go in and answers come out as ``fractions.Fraction``, but the
 tableau is fraction-free.  ``LinearProgram`` keeps each constraint row as
 an ``int`` vector scaled once, on entry, by the lcm of its denominators;
@@ -133,25 +139,16 @@ def common_scale(
 
 
 class LinearProgram:
-    """maximize c.x subject to rows (a.x <= / == / >= b), with per-variable
-    non-negativity flags (free variables are split internally)."""
+    """maximize c.x subject to rows (a.x <= / == / >= b) and x >= 0.
 
-    def __init__(
-        self,
-        num_vars: int,
-        objective: Sequence[RationalLike],
-        nonneg: Sequence[bool] | bool = True,
-    ):
+    A caller with a free variable y writes it as y+ - y-, two non-negative
+    columns, and reads y back as their difference."""
+
+    def __init__(self, num_vars: int, objective: Sequence[RationalLike]):
         if len(objective) != num_vars:
             raise ValueError("objective length does not match variable count")
         self.num_vars = num_vars
         self.objective = [as_fraction(c) for c in objective]
-        if isinstance(nonneg, bool):
-            self.nonneg = [nonneg] * num_vars
-        else:
-            if len(nonneg) != num_vars:
-                raise ValueError("nonneg flags length does not match variable count")
-            self.nonneg = list(nonneg)
         #: (scale, coefficients * scale, relation, rhs * scale), all ints.
         self.rows: list[tuple[int, Sequence[int], str, int]] = []
 
@@ -165,15 +162,15 @@ class LinearProgram:
         row: tuple[int, Sequence[int]],
         rel: str,
         rhs: Fraction | int,
-        last: Optional[int] = None,
+        last: tuple[int, ...] = (),
     ) -> None:
-        """Add a row given as ``scaled_row`` returns it, with the int
-        ``last``, when given, as one more coefficient.  The scale is raised,
+        """Add a row given as ``scaled_row`` returns it, followed by the
+        ints ``last`` as its trailing coefficients.  The scale is raised,
         and the coefficients with it, only when it is not a multiple of the
         denominator of ``rhs``."""
         scale, coeffs = row
-        if last is not None:
-            coeffs = (*coeffs, last * scale)
+        if last:
+            coeffs = (*coeffs, *(v * scale for v in last))
         if len(coeffs) != self.num_vars:
             raise ValueError("constraint length does not match variable count")
         if rel not in (LESS_EQUAL, EQUAL, GREATER_EQUAL):
@@ -187,26 +184,11 @@ class LinearProgram:
 
     # -- internal ---------------------------------------------------------
 
-    def _split_columns(self) -> tuple[list[tuple[int, int]], int]:
-        """Map each original variable to (plus_col, minus_col); minus_col is -1
-        for non-negative variables.  Returns the map and the column count."""
-        colmap: list[tuple[int, int]] = []
-        ncols = 0
-        for j in range(self.num_vars):
-            if self.nonneg[j]:
-                colmap.append((ncols, -1))
-                ncols += 1
-            else:
-                colmap.append((ncols, ncols + 1))
-                ncols += 2
-        return colmap, ncols
-
     def solve(self, pricing: str = BLAND) -> LPResult:
         """Solve the program; ``pricing`` selects the entering rule."""
         if pricing not in (BLAND, DANTZIG):
             raise ValueError(f"unknown pricing {pricing!r}")
-        colmap, nstruct = self._split_columns()
-        split = nstruct != self.num_vars
+        nstruct = self.num_vars
 
         # Variables are labelled as the full-width tableau's columns:
         # structural, then one slack per inequality, then one artificial per
@@ -237,18 +219,10 @@ class LinearProgram:
         basis: list[int] = []
         nart = 0
         for i, (scale, coeffs, rel, b) in enumerate(self.rows):
-            if split:
-                entries = [0] * nstruct
-                for (plus, minus), v in zip(colmap, coeffs):
-                    entries[plus] = v
-                    if minus >= 0:
-                        entries[minus] = -v
-            else:
-                entries = coeffs
             if b < 0:
-                row = [scale, *(-v for v in entries), *pad, -b]
+                row = [scale, *(-v for v in coeffs), *pad, -b]
             else:
-                row = [scale, *entries, *pad, b]
+                row = [scale, *coeffs, *pad, b]
             if starts_on_slack[i]:
                 basis.append(slack_label[i])
             else:
@@ -272,23 +246,16 @@ class LinearProgram:
                 tableau[:] = [_coprime([row[0], *(row[j] for j in keep), row[-1]]) for row in tableau]
 
         # Phase 2 over the structural objective, scaled to ints.
-        costs: dict[int, int] = {}
         scale = lcm(*(c.denominator for c in self.objective))
-        for (plus, minus), c in zip(colmap, self.objective):
-            if c == 0:
-                continue
-            v = c.numerator * (scale // c.denominator)
-            costs[plus] = v
-            if minus >= 0:
-                costs[minus] = -v
+        costs = {j: c.numerator * (scale // c.denominator) for j, c in enumerate(self.objective) if c}
         cost = self._cost_row([costs.get(v, 0) for v in basis], tableau, labels, costs)
         status, entering = self._iterate(tableau, basis, labels, cost, pricing)
 
         if status is LPStatus.UNBOUNDED:
-            ray = self._extract_ray(tableau, basis, labels[entering], entering, colmap)
+            ray = self._extract_ray(tableau, basis, labels[entering], entering, nstruct)
             return LPResult(status=LPStatus.UNBOUNDED, ray=ray)
 
-        point = self._extract_point(tableau, basis, colmap, nstruct)
+        point = self._extract_point(tableau, basis, nstruct)
         value = sum((c * x for c, x in zip(self.objective, point) if c), _ZERO)
         return LPResult(status=LPStatus.OPTIMAL, value=value, point=point)
 
@@ -429,19 +396,12 @@ class LinearProgram:
             del basis[i]
 
     @staticmethod
-    def _extract_point(
-        tableau: list[list[int]], basis: list[int], colmap: list[tuple[int, int]], nstruct: int
-    ) -> tuple[Fraction, ...]:
+    def _extract_point(tableau: list[list[int]], basis: list[int], nstruct: int) -> tuple[Fraction, ...]:
         """The basic solution's structural part; slacks are not read."""
-        col_values: dict[int, Fraction] = {
-            b: Fraction(row[-1], row[0]) for row, b in zip(tableau, basis) if b < nstruct
-        }
-        point = []
-        for plus, minus in colmap:
-            v = col_values.get(plus, _ZERO)
-            if minus >= 0:
-                v -= col_values.get(minus, _ZERO)
-            point.append(v)
+        point = [_ZERO] * nstruct
+        for row, b in zip(tableau, basis):
+            if b < nstruct:
+                point[b] = Fraction(row[-1], row[0])
         return tuple(point)
 
     @staticmethod
@@ -450,21 +410,17 @@ class LinearProgram:
         basis: list[int],
         enter: int,
         pos: int,
-        colmap: list[tuple[int, int]],
+        nstruct: int,
     ) -> tuple[Fraction, ...]:
         """Improving direction from the entering variable ``enter``, in
-        position ``pos``, that had no blocking row."""
-        direction: dict[int, Fraction] = {enter: Fraction(1)}
+        position ``pos``, that had no blocking row; slacks are not read."""
+        ray = [_ZERO] * nstruct
+        if enter < nstruct:
+            ray[enter] = Fraction(1)
         for row, b in zip(tableau, basis):
             a = row[pos]
-            if a != 0:
-                direction[b] = Fraction(-a, row[0])
-        ray = []
-        for plus, minus in colmap:
-            v = direction.get(plus, _ZERO)
-            if minus >= 0:
-                v -= direction.get(minus, _ZERO)
-            ray.append(v)
+            if a != 0 and b < nstruct:
+                ray[b] = Fraction(-a, row[0])
         return tuple(ray)
 
 

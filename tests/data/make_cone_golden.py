@@ -12,9 +12,13 @@ with some values moved up (incoherent, often a sure loss), random
 gambles, a sure loss built in, and no generators at all.  Per cone it records
 ``is_coherent``, ``dominating_pmf_exists``, ``contains`` of a mixed-sign
 gamble, of the zero gamble and of the first generator, and
-``upper_probability_positive`` on three events.  The answers were taken
-with the cone LPs that ran phase 1 (own membership LP, unit-mass rows),
-so the test pins that the phase-1-free forms decide the same facts.
+``upper_probability_positive`` on three events, and the masses of
+``positive_pmf_witness`` (null when there is none).  The status answers
+were taken with the cone LPs that ran phase 1 (own membership LP,
+unit-mass rows), so the test pins that the phase-1-free forms decide the
+same facts.  The witness masses were taken while the simplex still split
+the witness margin t into two columns itself; the witness is a Bland
+vertex, so they pin that writing t = t+ - t- in the caller moves no mass.
 """
 
 import json
@@ -88,6 +92,7 @@ def record(k: int) -> dict:
 
     space = Space("K", tuple(f"k{i}" for i in range(n)))
     cone = DesirableCone(space, tuple(space.gamble(g) for g in gens))
+    witness = cone.positive_pmf_witness()
     return {
         "kind": kind,
         "outcomes": n,
@@ -103,6 +108,7 @@ def record(k: int) -> dict:
             cone.upper_probability_positive(space.event(space.outcomes[i] for i in e))
             for e in events
         ],
+        "positive_pmf_witness": None if witness is None else [str(p) for p in witness.masses],
     }
 
 

@@ -303,9 +303,8 @@ def test_criterion_6_atoms_equal_events():
                     events = IndependentNaturalExtension(
                         left,
                         right,
-                        EventFamily.all_nonempty(left_space),
-                        EventFamily.all_nonempty(right_space),
-                        audit_families=True,
+                        EventFamily.custom(left_space, EventFamily.all_nonempty(left_space).events()),
+                        EventFamily.custom(right_space, EventFamily.all_nonempty(right_space).events()),
                     )
                     prod = atoms.space
                     gambles = [indicator(Event(prod, frozenset([x]))) for x in prod.outcomes]
@@ -387,8 +386,8 @@ def test_criterion_8_restricted_family_gap():
     for families in (
         (inst.left_family, inst.right_family),
         (
-            EventFamily.all_nonempty(inst.left.space),
-            EventFamily.all_nonempty(inst.right.space),
+            EventFamily.custom(inst.left.space, EventFamily.all_nonempty(inst.left.space).events()),
+            EventFamily.custom(inst.right.space, EventFamily.all_nonempty(inst.right.space).events()),
         ),
     ):
         ine = IndependentNaturalExtension(
@@ -396,7 +395,6 @@ def test_criterion_8_restricted_family_gap():
             inst.right.as_lower_prevision(),
             families[0],
             families[1],
-            audit_families=True,
         )
         target = ine.lift(inst.odd) * ine.lift(inst.even)
         oracle_values.append(

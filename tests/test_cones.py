@@ -246,8 +246,9 @@ class TestConeGolden:
     """Status answers recorded on 300 seeded random cones (2-8 outcomes,
     0-8 generators; coherent, incoherent, sure-loss and generator-free)
     while membership ran its own LP and the credal-set questions solved
-    the pmf side with a unit-mass row.  ``make_cone_golden.py`` in the
-    data directory recorded them."""
+    the pmf side with a unit-mass row, and the strictly-positive-pmf
+    witness of each.  ``make_cone_golden.py`` in the data directory
+    recorded them."""
 
     @pytest.mark.parametrize(
         "case", CONE_GOLDEN, ids=[f"c{k:03d}" for k in range(len(CONE_GOLDEN))]
@@ -267,6 +268,11 @@ class TestConeGolden:
         for members, want in zip(case["events"], case["upper_probability_positive"]):
             event = space.event(space.outcomes[i] for i in members)
             assert cone.upper_probability_positive(event) is want
+        witness = cone.positive_pmf_witness()
+        if case["positive_pmf_witness"] is None:
+            assert witness is None
+        else:
+            assert witness.masses == tuple(Fraction(p) for p in case["positive_pmf_witness"])
 
 
 class TestStatusSolvesRunNoPhaseOne:

@@ -143,7 +143,7 @@ class TestQueryDuality:
             -(f.values[k]) if x in event.members else Fraction(0)
             for k, x in enumerate(space.outcomes)
         ]
-        lp = LinearProgram(n, weights, nonneg=True)
+        lp = LinearProgram(n, weights)
         lp.add(
             [Fraction(1) if x in event.members else Fraction(0) for x in space.outcomes],
             EQUAL,

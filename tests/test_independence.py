@@ -54,6 +54,12 @@ AB = Space("A", ("a", "b"))
 UV = Space("U", ("u", "v"))
 
 
+def every_subset(space):
+    """The all-events family with every non-empty subset listed, so that
+    nothing rides on the atoms."""
+    return EventFamily.custom(space, EventFamily.all_nonempty(space).events())
+
+
 def spanning_gambles(space):
     gambles = [indicator(atom) for atom in space.atoms()]
     gambles.append(space.constant(1))
@@ -73,7 +79,7 @@ class TestEventFamilies:
     def test_all_nonempty_generates_through_atoms(self):
         fam = EventFamily.all_nonempty(AB)
         assert [sorted(e.members) for e in fam.generator_events()] == [["a"], ["b"]]
-        assert len(fam.generator_events(audit=True)) == 3
+        assert len(every_subset(AB).generator_events()) == 3
 
     def test_custom_taken_literally(self):
         fam = EventFamily.custom(AB, (AB.event(["a"]),))
@@ -389,10 +395,7 @@ class TestRestrictedFamilyGap:
         for families, expected in (
             ((inst.left_family, inst.right_family), inst.expected_custom_value),
             (
-                (
-                    EventFamily.all_nonempty(inst.left.space),
-                    EventFamily.all_nonempty(inst.right.space),
-                ),
+                (every_subset(inst.left.space), every_subset(inst.right.space)),
                 inst.expected_all_value,
             ),
         ):
@@ -401,7 +404,6 @@ class TestRestrictedFamilyGap:
                 inst.right.as_lower_prevision(),
                 families[0],
                 families[1],
-                audit_families=True,
             )
             target = ine.lift(inst.odd) * ine.lift(inst.even)
             oracle = sympy_lower_prevision(
@@ -467,13 +469,7 @@ class TestFamilyEquivalence:
         ine_atoms = IndependentNaturalExtension(
             left, right, EventFamily.atoms(AB), EventFamily.atoms(UV)
         )
-        ine_all = IndependentNaturalExtension(
-            left,
-            right,
-            EventFamily.all_nonempty(AB),
-            EventFamily.all_nonempty(UV),
-            audit_families=True,
-        )
+        ine_all = IndependentNaturalExtension(left, right, every_subset(AB), every_subset(UV))
         for _ in range(5):
             f = random_gamble(rng, ine_atoms.space, span=3)
             assert ine_atoms.lower(f) == ine_all.lower(f)
@@ -503,22 +499,17 @@ def sevenths_model(rng, space, count):
     return ConditionalLowerPrevision(envelope_assessment(space, pmfs, pairs))
 
 
-#: Family setting name -> (family for a factor space, audit_families).
+#: Family setting name -> family for a factor space.  "all-audit" lists
+#: every non-empty subset as a custom family.
 FAMILY_SETTINGS = {
-    "default": (lambda rng, space: None, False),
-    "atoms": (lambda rng, space: EventFamily.atoms(space), False),
-    "all": (lambda rng, space: EventFamily.all_nonempty(space), False),
-    "all-audit": (lambda rng, space: EventFamily.all_nonempty(space), True),
-    "custom": (
-        lambda rng, space: EventFamily.custom(space, [random_nonempty_event(rng, space) for _ in range(2)]),
-        False,
-    ),
-    "empty": (lambda rng, space: EventFamily.empty(space), False),
-    "mixed": (
-        lambda rng, space: rng.choice(
-            [None, EventFamily.atoms(space), EventFamily.all_nonempty(space), EventFamily.empty(space)]
-        ),
-        False,
+    "default": lambda rng, space: None,
+    "atoms": lambda rng, space: EventFamily.atoms(space),
+    "all": lambda rng, space: EventFamily.all_nonempty(space),
+    "all-audit": lambda rng, space: every_subset(space),
+    "custom": lambda rng, space: EventFamily.custom(space, [random_nonempty_event(rng, space) for _ in range(2)]),
+    "empty": lambda rng, space: EventFamily.empty(space),
+    "mixed": lambda rng, space: rng.choice(
+        [None, EventFamily.atoms(space), EventFamily.all_nonempty(space), EventFamily.empty(space)]
     ),
 }
 
@@ -526,14 +517,14 @@ FAMILY_SETTINGS = {
 def build_joint(route, rng, setting):
     """A joint cone from seeded marginals with 0-3 generators or entries,
     through ``independent_product_cone`` or ``IndependentNaturalExtension``."""
-    family, audit = FAMILY_SETTINGS[setting]
+    family = FAMILY_SETTINGS[setting]
     spaces = random_space(rng, "L", 1, 3), random_space(rng, "R", 1, 3)
     families = [family(rng, space) for space in spaces]
     if route == "product":
         left, right = (sevenths_cone(rng, space, rng.randint(0, 3)) for space in spaces)
-        return independent_product_cone(left, right, *families, audit_families=audit)
+        return independent_product_cone(left, right, *families)
     left, right = (sevenths_model(rng, space, rng.randint(0, 3)) for space in spaces)
-    return IndependentNaturalExtension(left, right, *families, audit_families=audit).joint_cone
+    return IndependentNaturalExtension(left, right, *families).joint_cone
 
 
 class TestJointRows:

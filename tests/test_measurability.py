@@ -124,6 +124,37 @@ class TestLevelSets:
             assert is_measurable(g, fam)
 
 
+class TestAllFamilyStaysOnAtoms:
+    """The all-events family is decided through its atoms: its 2^n - 1
+    members are never materialised by a cone or level-set query."""
+
+    @pytest.fixture
+    def materialised(self, monkeypatch):
+        kinds = []
+        original = EventFamily.events
+
+        def spy(family):
+            kinds.append(family.kind)
+            return original(family)
+
+        monkeypatch.setattr(EventFamily, "events", spy)
+        return kinds
+
+    def test_queries_do_not_materialise_the_family(self, materialised):
+        x20 = Space("W", tuple(f"w{i}" for i in range(20)))
+        fam = EventFamily.all_nonempty(x20)
+        g = x20.gamble([i % 7 for i in range(20)])
+        assert is_measurable(g, fam)
+        assert non_measurability_witness(g, fam) is None
+        assert level_set_approximation(g, fam, 8).succeeded
+        assert fam.kind not in materialised
+
+    def test_split_matches_the_materialised_family(self):
+        every = EventFamily.custom(X4, EventFamily.all_nonempty(X4).events())
+        for e in every.events():
+            assert split_into_disjoint(e, EventFamily.all_nonempty(X4)) == split_into_disjoint(e, every)
+
+
 class TestGeneratedField:
     def test_partition_generates_the_union_closure(self):
         fam = EventFamily.custom(X4, (X4.event(["1", "2"]), X4.event(["3"]), X4.event(["4"])))

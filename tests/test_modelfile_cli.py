@@ -93,6 +93,22 @@ class TestParsing:
         canonical = serialize_model(parse_model(CREDAL))
         assert serialize_model(parse_model(canonical)) == canonical
 
+    def test_family_keeps_the_event_id_it_lists(self):
+        # e1 and e2 are equal events; the family lists e2, and so must its
+        # serialization.
+        doc = {
+            "spaces": [{"id": "X", "outcomes": ["a", "b"]}],
+            "gambles": [],
+            "events": [
+                {"id": "e1", "space": "X", "members": ["a"]},
+                {"id": "e2", "space": "X", "members": ["a"]},
+            ],
+            "assessments": [],
+            "families": [{"id": "F", "space": "X", "kind": "custom", "events": ["e2"]}],
+        }
+        text = json.dumps(doc, indent=2) + "\n"
+        assert serialize_model(parse_model(text)) == text
+
     def test_dangling_gamble_reference(self):
         doc = json.loads(CREDAL)
         doc["assessments"][0]["gamble"] = "missing"
@@ -171,13 +187,11 @@ def _canonical_documents(draw):
         space = draw(st.sampled_from(spaces))
         values = {x: draw(rational) for x in space["outcomes"]}
         gambles.append({"id": f"g{k}", "space": space["id"], "values": values})
-    events, seen = [], set()
+    events = []
     for k in range(draw(st.integers(0, 3))):
         space = draw(st.sampled_from(spaces))
         members = [x for x in space["outcomes"] if draw(st.booleans())]
-        if (space["id"], tuple(members)) not in seen:  # equal events would share an id on output
-            seen.add((space["id"], tuple(members)))
-            events.append({"id": f"e{k}", "space": space["id"], "members": members})
+        events.append({"id": f"e{k}", "space": space["id"], "members": members})
 
     def conditioning(space_id):
         return [e["id"] for e in events if e["space"] == space_id and e["members"]]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from desirables.simplex import BLAND, DANTZIG, LinearProgram, LPStatus, _coprime, scaled_row
+from desirables.simplex import BLAND, DANTZIG, LinearProgram, LPResult, LPStatus, _coprime, scaled_row
 
 from oracles import solve_linear_system, sympy_lp_max
 
@@ -102,11 +102,37 @@ class TestCannedPrograms:
 
 def solve_priced(pricing, objective, rows, nonneg=True):
     """Maximize the objective subject to (coeffs, rel, rhs) rows with the
-    given entering rule."""
-    lp = LinearProgram(len(objective), objective, nonneg=nonneg)
+    given entering rule.  ``nonneg`` flags each variable (or all of them)
+    as non-negative; a free variable x is written x+ - x-, with the x-
+    column right after the x+ one, and its point and ray entries are read
+    back as the difference."""
+    if isinstance(nonneg, bool):
+        nonneg = [nonneg] * len(objective)
+    # Per variable, its column and, when free, the column of its negation.
+    columns = []
+    width = 0
+    for flag in nonneg:
+        columns.append((width, -1 if flag else width + 1))
+        width += 1 if flag else 2
+
+    def split(values):
+        out = [0] * width
+        for (plus, minus), v in zip(columns, values):
+            out[plus] = v
+            if minus >= 0:
+                out[minus] = -v
+        return out
+
+    def fold(values):
+        if values is None:
+            return None
+        return tuple(values[plus] - (values[minus] if minus >= 0 else 0) for plus, minus in columns)
+
+    lp = LinearProgram(width, split(objective))
     for coeffs, rel, rhs in rows:
-        lp.add(coeffs, rel, rhs)
-    return lp.solve(pricing)
+        lp.add(split(coeffs), rel, rhs)
+    result = lp.solve(pricing)
+    return LPResult(result.status, result.value, fold(result.point), fold(result.ray))
 
 
 def assert_satisfies(rows, nonneg, point):
@@ -274,13 +300,13 @@ class TestScaledRows:
         rng = random.Random(3300 + seed)
         n = rng.randint(0, 5)
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
-        last = rng.choice([0, 1])
+        last = rng.choice([(0,), (1,)])
         rhs = Fraction(rng.randint(-9, 9), rng.randint(1, 10))
         rel = rng.choice(["<=", ">=", "=="])
         scale, ints = scaled_row(coeffs)
         assert scale > 0 and all(Fraction(a, scale) == c for a, c in zip(ints, coeffs))
         plain = LinearProgram(n + 1, [0] * (n + 1))
-        plain.add(coeffs + [last], rel, rhs)
+        plain.add(coeffs + list(last), rel, rhs)
         scaled = LinearProgram(n + 1, [0] * (n + 1))
         scaled.add_scaled((scale, ints), rel, rhs, last=last)
         (s1, c1, r1, b1), (s2, c2, r2, b2) = plain.rows[0], scaled.rows[0]
@@ -291,8 +317,8 @@ class TestScaledRows:
         with pytest.raises(ValueError):
             lp.add_scaled(scaled_row([Fraction(1, 2)]), "<=", 0)
         with pytest.raises(ValueError):
-            lp.add_scaled(scaled_row([Fraction(1, 2)]), "<", 0, last=1)
-        lp.add_scaled(scaled_row([Fraction(1, 2)]), "<=", Fraction(1, 3), last=1)
+            lp.add_scaled(scaled_row([Fraction(1, 2)]), "<", 0, last=(1,))
+        lp.add_scaled(scaled_row([Fraction(1, 2)]), "<=", Fraction(1, 3), last=(1,))
         [(scale, coeffs, rel, rhs)] = lp.rows
         assert (scale, list(coeffs), rel, rhs) == (6, [3, 6], "<=", 2)
 
