@@ -13,8 +13,11 @@ This module owns the lower-prevision LP of a cone,
     lower(f | B) = sup { mu : [f - mu] * indicator(B) in cone },
 
 solved on the gamble side from its slacks (``_lower_value``); ``prevision``
-builds its queries, coherence probes and certificates on it.  Three
-status questions are one such solve each: f with a negative value is a
+builds its queries, coherence probes and certificates on it.  The solve
+also returns its row prices, a vector r on the outcomes, and
+``_dominating_expectations`` checks in integers whether r is dominating
+(r >= 0 and every E_r[g_i] >= 0), so that it may stand as a dual bound.
+Three status questions are one such solve each: f with a negative value is a
 member iff lower(f) >= 0 or it diverges, a dominating pmf exists iff
 lower(0) is finite, and one gives B positive mass iff lower(-I_B) is
 finite and negative.  Coherence (no non-positive element) is lost exactly
@@ -44,7 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional
+from math import lcm
+from typing import Iterable, Optional, Sequence
 
 from .simplex import DANTZIG, EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, LPResult, LPStatus, scaled_row
 from .spaces import Event, Gamble, Space, SpaceMismatchError, indicator
@@ -136,7 +140,8 @@ class DesirableCone:
             return True
         if not self.generators:
             return False
-        return (v := _lower_value(self, f, self.space.full_event())) is None or v >= 0
+        value, _ = _lower_value(self, f, self.space.full_event())
+        return value is None or value >= 0
 
     def is_coherent(self) -> bool:
         """True iff the cone contains no gamble f <= 0.
@@ -187,7 +192,7 @@ class DesirableCone:
         when the generators incur a sure loss, making every lower-prevision
         query diverge.  By duality, it holds iff lower(0) is finite.
         """
-        return _lower_value(self, self.space.zero(), self.space.full_event()) is not None
+        return _lower_value(self, self.space.zero(), self.space.full_event())[0] is not None
 
     def upper_probability_positive(self, event: Event) -> bool:
         """Whether some pmf with non-negative generator expectations gives
@@ -200,7 +205,7 @@ class DesirableCone:
         if event.space != self.space:
             raise SpaceMismatchError("event on a different space")
         event.require_nonempty()
-        value = _lower_value(self, -indicator(event), self.space.full_event())
+        value, _ = _lower_value(self, -indicator(event), self.space.full_event())
         return value is not None and value < 0
 
 
@@ -248,8 +253,11 @@ def _raw_lower(cone: DesirableCone, f: Gamble, event: Event) -> LPResult:
     return _gamble_side_lp(cone, f, event).solve()
 
 
-def _lower_value(cone: DesirableCone, f: Gamble, event: Event) -> Optional[Fraction]:
-    """sup{mu : [f - mu] * indicator(B) in cone}, or None when it is infinite.
+def _lower_value(
+    cone: DesirableCone, f: Gamble, event: Event
+) -> tuple[Optional[Fraction], tuple[int, ...]]:
+    """sup{mu : [f - mu] * indicator(B) in cone}, or None when it is infinite,
+    with the solve's row prices (``LPResult.prices``; empty when infinite).
 
     The LP is solved with mu = min_B f + nu, nu >= 0.  That is exact:
     lambda = 0, mu = min_B f is feasible, because [f - min_B f] * I_B is
@@ -257,11 +265,42 @@ def _lower_value(cone: DesirableCone, f: Gamble, event: Event) -> Optional[Fract
     that range keeps both the optimum and unboundedness.  Every right-hand
     side I_B(x) (f(x) - min_B f) is then non-negative, so the solve starts
     on its slack basis (lambda = nu = 0) with no phase 1 and no mu+ - mu-
-    column pair.  Only the value is returned, and it is the same at every
-    optimal vertex, so the solve uses Dantzig pricing.
+    column pair.  The value is the same at every optimal vertex, so the
+    solve uses Dantzig pricing.
+
+    The rows are the outcomes, so the prices r are a vector on the space.
+    Its dual says r >= 0, E_r[g_i] >= 0 for every generator and r(B) >= 1:
+    a dominating pmf up to scale, which ``_dominating_expectations`` checks
+    exactly before anything relies on it.
     """
     floor = f.min_over(event)
     result = _gamble_side_lp(cone, f, event, floor).solve(DANTZIG)
     if result.status is LPStatus.UNBOUNDED:
+        return None, ()
+    return floor + result.value, result.prices
+
+
+def _dominating_expectations(cone: DesirableCone, prices: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """The exact expectation E_r[g_i] of every generator under the vector
+    r = ``prices`` on the outcomes, times one positive integer scale, or
+    None when r is not dominating: some r(x) < 0 or some E_r[g_i] < 0.
+
+    Only ints are used: every outcome row with r(x) > 0 is brought to the
+    lcm of those rows' scales.  The check trusts nothing about where r came
+    from, so a vector it accepts is a dominating pmf once normalised (when
+    it is not zero), and by weak duality lower(f | B) <= E_r[f | B] for
+    every f and every B with r(B) > 0.
+    """
+    if len(prices) != cone.space.size:
+        raise ValueError("price vector length does not match the space")
+    if any(r < 0 for r in prices):
         return None
-    return floor + result.value
+    support = [(r, row) for r, row in zip(prices, cone.scaled_rows) if r]
+    scale = lcm(*(s for _, (s, _) in support))
+    totals = [0] * len(cone.generators)
+    for r, (s, ints) in support:
+        m = r * (scale // s)
+        totals = [t + m * v for t, v in zip(totals, ints)]
+    if any(t < 0 for t in totals):
+        return None
+    return tuple(totals)

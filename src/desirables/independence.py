@@ -143,13 +143,17 @@ def _joint_cone(
     first every right generator on every left event, then every left
     generator on every right event.  A side whose generator events are the
     atoms gets no full-event generator: it is the sum of the atom
-    generators.  A missing family defaults to the atoms.
+    generators.  A custom family's events count once each, however often
+    it lists them, and its full event is appended only when it is not
+    listed, so no generator column is repeated.  A missing family defaults
+    to the atoms.
 
     So the row at outcome (x1, x2) holds the right generators' values at
     x2, the left generators' values at x1, and zeros.  Every value occurs
-    in it, because each side's events cover its space (the atoms, or the
-    full event appended), so that row is ``simplex.common_scale`` of the
-    two marginal rows, masked by event membership.
+    in it, because each side's events cover its space (the atoms, or a
+    custom family with its full event), so that row is
+    ``simplex.common_scale`` of the two marginal rows, masked by event
+    membership.
     """
     left_family = left_family or EventFamily.atoms(left.space)
     right_family = right_family or EventFamily.atoms(right.space)
@@ -158,11 +162,13 @@ def _joint_cone(
     prod = product_space(left.space, right.space)
 
     def members(family: EventFamily, factor: Space) -> list[list[int]]:
-        """The outcome indices of each generator event."""
-        events = list(family.generator_events())
+        """The outcome indices of each generator event: the family's events
+        without repeats, in first-seen order, then the full event for a
+        custom family that does not list it."""
+        events = dict.fromkeys(e.members for e in family.generator_events())
         if family.kind == CUSTOM:
-            events.append(factor.full_event())
-        return [[k for k, x in enumerate(factor.outcomes) if x in e.members] for e in events]
+            events[factor.full_event().members] = None
+        return [[k for k, x in enumerate(factor.outcomes) if x in e] for e in events]
 
     left_events = members(left_family, left.space)
     right_events = members(right_family, right.space)

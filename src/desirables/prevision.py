@@ -30,6 +30,13 @@ solve whose vertex or ray is published keeps Bland's rule: a probe that
 fails is re-solved with mu free for its certificate, and certificate
 polishing and dominating pmfs (the pmf side, ``_pmf_side_lp``) are Bland
 solves too.
+
+A passing coherence probe also hands back the dual prices of its solve, a
+vector r on the outcomes.  When ``cones._dominating_expectations`` finds
+in integers that r is dominating, r proves every later probe passes whose
+generator has expectation 0 under r and whose event r reaches, so those
+probes run no LP.  The prices only ever save a solve: a vector that fails
+the check is dropped, and a verdict never rests on one.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .cones import DesirableCone, _lower_value, _raw_lower
+from .cones import DesirableCone, _dominating_expectations, _lower_value, _raw_lower
 from .simplex import EQUAL, LESS_EQUAL, LinearProgram, LPStatus
 from .spaces import (
     Event,
@@ -103,7 +110,7 @@ def lower_prevision(cone: DesirableCone, f: Gamble, event: Optional[Event] = Non
     elif event.space != cone.space:
         raise SpaceMismatchError("event on a different space")
     event.require_nonempty()
-    value = _lower_value(cone, f, event)
+    value, _ = _lower_value(cone, f, event)
     if value is None:
         raise _divergence(cone, event)
     return value
@@ -327,62 +334,86 @@ class ConditionalLowerPrevision:
 
     def _check_coherence(self) -> CoherenceVerdict:
         """Coherent iff every assessed value is reproduced exactly by its
-        own natural-extension query with a finite optimum."""
+        own natural-extension query with a finite optimum.
+
+        The entries are probed in order, a linear entry's conjugate
+        direction right after it.  A probe (f, B, v) passes when
+        lower(f | B) <= v, and its generator is [f - v] * I_B.  Each passing
+        probe also yields the prices r of its optimal solve; once
+        ``_dominating_expectations`` has checked exactly that r is
+        dominating, r settles every later probe whose generator it makes
+        tight and whose event it gives positive mass: E_r[(f - v) I_B] = 0
+        with r(B) > 0 gives lower(f | B) <= E_r[f | B] = v.  Such a probe
+        passes without its LP.  Only passing probes are skipped, so the
+        first failing probe, and with it the verdict and certificate, is
+        the same as when every probe is solved.
+        """
         entries = self.assessment.entries
         gens = self.cone.generators
-        for k, e in enumerate(entries):
-            probes = [(e.gamble, e.event, e.lower)]
-            if e.linear:
-                probes.append((-e.gamble, e.event, -e.lower))
-            for gamble, event, assessed in probes:
-                value = _lower_value(self.cone, gamble, event)
-                if value is not None and value <= assessed:
-                    continue
-                # The probe fails: the value diverges or exceeds the
-                # assessment.  Re-solve with mu free on Bland's rule, whose
-                # point or ray the certificate publishes; the status and
-                # value are the ones just found, so the re-solve is either
-                # unbounded or a gap.
-                result = _raw_lower(self.cone, gamble, event)
-                if result.status is LPStatus.UNBOUNDED:
-                    ray = result.ray[: len(gens)]
-                    support = [i for i, c in enumerate(ray) if c > 0]
-                    polished = self._polish_certificate(support, minus_entry=None)
-                    if polished is not None:
-                        lambdas, sup = polished
-                        return CoherenceVerdict(
-                            False,
-                            CoherenceViolation(
-                                kind="sure-loss",
-                                entry_index=None,
-                                lambdas=self._entry_lambdas(lambdas),
-                                sup_value=sup,
-                            ),
-                        )
+        # (outcomes where r > 0, E_r[g_i] per generator) of each dominating r.
+        dominating: list[tuple[frozenset[str], tuple[int, ...]]] = []
+        for gi, (k, sign) in enumerate(self._owners):  # one probe per generator
+            event = entries[k].event
+            gamble, assessed = entries[k].gamble, entries[k].lower
+            if sign < 0:
+                gamble, assessed = -gamble, -assessed
+            if any(
+                expectations[gi] == 0 and not positive.isdisjoint(event.members)
+                for positive, expectations in dominating
+            ):
+                continue
+            value, prices = _lower_value(self.cone, gamble, event)
+            if value is not None and value <= assessed:
+                expectations = _dominating_expectations(self.cone, prices)
+                if expectations is not None:
+                    positive = frozenset(x for x, r in zip(self.space.outcomes, prices) if r)
+                    dominating.append((positive, expectations))
+                continue
+            # The probe fails: the value diverges or exceeds the
+            # assessment.  Re-solve with mu free on Bland's rule, whose
+            # point or ray the certificate publishes; the status and
+            # value are the ones just found, so the re-solve is either
+            # unbounded or a gap.
+            result = _raw_lower(self.cone, gamble, event)
+            if result.status is LPStatus.UNBOUNDED:
+                ray = result.ray[: len(gens)]
+                support = [i for i, c in enumerate(ray) if c > 0]
+                polished = self._polish_certificate(support, minus_entry=None)
+                if polished is not None:
+                    lambdas, sup = polished
                     return CoherenceVerdict(
                         False,
                         CoherenceViolation(
-                            kind="beyond-support",
-                            entry_index=k,
-                            lambdas=self._entry_lambdas(ray),
-                            sup_value=self._combination_sup(ray, None),
+                            kind="sure-loss",
+                            entry_index=None,
+                            lambdas=self._entry_lambdas(lambdas),
+                            sup_value=sup,
                         ),
                     )
-                point = result.point[: len(gens)]
-                support = [i for i, c in enumerate(point) if c > 0]
-                polished = self._polish_certificate(support, minus_entry=k)
-                lambdas, sup = polished if polished is not None else (tuple(point), None)
                 return CoherenceVerdict(
                     False,
                     CoherenceViolation(
-                        kind="gap",
+                        kind="beyond-support",
                         entry_index=k,
-                        lambdas=self._entry_lambdas(lambdas),
-                        sup_value=sup,
-                        assessed=assessed,
-                        extension=result.value,
+                        lambdas=self._entry_lambdas(ray),
+                        sup_value=self._combination_sup(ray, None),
                     ),
                 )
+            point = result.point[: len(gens)]
+            support = [i for i, c in enumerate(point) if c > 0]
+            polished = self._polish_certificate(support, minus_entry=k)
+            lambdas, sup = polished if polished is not None else (tuple(point), None)
+            return CoherenceVerdict(
+                False,
+                CoherenceViolation(
+                    kind="gap",
+                    entry_index=k,
+                    lambdas=self._entry_lambdas(lambdas),
+                    sup_value=sup,
+                    assessed=assessed,
+                    extension=result.value,
+                ),
+            )
         return CoherenceVerdict(True)
 
     # -- dominating linear previsions ---------------------------------------

@@ -65,8 +65,17 @@ Artificial columns leave the tableau once phase 1 ends.
 
 The solver reports exactly one of three outcomes: an optimum together
 with a point that satisfies every constraint exactly, infeasibility, or
-unboundedness together with an improving ray.  Each solve owns private
-tableau state, so concurrent solves over shared problem data are safe.
+unboundedness together with an improving ray.  An optimum also carries one
+integer price per row, read in one pass over the final non-basic labels:
+minus the cost-row entry of the row's slack when that slack is non-basic,
+and 0 when it is basic or the row is an equality.  A slack's reduced cost
+does not depend on how its row was scaled or negated, so for an inequality
+row written as ``<=`` the price is its optimal dual value, and all prices
+share the cost row's implicit positive scale.  Callers that use them as a
+dual check them first (see ``cones._dominating_expectations``).
+
+Each solve owns private tableau state, so concurrent solves over shared
+problem data are safe.
 """
 
 from __future__ import annotations
@@ -107,6 +116,10 @@ class LPResult:
     #: On UNBOUNDED: a direction d with A-feasibility preserved along x + t*d
     #: and strictly increasing objective.
     ray: Optional[tuple[Fraction, ...]] = None
+    #: On OPTIMAL: one integer price per row, the dual value of an
+    #: inequality row written as ``<=``, times one positive scale shared by
+    #: all rows (0 for a row whose slack is basic, and for an ``==`` row).
+    prices: Optional[tuple[int, ...]] = None
 
 
 def scaled_row(values: Sequence[Fraction | int]) -> tuple[int, tuple[int, ...]]:
@@ -257,7 +270,12 @@ class LinearProgram:
 
         point = self._extract_point(tableau, basis, nstruct)
         value = sum((c * x for c, x in zip(self.objective, point) if c), _ZERO)
-        return LPResult(status=LPStatus.OPTIMAL, value=value, point=point)
+        prices = [0] * len(self.rows)
+        slack_row = [i for i, s in enumerate(slack_label) if s >= 0]
+        for v, c in zip(labels[1:], cost[1:-1]):
+            if v >= nstruct:
+                prices[slack_row[v - nstruct]] = -c
+        return LPResult(status=LPStatus.OPTIMAL, value=value, point=point, prices=tuple(prices))
 
     @staticmethod
     def _cost_row(

@@ -1,10 +1,13 @@
 """Independent verification routes for the tests.
 
-Nothing here touches the engine's simplex: credal sets are handled by
-brute-force vertex enumeration over exact Gaussian elimination, and joint
-lower previsions are recomputed through sympy's exact LP solver on the
-dual (credal-set) formulation.  Both routes work entirely in rational
-arithmetic, so every comparison with engine output is an equality check.
+Nothing here touches the engine's simplex except the reference coherence
+loop at the end: credal sets are handled by brute-force vertex
+enumeration over exact Gaussian elimination, and joint lower previsions
+are recomputed through sympy's exact LP solver on the dual (credal-set)
+formulation.  Both routes work entirely in rational arithmetic, so every
+comparison with engine output is an equality check.  The coherence
+reference solves the engine's own query LP for every probe, skipping
+none, so a verdict that differs from it comes from a skipped probe.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from sympy import Rational as SymRational
 from sympy import symbols
 from sympy.solvers.simplex import InfeasibleLPError, UnboundedLPError, lpmax, lpmin
 
+from desirables.cones import _lower_value, _raw_lower
+from desirables.prevision import CoherenceVerdict, CoherenceViolation, ConditionalLowerPrevision
+from desirables.simplex import LPStatus
 from desirables.spaces import Event, Gamble, Space
 
 ZERO = Fraction(0)
@@ -202,3 +208,49 @@ def sympy_lp_max(
     except UnboundedLPError:
         return "unbounded", None
     return "optimal", _from_sym(value)
+
+
+# ---------------------------------------------------------------------------
+# Coherence, probing every entry
+# ---------------------------------------------------------------------------
+
+
+def coherence_probing_every_entry(model: ConditionalLowerPrevision) -> CoherenceVerdict:
+    """The verdict of ``model.coherence`` from one query LP per probe, in
+    entry order (a linear entry's conjugate right after it), with nothing
+    skipped; the first failing probe gets the engine's certificate."""
+    entries = model.assessment.entries
+    n = len(model.cone.generators)
+    for k, e in enumerate(entries):
+        probes = [(e.gamble, e.event, e.lower)]
+        if e.linear:
+            probes.append((-e.gamble, e.event, -e.lower))
+        for gamble, event, assessed in probes:
+            value, _ = _lower_value(model.cone, gamble, event)
+            if value is not None and value <= assessed:
+                continue
+            result = _raw_lower(model.cone, gamble, event)
+            if result.status is LPStatus.UNBOUNDED:
+                ray = result.ray[:n]
+                support = [i for i, c in enumerate(ray) if c > 0]
+                polished = model._polish_certificate(support, minus_entry=None)
+                if polished is not None:
+                    lambdas, sup = polished
+                    return CoherenceVerdict(
+                        False, CoherenceViolation("sure-loss", None, model._entry_lambdas(lambdas), sup)
+                    )
+                return CoherenceVerdict(
+                    False,
+                    CoherenceViolation(
+                        "beyond-support", k, model._entry_lambdas(ray), model._combination_sup(ray, None)
+                    ),
+                )
+            point = result.point[:n]
+            support = [i for i, c in enumerate(point) if c > 0]
+            polished = model._polish_certificate(support, minus_entry=k)
+            lambdas, sup = polished if polished is not None else (tuple(point), None)
+            return CoherenceVerdict(
+                False,
+                CoherenceViolation("gap", k, model._entry_lambdas(lambdas), sup, assessed, result.value),
+            )
+    return CoherenceVerdict(True)

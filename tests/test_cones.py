@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from desirables.cones import DesirableCone
+from desirables.cones import DesirableCone, _dominating_expectations, _lower_value
 from desirables.simplex import LinearProgram
 from desirables.spaces import Gamble, Space, SpaceMismatchError
-from desirables.suites import random_nonempty_event
+from desirables.suites import random_gamble, random_nonempty_event
 
 from oracles import credal_vertices
 
@@ -326,3 +326,63 @@ class TestStatusSolvesRunNoPhaseOne:
             iterate_calls.clear()
             cone.upper_probability_positive(event)
             assert len(iterate_calls) == 1
+
+
+class TestDominatingExpectations:
+    """``_dominating_expectations`` checks a price vector r on the outcomes
+    exactly: it returns E_r[g_i] per generator, at one positive scale, only
+    when r >= 0 and every E_r[g_i] >= 0."""
+
+    ABC = Space("Y", ("a", "b", "c"))
+    CONE = DesirableCone(ABC, (ABC.gamble(["2/3", "-1/3", "-1/3"]), ABC.gamble([-1, 1, 0])))
+
+    def test_dominating_vector(self):
+        # The rows have scale 3, so the ints are 3 * E_r[g_i].
+        assert _dominating_expectations(self.CONE, (1, 1, 1)) == (0, 0)
+        assert _dominating_expectations(self.CONE, (1, 2, 0)) == (0, 3)
+
+    def test_negative_expectation_is_not_dominating(self):
+        # E_r[g_2] = -1 for r = (2, 1, 1).
+        assert _dominating_expectations(self.CONE, (2, 1, 1)) is None
+
+    def test_negative_price_is_not_dominating(self):
+        # r = (3, 3, -1) gives E_r[g_1] = 4/3 and E_r[g_2] = 0, but a
+        # negative mass.
+        assert _dominating_expectations(self.CONE, (3, 3, -1)) is None
+
+    def test_length_must_match_the_space(self):
+        with pytest.raises(ValueError):
+            _dominating_expectations(self.CONE, (1, 1))
+
+    def test_expectations_are_exact_at_one_positive_scale(self):
+        rng = random.Random(5150)
+        for _ in range(60):
+            cone = random_cone(rng)
+            prices = tuple(rng.randint(0, 4) for _ in range(cone.space.size))
+            exact = [sum((r * v for r, v in zip(prices, g.values)), Fraction(0)) for g in cone.generators]
+            got = _dominating_expectations(cone, prices)
+            if any(e < 0 for e in exact):
+                assert got is None
+                continue
+            factors = {Fraction(t) / e for t, e in zip(got, exact) if e}
+            assert len(factors) <= 1 and all(q > 0 for q in factors)
+            assert all(t == 0 for t, e in zip(got, exact) if e == 0)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_query_prices_are_a_dominating_pmf_attaining_the_value(self, seed):
+        """The prices r of a finite query are dominating, give the event
+        positive mass, and E_r[f | B] is the query's value: they solve the
+        dual of the query LP, whose optimum is the lower envelope of the
+        dominating conditional expectations."""
+        rng = random.Random(7700 + seed)
+        cone = random_cone(rng)
+        f, event = random_gamble(rng, cone.space), random_nonempty_event(rng, cone.space)
+        value, prices = _lower_value(cone, f, event)
+        if value is None:
+            assert prices == ()
+            return
+        assert _dominating_expectations(cone, prices) is not None
+        on_event = [(r, v) for r, v, x in zip(prices, f.values, cone.space.outcomes) if x in event.members]
+        mass = sum(r for r, _ in on_event)
+        assert mass > 0
+        assert sum((r * v for r, v in on_event), Fraction(0)) / mass == value

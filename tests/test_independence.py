@@ -571,3 +571,86 @@ class TestJointRows:
         lower_prevision(joint, f, event)
         # Only the marginal coherence LPs of independent_product_cone add rows here.
         assert not any(len(values) == len(joint.generators) for values in calls)
+
+
+def listed_generators(left, right, left_family, right_family):
+    """The joint generators with one per listed family event, repeats
+    included, and the full event appended to every custom family, whether
+    or not it lists it: the cone ``_joint_cone`` builds without repeated
+    columns."""
+
+    def events(family, space):
+        family = family or EventFamily.atoms(space)
+        listed = list(family.generator_events())
+        return listed + [space.full_event()] if family.kind == "custom" else listed
+
+    prod = product_space(left.space, right.space)
+    pairs = [(i, j) for i in range(left.space.size) for j in range(right.space.size)]  # left-major
+    gens = []
+    for g2 in right.generators:
+        for b1 in events(left_family, left.space):
+            on = [left.space.outcomes[i] in b1.members for i, _ in pairs]
+            gens.append(Gamble(prod, tuple(g2.values[j] if o else Fraction(0) for o, (_, j) in zip(on, pairs))))
+    for g1 in left.generators:
+        for b2 in events(right_family, right.space):
+            on = [right.space.outcomes[j] in b2.members for _, j in pairs]
+            gens.append(Gamble(prod, tuple(g1.values[i] if o else Fraction(0) for o, (i, _) in zip(on, pairs))))
+    return gens
+
+
+class TestNoRepeatedGenerators:
+    """A custom family's repeated events, and its full event when it lists
+    it, give no second generator column."""
+
+    X, Y = Space("X", ("a", "b")), Space("Y", ("c", "d"))
+
+    @pytest.mark.parametrize(
+        "events, count",
+        [(None, 12), ([()], 12), ([("a",)], 16), ([("a",), ("a",)], 16), ([("a",), ("a", "b"), ("a",)], 16)],
+        ids=["empty", "full-event", "one-event", "repeated-event", "repeated-and-full"],
+    )
+    def test_generator_counts(self, events, count):
+        """With uniform 2-outcome marginals (4 generators a side) and atoms
+        on the right: 4 per left event plus 4 per right atom."""
+        x = self.X
+        family = (
+            EventFamily.empty(x)
+            if events is None
+            else EventFamily.custom(x, [x.full_event() if not e else x.event(e) for e in events])
+        )
+        left = LinearPrevision.uniform(x).as_lower_prevision()
+        right = LinearPrevision.uniform(self.Y).as_lower_prevision()
+        assert len(IndependentNaturalExtension(left, right, family).joint_cone.generators) == count
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("setting", sorted(FAMILY_SETTINGS))
+    @pytest.mark.parametrize("route", ["product", "ine"])
+    def test_same_cone_and_values_as_the_listed_generators(self, route, setting, seed):
+        rng = random.Random(f"listed:{route}:{setting}:{seed}")
+        family = FAMILY_SETTINGS[setting]
+        spaces = random_space(rng, "L", 1, 3), random_space(rng, "R", 1, 3)
+        families = [family(rng, space) for space in spaces]
+        if route == "product":
+            left, right = (sevenths_cone(rng, space, rng.randint(1, 3)) for space in spaces)
+            joint = independent_product_cone(left, right, *families)
+        else:
+            left, right = (sevenths_model(rng, space, rng.randint(1, 3)) for space in spaces)
+            joint = IndependentNaturalExtension(left, right, *families).joint_cone
+            left, right = left.cone, right.cone
+        listed = listed_generators(left, right, *families)
+        assert set(joint.generators) == set(listed) and len(joint.generators) <= len(listed)
+        reference = DesirableCone(joint.space, tuple(listed))
+        for _ in range(3):
+            f, event = random_gamble(rng, joint.space), random_nonempty_event(rng, joint.space)
+            assert lower_prevision(joint, f, event) == lower_prevision(reference, f, event)
+
+    def test_every_subset_gap_instance_side(self):
+        inst = restricted_family_gap_instance()
+        ine = IndependentNaturalExtension(
+            inst.left.as_lower_prevision(),
+            inst.right.as_lower_prevision(),
+            every_subset(inst.left.space),
+            every_subset(inst.right.space),
+        )
+        assert len(ine.joint_cone.generators) == 84
+        assert gap_instance_values() == (Fraction(1, 9), Fraction(2, 9))

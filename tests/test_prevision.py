@@ -6,8 +6,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from desirables import cones
+from desirables import cones, prevision
 from desirables.cones import DesirableCone
 from desirables.prevision import (
     Assessment,
@@ -32,7 +33,7 @@ from desirables.suites import (
     random_strict_pmf,
 )
 
-from oracles import envelope_bounds_by_vertices, sympy_lower_prevision
+from oracles import coherence_probing_every_entry, envelope_bounds_by_vertices, sympy_lower_prevision
 
 AB = Space("X", ("a", "b"))
 ABC = Space("Y", ("x1", "x2", "x3"))
@@ -362,6 +363,151 @@ class TestCoherenceGolden:
         )
         verdict = ConditionalLowerPrevision(Assessment(space, entries)).coherence
         assert repr(verdict) == case["verdict"]
+
+
+@st.composite
+def probed_assessments(draw):
+    """An assessment on 2-5 outcomes with 1-7 entries, valued at the lower
+    envelope of 1-3 pmfs that may share a block of zero masses, so that
+    some conditioning events lie beyond support.  Some values are then
+    moved up or down, to give gap and sure-loss verdicts, and some entries
+    are linear, valued at the first pmf."""
+    n = draw(st.integers(2, 5))
+    space = Space("H", tuple(f"h{i}" for i in range(n)))
+    zero = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    pmfs = []
+    for weights in draw(st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n), min_size=1, max_size=3)):
+        weights = [0 if i in zero else w for i, w in enumerate(weights)]
+        if not any(weights):
+            weights[min(set(range(n)) - zero)] = 1
+        pmfs.append([Fraction(w, sum(weights)) for w in weights])
+    entries, seen = [], set()
+    for _ in range(draw(st.integers(1, 7))):
+        values = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        members = range(n) if draw(st.booleans()) else sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        if (tuple(values), tuple(members)) in seen:
+            continue
+        seen.add((tuple(values), tuple(members)))
+        conditional = [
+            sum(p[i] * values[i] for i in members) / mass for p in pmfs if (mass := sum(p[i] for i in members))
+        ]
+        linear = draw(st.integers(0, 4)) == 0
+        if not conditional:
+            value = Fraction(draw(st.integers(min(values[i] for i in members), max(values[i] for i in members))))
+        else:
+            value = conditional[0] if linear else min(conditional)
+        value += draw(st.sampled_from([0, 0, 0, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 7)]))
+        event = space.event(space.outcomes[i] for i in members)
+        entries.append(AssessmentEntry(space.gamble(values), event, value, linear))
+    return Assessment(space, tuple(entries))
+
+
+class TestProbeSkipping:
+    """A passing coherence probe's prices, once checked to be dominating,
+    settle every later probe they make tight with positive mass on its
+    event; those probes are skipped.  Verdicts and certificates must be the
+    ones from probing every entry, and a price vector that fails the check
+    must skip nothing."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(probed_assessments())
+    def test_same_verdict_as_probing_every_entry(self, assessment):
+        model = ConditionalLowerPrevision(assessment)
+        assert repr(model.coherence) == repr(coherence_probing_every_entry(model))
+
+    # Per verdict kind: the space size and the entries as (gamble, event
+    # indices or None for the full event, lower, linear).
+    CASES = {
+        "coherent": (3, [([1, 0, 0], None, "1/3", 0), ([0, 1, 0], None, "1/3", 0), ([1, 1, 0], None, "2/3", 0)]),
+        "gap": (3, [([1, 1, 0], None, "3/4", 0), ([0, 1, 1], None, "3/4", 0), ([0, 1, 0], None, "1/4", 0)]),
+        "sure-loss": (2, [([1, 0], None, "2/3", 0), ([0, 1], None, "2/3", 0)]),
+        "beyond-support": (3, [([1, 1, 0], None, 1, 0), ([1, 0, 0], None, "1/2", 0), ([0, 0, 1], [2], 1, 0)]),
+        "linear": (3, [([1, 0, 0], None, "1/4", 1), ([0, 1, 0], None, "1/4", 1), ([1, 1, 0], None, "1/2", 0)]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_each_verdict_kind(self, kind):
+        n, rows = self.CASES[kind]
+        space = Space("K", tuple(f"k{i}" for i in range(n)))
+        model = ConditionalLowerPrevision.from_entries(
+            space,
+            [
+                (space.gamble(g), None if ev is None else space.event(space.outcomes[i] for i in ev), v, lin)
+                for g, ev, v, lin in rows
+            ],
+        )
+        verdict = model.coherence
+        assert repr(verdict) == repr(coherence_probing_every_entry(model))
+        assert (verdict.violation.kind if verdict.violation else "coherent") == (
+            "coherent" if kind == "linear" else kind
+        )
+
+    @staticmethod
+    def count_probes(monkeypatch, prices=None):
+        """Replace the prices of every probe by ``prices`` (when given) and
+        count the probe LPs."""
+        calls = []
+        real = prevision._lower_value
+
+        def probe(cone, f, event):
+            value, real_prices = real(cone, f, event)
+            calls.append(event)
+            return value, real_prices if prices is None else prices
+
+        monkeypatch.setattr(prevision, "_lower_value", probe)
+        return calls
+
+    ABC = Space("T", ("a", "b", "c"))
+
+    def two_entries(self, second_event=None):
+        """lower(I_a) = lower(I_b) = 1/3 (generators [2/3, -1/3, -1/3] and
+        [-1/3, 2/3, -1/3]), or the second entry lower(I_c | {b, c}) = 1/2,
+        with generator [0, -1/2, 1/2]: both coherent."""
+        abc = self.ABC
+        if second_event is None:
+            second = (abc.gamble([0, 1, 0]), None, "1/3")
+        else:
+            second = (abc.gamble([0, 0, 1]), abc.event(second_event), "1/2")
+        return ConditionalLowerPrevision.from_entries(abc, [(abc.gamble([1, 0, 0]), None, "1/3"), second])
+
+    def test_checked_dominating_prices_skip(self, monkeypatch):
+        # r = (1, 1, 1) dominates and is tight on the second generator.
+        calls = self.count_probes(monkeypatch, prices=(1, 1, 1))
+        assert self.two_entries().coherence.coherent
+        assert len(calls) == 1
+
+    def test_negative_prices_skip_nothing(self, monkeypatch):
+        # r = (3, 1, -1): E_r = 2 and 0, but r(c) < 0.
+        calls = self.count_probes(monkeypatch, prices=(3, 1, -1))
+        assert self.two_entries().coherence.coherent
+        assert len(calls) == 2
+
+    def test_non_dominating_prices_skip_nothing(self, monkeypatch):
+        # r = (0, 1, 2): tight on the second generator, E_r = -1 on the first.
+        calls = self.count_probes(monkeypatch, prices=(0, 1, 2))
+        assert self.two_entries().coherence.coherent
+        assert len(calls) == 2
+
+    def test_tightness_on_a_zero_mass_event_skips_nothing(self, monkeypatch):
+        # r = (1, 0, 0) dominates and is tight on [0, -1/2, 1/2] only
+        # because it gives {b, c} no mass.
+        calls = self.count_probes(monkeypatch, prices=(1, 0, 0))
+        assert self.two_entries(second_event=["b", "c"]).coherence.coherent
+        assert len(calls) == 2
+
+    def test_twelve_entry_envelope_solves_fewer_probes(self, monkeypatch):
+        rng = random.Random(1210)
+        space = random_space(rng, "S", 6, 6)
+        pmfs = [random_strict_pmf(rng, space) for _ in range(3)]
+        pairs = []
+        while len(pairs) < 12:
+            pair = (random_gamble(rng, space), random_nonempty_event(rng, space) if len(pairs) % 3 == 2 else None)
+            if all(pair[0] != f for f, _ in pairs):
+                pairs.append(pair)
+        model = ConditionalLowerPrevision(envelope_assessment(space, pmfs, pairs))
+        calls = self.count_probes(monkeypatch)
+        assert model.coherence.coherent
+        assert len(calls) < 12
 
 
 class TestEnvelopeAgainstVertexOracle:

@@ -363,3 +363,69 @@ class TestCancelledPivot:
         LinearProgram._pivot(tableau, cost, basis, labels, r, c)
         assert tableau == expected
         assert cost == expected_cost
+
+
+def assert_prices_certify(objective, rows, result):
+    """``result.prices`` is an optimal dual of the program up to one positive
+    scale K: with every row written as ``<=`` (a . x <= b), the prices u
+    are non-negative, u . b = K * value, and the sum of u_i a_i is at least
+    K * c in every column.  Together with the point that is weak duality's
+    proof that the value is the optimum."""
+    prices = result.prices
+    assert len(prices) == len(rows) and all(p >= 0 for p in prices)
+    le = [(coeffs, rhs) if rel == "<=" else ([-a for a in coeffs], -rhs) for coeffs, rel, rhs in rows]
+    priced = [sum((p * coeffs[j] for p, (coeffs, _) in zip(prices, le)), Fraction(0)) for j in range(len(objective))]
+    dual_value = sum((p * rhs for p, (_, rhs) in zip(prices, le)), Fraction(0))
+    if result.value != 0:
+        scale = dual_value / result.value
+    else:
+        assert dual_value == 0
+        # Any K > 0 with K * c_j <= priced_j in every column will do: the
+        # largest one the positive costs allow, or else one the negative
+        # costs allow.
+        floor = max((q / c for q, c in zip(priced, objective) if c < 0), default=Fraction(0))
+        scale = min((q / c for q, c in zip(priced, objective) if c > 0), default=floor + 1)
+    assert scale > 0
+    assert all(q >= scale * c for q, c in zip(priced, objective))
+
+
+class TestPrices:
+    """An optimal solve carries one integer price per row, read off the
+    slack columns of the cost row; both entering rules end at an optimal
+    dual."""
+
+    @pytest.mark.parametrize("pricing", [BLAND, DANTZIG])
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_inequality_programs(self, pricing, seed):
+        rng = random.Random(4400 + seed)
+        n = rng.randint(1, 4)
+        objective = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+            rows.append((coeffs, rng.choice(["<=", ">="]), Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
+        rows += [([Fraction(int(j == k)) for j in range(n)], "<=", Fraction(6)) for k in range(n)]  # bounded
+        lp = LinearProgram(n, objective)
+        for coeffs, rel, rhs in rows:
+            lp.add(coeffs, rel, rhs)
+        result = lp.solve(pricing)
+        if result.status is LPStatus.OPTIMAL:
+            assert_prices_certify(objective, rows, result)
+        else:
+            assert result.prices is None
+
+    def test_canned_prices(self):
+        # max x + y s.t. x + 2y <= 4, x <= 1: y = 3/2, duals 1/2 and 1/2.
+        lp = LinearProgram(2, [1, 1])
+        lp.add([1, 2], "<=", 4)
+        lp.add([1, 0], "<=", 1)
+        lp.add([0, 1], "<=", 5)
+        prices = lp.solve().prices
+        assert prices[0] == prices[1] > 0 and prices[2] == 0
+
+    def test_equality_rows_are_priced_zero(self):
+        lp = LinearProgram(2, [1, 1])
+        lp.add([1, 1], "==", 2)
+        lp.add([1, 0], "<=", 1)
+        result = lp.solve()
+        assert result.value == 2 and result.prices[0] == 0
