@@ -155,7 +155,7 @@ class DesirableCone:
             return True
         lp = LinearProgram(n, [1] * n)
         for row in self.scaled_rows:
-            lp.add_scaled(row, LESS_EQUAL, 0)
+            lp.add_scaled(row, LESS_EQUAL, (0, 1))
         return lp.solve(DANTZIG).status is not LPStatus.UNBOUNDED
 
     def positive_pmf_witness(self) -> Optional[PmfWitness]:
@@ -215,7 +215,7 @@ class DesirableCone:
 
 
 def _gamble_side_lp(
-    cone: DesirableCone, f: Gamble, event: Event, floor: Optional[Fraction] = None
+    cone: DesirableCone, f_row: tuple[int, tuple[int, ...]], event: Event, floor: Optional[int] = None
 ) -> LinearProgram:
     """LP for sup{mu : [f - mu] * indicator(B) in cone}.
 
@@ -229,20 +229,24 @@ def _gamble_side_lp(
     The generator part of each row is the cone's cached integer row
     (``DesirableCone.scaled_rows``), so no ``Fraction`` is converted per
     query; the mu coefficients are appended to it: (1, -1), or 1 with a
-    floor, on B and zeros off it.
+    floor, on B and zeros off it.  f arrives as ``f_row``, its values as
+    one ``scaled_row`` (s, ints), and the floor as an int over the same s,
+    so each right-hand side goes to the LP as the integer ratio
+    (ints[x] - floor, s), with no ``Fraction`` arithmetic.
     """
     n = len(cone.generators)
     if floor is None:
-        objective, on, off, shift = [_ZERO] * n + [_ONE, -_ONE], (1, -1), (0, 0), _ZERO
+        objective, on, off, floor = [_ZERO] * n + [_ONE, -_ONE], (1, -1), (0, 0), 0
     else:
-        objective, on, off, shift = [_ZERO] * n + [_ONE], (1,), (0,), floor
+        objective, on, off = [_ZERO] * n + [_ONE], (1,), (0,)
     lp = LinearProgram(len(objective), objective)
+    scale, values = f_row
     members = event.members
-    for x, row, v in zip(cone.space.outcomes, cone.scaled_rows, f.values):
+    for x, row, v in zip(cone.space.outcomes, cone.scaled_rows, values):
         if x in members:
-            lp.add_scaled(row, LESS_EQUAL, v - shift, last=on)
+            lp.add_scaled(row, LESS_EQUAL, (v - floor, scale), last=on)
         else:
-            lp.add_scaled(row, LESS_EQUAL, 0, last=off)
+            lp.add_scaled(row, LESS_EQUAL, (0, 1), last=off)
     return lp
 
 
@@ -250,7 +254,7 @@ def _raw_lower(cone: DesirableCone, f: Gamble, event: Event) -> LPResult:
     """The gamble-side LP with mu free (mu+ - mu-), on Bland's rule:
     coherence certificates publish the generator part of its optimal point
     or improving ray."""
-    return _gamble_side_lp(cone, f, event).solve()
+    return _gamble_side_lp(cone, scaled_row(f.values), event).solve()
 
 
 def _lower_value(
@@ -266,18 +270,22 @@ def _lower_value(
     side I_B(x) (f(x) - min_B f) is then non-negative, so the solve starts
     on its slack basis (lambda = nu = 0) with no phase 1 and no mu+ - mu-
     column pair.  The value is the same at every optimal vertex, so the
-    solve uses Dantzig pricing.
+    solve uses Dantzig pricing.  f is scaled to ints once, and min_B f is
+    taken over those ints.
 
     The rows are the outcomes, so the prices r are a vector on the space.
     Its dual says r >= 0, E_r[g_i] >= 0 for every generator and r(B) >= 1:
     a dominating pmf up to scale, which ``_dominating_expectations`` checks
     exactly before anything relies on it.
     """
-    floor = f.min_over(event)
-    result = _gamble_side_lp(cone, f, event, floor).solve(DANTZIG)
+    f_row = scaled_row(f.values)
+    scale, values = f_row
+    members = event.members
+    floor = min(v for x, v in zip(cone.space.outcomes, values) if x in members)
+    result = _gamble_side_lp(cone, f_row, event, floor).solve(DANTZIG)
     if result.status is LPStatus.UNBOUNDED:
         return None, ()
-    return floor + result.value, result.prices
+    return Fraction(floor, scale) + result.value, result.prices
 
 
 def _dominating_expectations(cone: DesirableCone, prices: Sequence[int]) -> Optional[tuple[int, ...]]:

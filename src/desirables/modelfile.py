@@ -14,13 +14,14 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .independence import ALL_NONEMPTY, ATOMS, CUSTOM, EventFamily
 from .prevision import Assessment, AssessmentEntry, ConditionalLowerPrevision
 from .spaces import Event, Gamble, Space
 
-_RATIONAL_RE = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?\Z")
+_RATIONAL_RE = re.compile(r"(-?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?\Z")
 
 ALL_EVENT = "ALL"
 
@@ -31,15 +32,23 @@ class ModelFormatError(ValueError):
 
 
 def parse_rational(text: object, where: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    """The rational that the canonical string ``text`` spells: "p/q" with q
+    > 1 and gcd(p, q) = 1, or "p", with no "-0".  The check is made on the
+    integers themselves, so nothing is normalised and printed back."""
+    match = _RATIONAL_RE.match(text) if isinstance(text, str) else None
+    if match is None:
         raise ModelFormatError(f"{where}: rational values must be canonical strings, got {text!r}")
+    sign, num, den = match.groups()
     try:
-        value = Fraction(text)
+        n = int(num)
+        d = int(den) if den else 1
     except ValueError as exc:  # more digits than int() converts
         raise ModelFormatError(f"{where}: {exc}") from None
-    if str(value) != text:
-        raise ModelFormatError(f"{where}: {text!r} is not in lowest terms (expected {value})")
-    return value
+    if sign:
+        n = -n
+    if (den is None and sign and not n) or (den is not None and (d == 1 or gcd(n, d) != 1)):
+        raise ModelFormatError(f"{where}: {text!r} is not in lowest terms (expected {Fraction(n, d)})")
+    return Fraction(n, d)
 
 
 @dataclass(frozen=True)

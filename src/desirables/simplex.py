@@ -27,10 +27,16 @@ rational is normalised inside the pivot loop.  The common factor
 ``g = gcd(|p|, f)`` is cancelled from both multipliers before the products
 are formed: a row divided by the gcd of its entries is unique, so every
 integer stays the same, while the products shrink and, where ``g`` was
-the whole row gcd, the division pass is skipped.  These are the integers
-the full-width tableau would hold, minus its basic columns.  The cost row is
-an ``int`` vector with an implicit positive scale, kept in the same layout
-with a 0 in the scale slot and updated the same way.
+the whole row gcd, the division pass is skipped.  The elimination is
+sparse: each pivot lists once the positions where ``s * prow`` (with
+position ``c`` set as above and the scale slot 0) is non-zero, often
+fewer than half of them, and each other row is formed as ``|p| * row``,
+or copied when ``|p|`` cancelled to 1, with ``f * s * prow`` subtracted at
+the listed positions only.  That is the dense update at every position,
+so the integers, and with them the pivot path, are the same.  These are
+the integers the full-width tableau would hold, minus its basic columns.
+The cost row is an ``int`` vector with an implicit positive scale, kept
+in the same layout with a 0 in the scale slot and updated the same way.
 
 Because every scale is positive, each sign in the integer tableau is the
 sign of the rational entry, and each ratio ``rhs / a`` is the rational
@@ -168,19 +174,22 @@ class LinearProgram:
     def add(self, coeffs: Sequence[RationalLike], rel: str, rhs: RationalLike) -> None:
         # Callers mostly pass Fractions already; coerce only the rest.
         row = [a if isinstance(a, Fraction) else as_fraction(a) for a in coeffs]
-        self.add_scaled(scaled_row(row), rel, as_fraction(rhs))
+        self.add_scaled(scaled_row(row), rel, as_fraction(rhs).as_integer_ratio())
 
     def add_scaled(
         self,
         row: tuple[int, Sequence[int]],
         rel: str,
-        rhs: Fraction | int,
+        rhs: tuple[int, int],
         last: tuple[int, ...] = (),
     ) -> None:
         """Add a row given as ``scaled_row`` returns it, followed by the
-        ints ``last`` as its trailing coefficients.  The scale is raised,
-        and the coefficients with it, only when it is not a multiple of the
-        denominator of ``rhs``."""
+        ints ``last`` as its trailing coefficients.  The right-hand side is
+        the ratio ``rhs = (numerator, denominator)`` of two ints, the
+        denominator positive but not necessarily coprime to the numerator,
+        so a caller whose values share one scale passes them over it.  The
+        row scale is raised, and the coefficients with it, only when it is
+        not a multiple of the ratio's denominator in lowest terms."""
         scale, coeffs = row
         if last:
             coeffs = (*coeffs, *(v * scale for v in last))
@@ -188,12 +197,16 @@ class LinearProgram:
             raise ValueError("constraint length does not match variable count")
         if rel not in (LESS_EQUAL, EQUAL, GREATER_EQUAL):
             raise ValueError(f"unknown relation {rel!r}")
-        q = rhs.denominator
+        b, q = rhs
         if scale % q:
-            m = q // gcd(scale, q)
-            scale *= m
-            coeffs = [a * m for a in coeffs]
-        self.rows.append((scale, coeffs, rel, rhs.numerator * (scale // q)))
+            g = gcd(b, q)
+            b //= g
+            q //= g
+            if scale % q:
+                m = q // gcd(scale, q)
+                scale *= m
+                coeffs = [a * m for a in coeffs]
+        self.rows.append((scale, coeffs, rel, b * (scale // q)))
 
     # -- internal ---------------------------------------------------------
 
@@ -321,18 +334,20 @@ class LinearProgram:
             piv = -piv
         d = prow[0]  # s * d_r
         # Eliminating with ``elim`` gives every other row scale piv * d_i
-        # (elim[0] = 0) and -f * s * d_r in position c.
+        # (elim[0] = 0) and -f * s * d_r in position c.  Only its non-zero
+        # positions are listed, once per pivot, for the elimination to visit.
         elim = prow.copy()
         elim[0] = 0
         elim[c] = piv + d
+        nonzero = [(j, a) for j, a in enumerate(elim) if a]
         for i, row in enumerate(tableau):
             f = row[c]
             if f == 0 or i == r:
                 continue
-            tableau[i] = _eliminate(row, elim, piv, f)
+            tableau[i] = _eliminate(row, nonzero, piv, f)
         f = cost[c]
         if f != 0:
-            cost[:] = _eliminate(cost, elim, piv, f)
+            cost[:] = _eliminate(cost, nonzero, piv, f)
         prow[0] = piv
         prow[c] = d
         tableau[r] = prow
@@ -442,16 +457,22 @@ class LinearProgram:
         return tuple(ray)
 
 
-def _eliminate(row: list[int], elim: list[int], piv: int, f: int) -> list[int]:
-    """``_coprime(piv * row - f * elim)``, with g = gcd(piv, f) cancelled
-    from both multipliers first: the row is the same, because a row divided
-    by its gcd is unique, but the products are smaller and, where g was the
-    whole row gcd, no division pass is left to do."""
+def _eliminate(row: list[int], nonzero: list[tuple[int, int]], piv: int, f: int) -> list[int]:
+    """``_coprime(piv * row - f * elim)``, where ``nonzero`` lists the
+    ``(position, value)`` pairs at which ``elim`` is non-zero.  g = gcd(piv,
+    f) is cancelled from both multipliers first: the row is the same,
+    because a row divided by its gcd is unique, but the products are smaller
+    and, where g was the whole row gcd, no division pass is left to do.
+    Then ``f * elim`` is subtracted at the listed positions only; elsewhere
+    the entry is ``piv * v``, or ``v`` itself when the pivot cancelled to 1."""
     g = gcd(piv, f)
     if g > 1:
         piv //= g
         f //= g
-    return _coprime([piv * v - f * a for v, a in zip(row, elim)])
+    out = row.copy() if piv == 1 else [piv * v for v in row]
+    for j, a in nonzero:
+        out[j] -= f * a
+    return _coprime(out)
 
 
 def _coprime(row: list[int]) -> list[int]:

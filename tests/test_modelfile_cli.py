@@ -77,6 +77,15 @@ class TestRationalStrings:
         with pytest.raises(ModelFormatError):
             parse_rational(bad, "t")
 
+    @pytest.mark.parametrize(
+        "bad, expected",
+        [("-0", "0"), ("0/1", "0"), ("-0/5", "0"), ("3/1", "3"), ("-6/4", "-3/2"), ("2/4", "1/2")],
+    )
+    def test_not_in_lowest_terms_names_the_canonical_form(self, bad, expected):
+        with pytest.raises(ModelFormatError) as err:
+            parse_rational(bad, "t")
+        assert str(err.value) == f"t: {bad!r} is not in lowest terms (expected {expected})"
+
     def test_more_digits_than_int_converts_rejected(self):
         with pytest.raises(ModelFormatError):
             parse_rational("1" * 5000, "t")

@@ -172,6 +172,37 @@ class TestIntegerRows:
             upper = -sympy_lower_prevision(space, cone.generators, -f, event)
             assert upper_prevision(cone, f, event) == upper
 
+    @pytest.mark.parametrize("conditional", [False, True], ids=["unconditional", "conditional"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_query_rows_match_the_rational_right_hand_sides(self, seed, conditional):
+        """``_gamble_side_lp`` takes f as one integer row and hands each
+        right-hand side over f's scale; its rows must be those built from
+        the ``Fraction`` f(x) - floor, with and without the floor."""
+        rng = random.Random(9300 + seed)
+        space = random_space(rng, "T", 3, 5)
+        cone = self.thirds_cone(rng, space)
+        n = len(cone.generators)
+        raised = False
+        for _ in range(3):
+            f = space.gamble([Fraction(rng.randint(-20, 20), 7) for _ in space.outcomes])
+            event = random_nonempty_event(rng, space) if conditional else space.full_event()
+            f_row = cones.scaled_row(f.values)
+            low = f.min_over(event)
+            assert (low * f_row[0]).denominator == 1
+            for floor, on, off, shift in ((None, (1, -1), (0, 0), 0), (int(low * f_row[0]), (1,), (0,), low)):
+                built = cones._gamble_side_lp(cone, f_row, event, floor)
+                expected = LinearProgram(n + len(on), [0] * n + [1, -1][: len(on)])
+                for x, row, v in zip(space.outcomes, cone.scaled_rows, f.values):
+                    if x in event.members:
+                        rhs = v - shift
+                        raised = raised or row[0] % rhs.denominator != 0
+                        expected.add_scaled(row, "<=", rhs.as_integer_ratio(), last=on)
+                    else:
+                        expected.add_scaled(row, "<=", (0, 1), last=off)
+                assert built.objective == expected.objective
+                assert built.rows == expected.rows
+        assert raised  # some sevenths rhs raised its row's scale
+
     def test_oracle_checks_a_claimed_infeasibility(self):
         """sympy 1.14 raises ``InfeasibleLPError`` on this feasible cone;
         the oracle must then answer by vertex enumeration, not with None."""
@@ -201,7 +232,12 @@ class TestIntegerRows:
         assert model.is_coherent()
         assert model.cone.is_coherent()
         assert model.cone.contains(f + 2)
-        assert len(builds) == ABC.size
+        # Each query also scales its gamble once (``cones._lower_value``);
+        # the cone's outcome rows, the generator values per outcome, are
+        # built once, in outcome order.
+        outcome_rows = list(zip(*(g.values for g in model.cone.generators)))
+        assert len(outcome_rows[0]) != ABC.size  # no gamble row looks like one
+        assert [values for values in builds if len(values) != ABC.size] == outcome_rows
         rows = model.cone.scaled_rows
         assert isinstance(rows, tuple) and len(rows) == ABC.size
         for scale, ints in rows:

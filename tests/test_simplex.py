@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from desirables.simplex import BLAND, DANTZIG, LinearProgram, LPResult, LPStatus, _coprime, scaled_row
 
@@ -100,12 +100,13 @@ class TestCannedPrograms:
         assert_satisfies(rows, True, result.point)
 
 
-def solve_priced(pricing, objective, rows, nonneg=True):
-    """Maximize the objective subject to (coeffs, rel, rhs) rows with the
-    given entering rule.  ``nonneg`` flags each variable (or all of them)
-    as non-negative; a free variable x is written x+ - x-, with the x-
-    column right after the x+ one, and its point and ray entries are read
-    back as the difference."""
+def split_program(objective, rows, nonneg):
+    """The ``LinearProgram`` that maximizes the objective subject to
+    (coeffs, rel, rhs) rows, and the function that folds its points and
+    rays back.  ``nonneg`` flags each variable (or all of them) as
+    non-negative; a free variable x is written x+ - x-, with the x- column
+    right after the x+ one, and its point and ray entries are read back as
+    the difference."""
     if isinstance(nonneg, bool):
         nonneg = [nonneg] * len(objective)
     # Per variable, its column and, when free, the column of its negation.
@@ -131,6 +132,13 @@ def solve_priced(pricing, objective, rows, nonneg=True):
     lp = LinearProgram(width, split(objective))
     for coeffs, rel, rhs in rows:
         lp.add(split(coeffs), rel, rhs)
+    return lp, fold
+
+
+def solve_priced(pricing, objective, rows, nonneg=True):
+    """Solve ``split_program`` with the given entering rule; the point and
+    ray are folded back to the free variables."""
+    lp, fold = split_program(objective, rows, nonneg)
     result = lp.solve(pricing)
     return LPResult(result.status, result.value, fold(result.point), fold(result.ray))
 
@@ -293,7 +301,8 @@ class TestAgainstSympy:
 
 class TestScaledRows:
     """``add_scaled`` with a ``scaled_row`` stores the row that ``add``
-    stores for the same rationals, the rhs denominator included."""
+    stores for the same rationals, the rhs denominator included, whether
+    the rhs ratio comes in lowest terms or not."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_add_scaled_matches_add(self, seed):
@@ -308,17 +317,19 @@ class TestScaledRows:
         plain = LinearProgram(n + 1, [0] * (n + 1))
         plain.add(coeffs + list(last), rel, rhs)
         scaled = LinearProgram(n + 1, [0] * (n + 1))
-        scaled.add_scaled((scale, ints), rel, rhs, last=last)
-        (s1, c1, r1, b1), (s2, c2, r2, b2) = plain.rows[0], scaled.rows[0]
-        assert (s1, list(c1), r1, b1) == (s2, list(c2), r2, b2)
+        scaled.add_scaled((scale, ints), rel, rhs.as_integer_ratio(), last=last)
+        k = rng.randint(2, 12)
+        scaled.add_scaled((scale, ints), rel, (rhs.numerator * k, rhs.denominator * k), last=last)
+        (s1, c1, r1, b1), (s2, c2, r2, b2), (s3, c3, r3, b3) = plain.rows[0], *scaled.rows
+        assert (s1, list(c1), r1, b1) == (s2, list(c2), r2, b2) == (s3, list(c3), r3, b3)
 
     def test_add_scaled_checks_length_and_relation(self):
         lp = LinearProgram(2, [0, 0])
         with pytest.raises(ValueError):
-            lp.add_scaled(scaled_row([Fraction(1, 2)]), "<=", 0)
+            lp.add_scaled(scaled_row([Fraction(1, 2)]), "<=", (0, 1))
         with pytest.raises(ValueError):
-            lp.add_scaled(scaled_row([Fraction(1, 2)]), "<", 0, last=(1,))
-        lp.add_scaled(scaled_row([Fraction(1, 2)]), "<=", Fraction(1, 3), last=(1,))
+            lp.add_scaled(scaled_row([Fraction(1, 2)]), "<", (0, 1), last=(1,))
+        lp.add_scaled(scaled_row([Fraction(1, 2)]), "<=", (2, 6), last=(1,))
         [(scale, coeffs, rel, rhs)] = lp.rows
         assert (scale, list(coeffs), rel, rhs) == (6, [3, 6], "<=", 2)
 
@@ -327,42 +338,90 @@ class TestScaledRows:
 _entries = st.one_of(st.integers(-30, 30), st.integers(-6, 6).map(lambda v: 12 * v))
 
 
+# The same entries, about three in four of them 0, as in the cone LPs'
+# tableaux: a row then meets the pivot row's non-zeros at a few positions.
+_sparse_entries = st.tuples(st.integers(0, 3), _entries).map(lambda t: t[1] if t[0] == 0 else 0)
+
+
 @st.composite
-def pivot_cases(draw):
+def pivot_cases(draw, entries=_entries):
     """A random compact tableau with positive row scales, a cost row, and a
     non-zero pivot position."""
     m, k = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     tableau = [
-        [draw(st.integers(1, 36)), *draw(st.lists(_entries, min_size=k + 1, max_size=k + 1))] for _ in range(m)
+        [draw(st.integers(1, 36)), *draw(st.lists(entries, min_size=k + 1, max_size=k + 1))] for _ in range(m)
     ]
-    cost = [0, *draw(st.lists(_entries, min_size=k + 1, max_size=k + 1))]
+    cost = [0, *draw(st.lists(entries, min_size=k + 1, max_size=k + 1))]
     r, c = draw(st.integers(0, m - 1)), draw(st.integers(1, k))
     if tableau[r][c] == 0:
         tableau[r][c] = draw(st.sampled_from([-1, 1])) * draw(st.integers(1, 36))
     return tableau, cost, r, c
 
 
+def dense_pivot(tableau, cost, basis, labels, r, c):
+    """The reference pivot: ``LinearProgram._pivot``'s exchange with every
+    entry of every other row formed as ``piv * v - f * a``, zeros of the
+    pivot row included, and the row divided by its gcd."""
+    prow = tableau[r] if tableau[r][c] > 0 else [-v for v in tableau[r]]
+    piv, d = prow[c], prow[0]
+    elim = [0, *prow[1:]]
+    elim[c] = piv + d
+    for i, row in enumerate(tableau):
+        if i != r and row[c] != 0:
+            tableau[i] = _coprime([piv * v - row[c] * a for v, a in zip(row, elim)])
+    if cost[c] != 0:
+        cost[:] = _coprime([piv * v - cost[c] * a for v, a in zip(cost, elim)])
+    prow = [piv, *prow[1:]]
+    prow[c] = d
+    tableau[r] = prow
+    basis[r], labels[c] = labels[c], basis[r]
+
+
 class TestCancelledPivot:
-    @given(pivot_cases())
-    def test_same_rows_as_the_uncancelled_elimination(self, case):
-        """``_pivot`` cancels gcd(pivot, multiplier) before eliminating; the
-        rows must be those of ``_coprime(piv * row - f * elim)``."""
+    """``_pivot`` cancels gcd(pivot, multiplier) before eliminating, and
+    subtracts only where the pivot row is non-zero; the rows must be those
+    of the dense ``_coprime(piv * row - f * elim)``."""
+
+    @staticmethod
+    def assert_dense_rows(case):
         tableau, cost, r, c = case
-        prow = tableau[r] if tableau[r][c] > 0 else [-v for v in tableau[r]]
-        piv, d = prow[c], prow[0]
-        elim = [0, *prow[1:]]
-        elim[c] = piv + d
-        expected = [
-            row if row[c] == 0 else _coprime([piv * v - row[c] * a for v, a in zip(row, elim)])
-            for row in tableau
-        ]
-        expected[r] = [piv, *prow[1:]]
-        expected[r][c] = d
-        expected_cost = cost if cost[c] == 0 else _coprime([piv * v - cost[c] * a for v, a in zip(cost, elim)])
+        expected, expected_cost = [row.copy() for row in tableau], cost.copy()
         basis, labels = list(range(10, 10 + len(tableau))), [-1, *range(len(cost) - 2)]
+        dense_pivot(expected, expected_cost, basis.copy(), labels.copy(), r, c)
         LinearProgram._pivot(tableau, cost, basis, labels, r, c)
         assert tableau == expected
         assert cost == expected_cost
+
+    @given(pivot_cases())
+    def test_same_rows_as_the_uncancelled_elimination(self, case):
+        self.assert_dense_rows(case)
+
+    # Each example has rows off the pivot row's zeros and on them; in turn
+    # the multipliers cancel to piv = 1 (3 against 6 and 9), stay above 1
+    # (4 against 6), and the pivot is negative.
+    @example(([[1, 3, 0, 5], [2, 6, 0, 0], [4, 0, 7, 1]], [0, 9, 0, 2], 0, 1))
+    @example(([[1, 4, 0, 0, 7], [5, 6, 0, 2, 0]], [0, 2, 0, 1, 0], 0, 1))
+    @example(([[2, 0, -3, 0, 1], [1, 0, 5, 0, 0], [3, 1, 0, 0, 2]], [0, 0, 6, 0, 0], 0, 2))
+    @given(pivot_cases(_sparse_entries))
+    def test_sparse_rows_same_as_the_dense_elimination(self, case):
+        self.assert_dense_rows(case)
+
+
+class TestSparseEliminationDifferential:
+    """On every recorded LP, under both entering rules, the solve must give
+    the same ``LPResult``, prices included, as one whose pivots use the
+    dense reference elimination: the integers are the same, so the pivot
+    path is.  The recorded answers pin neither prices nor Dantzig points."""
+
+    @pytest.mark.parametrize("pricing", [BLAND, DANTZIG])
+    @pytest.mark.parametrize("case", GOLDEN, ids=[f"lp{k:03d}" for k in range(len(GOLDEN))])
+    def test_same_result_as_dense_pivots(self, case, pricing, monkeypatch):
+        objective = [Fraction(c) for c in case["objective"]]
+        rows = [([Fraction(a) for a in coeffs], rel, Fraction(rhs)) for coeffs, rel, rhs in case["rows"]]
+        lp, _ = split_program(objective, rows, case["nonneg"])
+        result = lp.solve(pricing)
+        monkeypatch.setattr(LinearProgram, "_pivot", staticmethod(dense_pivot))
+        assert result == lp.solve(pricing)
 
 
 def assert_prices_certify(objective, rows, result):
