@@ -17,35 +17,43 @@ non-basic columns only.  Each row is ``[d, entries..., rhs]``, ``labels``
 names the variable in each non-basic position, and ``basis`` names each
 row's basic variable, whose column is the unit vector times ``d`` and so
 is never stored.  A pivot on ``p = prow[c]`` exchanges the entering
-variable ``labels[c]`` with the leaving one ``basis[r]``.  With ``s`` the
-sign of ``p``, the pivot row becomes ``s * prow`` with scale ``|p|`` and
-``s * d_r`` in position ``c``.  Every other row becomes
-``|p| * row - f * s * prow`` with ``f = row[c]``, scale ``|p| * d_i`` and
-``-f * s * d_r`` in position ``c``, and is divided by its gcd
-(integer-preserving elimination as in Bareiss 1968 and Avis's lrs), so no
-rational is normalised inside the pivot loop.  The common factor
-``g = gcd(|p|, f)`` is cancelled from both multipliers before the products
-are formed: a row divided by the gcd of its entries is unique, so every
-integer stays the same, while the products shrink and, where ``g`` was
-the whole row gcd, the division pass is skipped.  The elimination is
-sparse: each pivot lists once the positions where ``s * prow`` (with
-position ``c`` set as above and the scale slot 0) is non-zero, often
-fewer than half of them, and each other row is formed as ``|p| * row``,
-or copied when ``|p|`` cancelled to 1, with ``f * s * prow`` subtracted at
-the listed positions only.  That is the dense update at every position,
-so the integers, and with them the pivot path, are the same.  These are
-the integers the full-width tableau would hold, minus its basic columns.
-The cost row is an ``int`` vector with an implicit positive scale, kept
-in the same layout with a 0 in the scale slot and updated the same way.
+variable ``labels[c]`` with the leaving one ``basis[r]``.  The pivot row
+is first divided by the gcd of its entries.  With ``s`` the sign of
+``p``, it then becomes ``s * prow`` with scale ``|p|`` and ``s * d_r`` in
+position ``c``.  Every other row becomes ``|p| * row - f * s * prow``
+with ``f = row[c]``, scale ``|p| * d_i`` and ``-f * s * d_r`` in position
+``c`` (integer-preserving elimination as in Bareiss 1968 and Avis's lrs),
+so no rational is normalised inside the pivot loop.  The common factor
+``g = gcd(|p|, f)`` is cancelled from both multipliers before the
+products are formed.  An eliminated row is not divided by its gcd: a
+row's size reaches other rows only through the multipliers it gives as
+the pivot row, and it is reduced then.  So each row is a positive
+multiple of the row that the exchange tableau holds with every row
+divided by its gcd, and equal to it when it pivots; as every multiplier
+comes from a primitive pivot row, a row's integers grow only linearly in
+the number of eliminations it goes through between two of its pivots.
+The elimination is sparse: each pivot lists once the positions where
+``s * prow`` (with position ``c`` set as above and the scale slot 0) is
+non-zero, often fewer than half of them, and each other row is formed as
+``|p| * row``, or copied when ``|p|`` cancelled to 1, with ``f * s *
+prow`` subtracted at the listed positions only.  That is the dense update
+at every position.  The cost row is an ``int`` vector with an implicit
+positive scale, kept in the same layout with a 0 in the scale slot,
+updated the same way and divided by its gcd after every elimination.
 
 Because every scale is positive, each sign in the integer tableau is the
 sign of the rational entry, and each ratio ``rhs / a`` is the rational
-ratio (the row scale cancels), compared by cross-multiplying.  Bland's
-rule (smallest entering label, smallest basic label on ratio ties)
-therefore takes the same pivot path as over ``Fraction``, or over the
-full-width tableau, and returns the same vertex or ray; it still
-guarantees termination.  There is no floating point anywhere, so
-feasibility, optimality, and unboundedness are decided exactly.
+ratio (the row scale cancels), compared by cross-multiplying.  A row's
+positive factor decides nothing either: it keeps every sign, cancels
+from the ratio within its row, and leaves the ``rhs == 0`` test of a
+degenerate pivot alone, while the cost row, from which the entering
+variable and the prices are read, is divided by its gcd and so is the
+same whatever the rows' factors.  Bland's rule (smallest entering label,
+smallest basic label on ratio ties) therefore takes the same pivot path
+as over ``Fraction``, or over the full-width tableau, and returns the
+same vertex or ray; it still guarantees termination.  There is no
+floating point anywhere, so feasibility, optimality, and unboundedness
+are decided exactly.
 
 Two entering rules are offered.  ``BLAND`` is the default, and every
 solve whose vertex or ray is published (coherence certificates, pmf
@@ -269,7 +277,7 @@ class LinearProgram:
             keep = [j for j in range(1, len(labels)) if labels[j] < width]
             if len(keep) < len(labels) - 1:
                 labels = [-1, *(labels[j] for j in keep)]
-                tableau[:] = [_coprime([row[0], *(row[j] for j in keep), row[-1]]) for row in tableau]
+                tableau[:] = [[row[0], *(row[j] for j in keep), row[-1]] for row in tableau]
 
         # Phase 2 over the structural objective, scaled to ints.
         scale = lcm(*(c.denominator for c in self.objective))
@@ -326,8 +334,9 @@ class LinearProgram:
         c: int,
     ) -> None:
         """Exchange the non-basic variable in position ``c`` with the basic
-        variable of row ``r``."""
-        prow = tableau[r]
+        variable of row ``r``.  The pivot row is divided by its gcd first and
+        stored so; the rows it eliminates are not (see ``_eliminate``)."""
+        prow = _coprime(tableau[r])
         piv = prow[c]
         if piv < 0:  # keep the new row scale positive
             prow = [-v for v in prow]
@@ -347,7 +356,7 @@ class LinearProgram:
             tableau[i] = _eliminate(row, nonzero, piv, f)
         f = cost[c]
         if f != 0:
-            cost[:] = _eliminate(cost, nonzero, piv, f)
+            cost[:] = _coprime(_eliminate(cost, nonzero, piv, f))
         prow[0] = piv
         prow[c] = d
         tableau[r] = prow
@@ -458,13 +467,14 @@ class LinearProgram:
 
 
 def _eliminate(row: list[int], nonzero: list[tuple[int, int]], piv: int, f: int) -> list[int]:
-    """``_coprime(piv * row - f * elim)``, where ``nonzero`` lists the
-    ``(position, value)`` pairs at which ``elim`` is non-zero.  g = gcd(piv,
-    f) is cancelled from both multipliers first: the row is the same,
-    because a row divided by its gcd is unique, but the products are smaller
-    and, where g was the whole row gcd, no division pass is left to do.
-    Then ``f * elim`` is subtracted at the listed positions only; elsewhere
-    the entry is ``piv * v``, or ``v`` itself when the pivot cancelled to 1."""
+    """``(piv * row - f * elim) / g`` with g = gcd(piv, f), where
+    ``nonzero`` lists the ``(position, value)`` pairs at which ``elim`` is
+    non-zero.  g is cancelled from both multipliers before the products are
+    formed, so they are smaller.  The result is not divided by its gcd: no
+    decision depends on a row's positive factor, and ``_pivot`` reduces the
+    row when it pivots.  ``f * elim`` is subtracted at the listed positions
+    only; elsewhere the entry is ``piv * v``, or ``v`` itself when the
+    pivot cancelled to 1."""
     g = gcd(piv, f)
     if g > 1:
         piv //= g
@@ -472,7 +482,7 @@ def _eliminate(row: list[int], nonzero: list[tuple[int, int]], piv: int, f: int)
     out = row.copy() if piv == 1 else [piv * v for v in row]
     for j, a in nonzero:
         out[j] -= f * a
-    return _coprime(out)
+    return out
 
 
 def _coprime(row: list[int]) -> list[int]:

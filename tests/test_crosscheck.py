@@ -245,13 +245,13 @@ def highs_lower(optimize, generators, f, event):
 
 
 class TestIndependentNaturalExtensionAgainstHighs:
-    """6x6 and 7x7 joints: the exact lower, upper and conditional values
+    """6x6, 7x7 and 8x8 joints: the exact lower, upper and conditional values
     must match HiGHS on the LP over ``joint_cone.generators`` within 1e-6
     relative to max(1, |value|).  The joint rows the engine solves over
     are assembled from the marginal rows, so this also checks that path."""
 
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("n", [6, 7, 8])
     def test_queries_match_highs(self, n, seed):
         optimize = pytest.importorskip("scipy.optimize")
         rng = random.Random(f"highs:{n}:{seed}")

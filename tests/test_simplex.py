@@ -378,19 +378,25 @@ def dense_pivot(tableau, cost, basis, labels, r, c):
 
 
 class TestCancelledPivot:
-    """``_pivot`` cancels gcd(pivot, multiplier) before eliminating, and
-    subtracts only where the pivot row is non-zero; the rows must be those
-    of the dense ``_coprime(piv * row - f * elim)``."""
+    """``_pivot`` divides the pivot row by its gcd, cancels gcd(pivot,
+    multiplier) before eliminating, and subtracts only where the pivot row
+    is non-zero.  The reference is the dense ``_coprime(piv * row - f *
+    elim)`` on the same tableau with every row divided by its gcd: the
+    pivot row and the cost row must be its rows exactly, and every other
+    row a positive multiple of its row."""
 
     @staticmethod
     def assert_dense_rows(case):
         tableau, cost, r, c = case
-        expected, expected_cost = [row.copy() for row in tableau], cost.copy()
+        expected, expected_cost = [_coprime(row) for row in tableau], cost.copy()
         basis, labels = list(range(10, 10 + len(tableau))), [-1, *range(len(cost) - 2)]
         dense_pivot(expected, expected_cost, basis.copy(), labels.copy(), r, c)
         LinearProgram._pivot(tableau, cost, basis, labels, r, c)
-        assert tableau == expected
+        assert tableau[r] == expected[r]
         assert cost == expected_cost
+        for i, (row, want) in enumerate(zip(tableau, expected)):
+            if i != r:
+                assert row[0] > 0 and _coprime(row) == want
 
     @given(pivot_cases())
     def test_same_rows_as_the_uncancelled_elimination(self, case):
@@ -422,6 +428,40 @@ class TestSparseEliminationDifferential:
         result = lp.solve(pricing)
         monkeypatch.setattr(LinearProgram, "_pivot", staticmethod(dense_pivot))
         assert result == lp.solve(pricing)
+
+
+class TestRowScaleInvariance:
+    """Rows are divided by their gcd only when they pivot, so a row's
+    positive scale must decide nothing: each recorded LP, re-added with
+    every row multiplied by a seeded positive int, must give the same
+    ``LPResult``, prices included, under both entering rules."""
+
+    @pytest.mark.parametrize("pricing", [BLAND, DANTZIG])
+    @pytest.mark.parametrize("index", range(len(GOLDEN)), ids=[f"lp{k:03d}" for k in range(len(GOLDEN))])
+    def test_scaled_rows_give_the_same_result(self, index, pricing):
+        case = GOLDEN[index]
+        objective = [Fraction(c) for c in case["objective"]]
+        rows = [([Fraction(a) for a in coeffs], rel, Fraction(rhs)) for coeffs, rel, rhs in case["rows"]]
+        lp, _ = split_program(objective, rows, case["nonneg"])
+        rng = random.Random(5100 + index)
+        scaled = LinearProgram(lp.num_vars, lp.objective)
+        for s, ints, rel, rhs in lp.rows:
+            k = rng.randint(2, 60)
+            scaled.add_scaled((k * s, [k * a for a in ints]), rel, (rhs, s))
+        assert scaled.solve(pricing) == lp.solve(pricing)
+
+    def test_pivot_stores_the_pivot_row_primitive(self):
+        # Both rows have the common factor 2.  The first pivot leaves row 1
+        # alone (it is 0 in the pivot column), so row 1 keeps its factor
+        # until it pivots; each row is stored primitive once it does.
+        tableau = [[6, 4, -2, 8], [2, 0, 2, 4]]
+        cost = [0, 1, 1, 0]
+        basis, labels = [10, 11], [-1, 0, 1]
+        LinearProgram._pivot(tableau, cost, basis, labels, 0, 1)
+        assert tableau == [[2, 3, -1, 4], [2, 0, 2, 4]]
+        LinearProgram._pivot(tableau, cost, basis, labels, 1, 2)
+        assert tableau[1] == [1, 0, 1, 2]
+        assert tableau[0] == [2, 3, 1, 6]
 
 
 def assert_prices_certify(objective, rows, result):
