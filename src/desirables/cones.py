@@ -36,7 +36,10 @@ and cached as tuples of ints, so later queries convert no ``Fraction``.
 Code that already knows these rows hands them over with
 ``DesirableCone.with_scaled_rows``: the joint cone of the independent
 natural extension arrives with rows assembled from the marginal cones'
-rows (see ``independence``), so no joint entry is converted at all.
+rows (see ``independence``), so no joint entry is converted at all.  The
+query LP reads a cone's ``space`` and ``scaled_rows`` only, its width
+included, so an ``IndependentNaturalExtension`` is queried on its joint
+rows without its joint generators.
 Cones are immutable: the cache is not a field, so it takes no part in
 equality or hashing, and it never changes once built.  Queries are pure
 and safe to run concurrently.
@@ -228,13 +231,14 @@ def _gamble_side_lp(
 
     The generator part of each row is the cone's cached integer row
     (``DesirableCone.scaled_rows``), so no ``Fraction`` is converted per
-    query; the mu coefficients are appended to it: (1, -1), or 1 with a
+    query, and the number of generators is the width of those rows; the
+    mu coefficients are appended to it: (1, -1), or 1 with a
     floor, on B and zeros off it.  f arrives as ``f_row``, its values as
     one ``scaled_row`` (s, ints), and the floor as an int over the same s,
     so each right-hand side goes to the LP as the integer ratio
     (ints[x] - floor, s), with no ``Fraction`` arithmetic.
     """
-    n = len(cone.generators)
+    n = len(cone.scaled_rows[0][1])
     if floor is None:
         objective, on, off, floor = [_ZERO] * n + [_ONE, -_ONE], (1, -1), (0, 0), 0
     else:

@@ -23,12 +23,14 @@ is the sum of the atom generators and is left out (and symmetrically).
 The joint is one object, a :class:`DesirableCone` on the product space:
 ``independent_product_cone`` returns it for two marginal cones, and
 :class:`IndependentNaturalExtension` keeps it as ``joint_cone`` for two
-marginal assessments.  Both take it from ``_joint_cone``, which also assembles
-its integer outcome rows (``DesirableCone.scaled_rows``): every joint entry
-is a marginal value or zero, so the row at (x1, x2) is the marginal cones'
-cached rows at x1 and x2, brought to one scale and masked by event
-membership, and no joint ``Fraction`` is converted.  Its marginal and
-conditional cones are views of it, :class:`MarginalConeView`.
+marginal assessments.  ``_joint_generators`` builds its generators and
+``_joint_rows`` its integer outcome rows (``DesirableCone.scaled_rows``):
+every joint entry is a marginal value or zero, so the row at (x1, x2) is
+the marginal cones' cached rows at x1 and x2, brought to one scale and
+masked by event membership, and no joint ``Fraction`` is converted.  An
+``IndependentNaturalExtension`` builds only the rows; its ``joint_cone``
+is built on first read, because a query reads nothing but the rows.  Its
+marginal and conditional cones are views of it, :class:`MarginalConeView`.
 
 Joint lower previsions are exact LP optima over this cone.  With coherent
 marginals the joint is coherent, reproduces the marginals, and satisfies
@@ -41,6 +43,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .cones import DesirableCone
@@ -50,7 +54,6 @@ from .prevision import (
     LinearPrevision,
     lower_prevision,
 )
-from .simplex import common_scale
 from .spaces import (
     Event,
     Gamble,
@@ -129,49 +132,36 @@ class EventFamily:
         return self.events()
 
 
-def _joint_cone(
+def _event_indices(family: Optional[EventFamily], factor: Space) -> list[list[int]]:
+    """The outcome indices of each generator event of a factor's family.
+    A missing family, the atoms and the all-events family give the atoms,
+    in outcome order.  A custom family gives its events without repeats, in
+    first-seen order, then its full event when it does not list it, so no
+    generator column is repeated."""
+    if family is not None and family.space != factor:
+        raise SpaceMismatchError("family space does not match its marginal")
+    if family is None or family.kind != CUSTOM:
+        return [[k] for k in range(factor.size)]
+    events = dict.fromkeys(e.members for e in family.custom_events)
+    events[frozenset(factor.outcomes)] = None
+    return [[k for k, x in enumerate(factor.outcomes) if x in e] for e in events]
+
+
+def _joint_generators(
+    prod: ProductSpace,
     left: DesirableCone,
     right: DesirableCone,
-    left_family: Optional[EventFamily],
-    right_family: Optional[EventFamily],
-) -> DesirableCone:
-    """The INE cone on the product of the marginal spaces, with its
-    ``scaled_rows`` taken from the marginal cones' rows.
+    left_events: list[list[int]],
+    right_events: list[list[int]],
+) -> tuple[Gamble, ...]:
+    """The INE generators on the product space.
 
-    Each generator is a marginal generator's values on the cylinder of a
-    conditioning event and zero elsewhere, in left-major outcome order:
-    first every right generator on every left event, then every left
-    generator on every right event.  A side whose generator events are the
-    atoms gets no full-event generator: it is the sum of the atom
-    generators.  A custom family's events count once each, however often
-    it lists them, and its full event is appended only when it is not
-    listed, so no generator column is repeated.  A missing family defaults
-    to the atoms.
-
-    So the row at outcome (x1, x2) holds the right generators' values at
-    x2, the left generators' values at x1, and zeros.  Every value occurs
-    in it, because each side's events cover its space (the atoms, or a
-    custom family with its full event), so that row is
-    ``simplex.common_scale`` of the two marginal rows, masked by event
-    membership.
+    Each is a marginal generator's values on the cylinder of a conditioning
+    event and zero elsewhere, in left-major outcome order: first every
+    right generator on every left event, then every left generator on every
+    right event.  A side whose generator events are the atoms gets no
+    full-event generator: it is the sum of the atom generators.
     """
-    left_family = left_family or EventFamily.atoms(left.space)
-    right_family = right_family or EventFamily.atoms(right.space)
-    if left_family.space != left.space or right_family.space != right.space:
-        raise SpaceMismatchError("family space does not match its marginal")
-    prod = product_space(left.space, right.space)
-
-    def members(family: EventFamily, factor: Space) -> list[list[int]]:
-        """The outcome indices of each generator event: the family's events
-        without repeats, in first-seen order, then the full event for a
-        custom family that does not list it."""
-        events = dict.fromkeys(e.members for e in family.generator_events())
-        if family.kind == CUSTOM:
-            events[factor.full_event().members] = None
-        return [[k for k, x in enumerate(factor.outcomes) if x in e] for e in events]
-
-    left_events = members(left_family, left.space)
-    right_events = members(right_family, right.space)
     n2 = right.space.size
     blank = [Fraction(0)] * prod.size
     gens: list[Gamble] = []
@@ -187,25 +177,51 @@ def _joint_cone(
             for j in b2:
                 values[j::n2] = g1.values
             gens.append(Gamble(prod, tuple(values)))
+    return tuple(gens)
 
+
+def _joint_rows(
+    left: DesirableCone,
+    right: DesirableCone,
+    left_events: list[list[int]],
+    right_events: list[list[int]],
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The ``scaled_rows`` of the ``_joint_generators`` columns, taken from
+    the marginal cones' rows.
+
+    The row at outcome (x1, x2) holds the right generators' values at x2,
+    the left generators' values at x1, and zeros.  Every value occurs in
+    it, because each side's events cover its space (the atoms, or a custom
+    family with its full event), so its scale is the lcm of the two
+    marginal rows' scales, and its ints are theirs brought to that scale
+    and masked by event membership.
+    """
     # Generator k * m1 + e is the right generator k on left event e, and
     # r_block + k * m2 + e the left generator k on right event e.
     m1, m2 = len(left_events), len(right_events)
     r_block = len(right.generators) * m1
-    width = len(gens)
-    left_in = [[e for e, b in enumerate(left_events) if i in b] for i in range(left.space.size)]
-    right_in = [[e for e, b in enumerate(right_events) if j in b] for j in range(n2)]
+    width = r_block + len(left.generators) * m2
+    left_in: list[list[int]] = [[] for _ in range(left.space.size)]
+    for e, b in enumerate(left_events):
+        for i in b:
+            left_in[i].append(e)
+    right_in: list[list[int]] = [[] for _ in range(right.space.size)]
+    for e, b in enumerate(right_events):
+        for j in b:
+            right_in[j].append(e)
     rows = []
-    for row1, in1 in zip(left.scaled_rows, left_in):
-        for row2, in2 in zip(right.scaled_rows, right_in):
-            scale, ints1, ints2 = common_scale(row1, row2)
+    for (s1, ints1), in1 in zip(left.scaled_rows, left_in):
+        for (s2, ints2), in2 in zip(right.scaled_rows, right_in):
+            scale = s1 if s1 == s2 else lcm(s1, s2)
+            at1 = ints1 if scale == s1 else [v * (scale // s1) for v in ints1]
+            at2 = ints2 if scale == s2 else [v * (scale // s2) for v in ints2]
             ints = [0] * width
             for e in in1:
-                ints[e:r_block:m1] = ints2
+                ints[e:r_block:m1] = at2
             for e in in2:
-                ints[r_block + e :: m2] = ints1
+                ints[r_block + e :: m2] = at1
             rows.append((scale, tuple(ints)))
-    return DesirableCone.with_scaled_rows(prod, tuple(gens), tuple(rows))
+    return tuple(rows)
 
 
 def independent_product_cone(
@@ -226,7 +242,11 @@ def independent_product_cone(
     for name, cone in (("left", left), ("right", right)):
         if not cone.is_coherent():
             raise IncoherentMarginalError(f"{name} marginal cone is incoherent")
-    return _joint_cone(left, right, left_family, right_family)
+    events = _event_indices(left_family, left.space), _event_indices(right_family, right.space)
+    prod = product_space(left.space, right.space)
+    return DesirableCone.with_scaled_rows(
+        prod, _joint_generators(prod, left, right, *events), _joint_rows(left, right, *events)
+    )
 
 
 def _other_side(side: str) -> str:
@@ -286,6 +306,10 @@ class IndependentNaturalExtension:
     natural extension, and conditioning on family events of the other
     factor leaves local values unchanged.  Missing families default to the
     atoms.
+
+    Construction builds the product space and the joint cone's integer
+    rows, ``scaled_rows``, and queries read only those.  ``joint_cone``,
+    with its ``Gamble`` generators, is built on first read and kept.
     """
 
     def __init__(
@@ -301,11 +325,20 @@ class IndependentNaturalExtension:
                     f"{name} marginal assessment is incoherent: "
                     f"{model.coherence.violation.kind}"
                 )
-        self.joint_cone = _joint_cone(left.cone, right.cone, left_family, right_family)
-        self.space = self.joint_cone.space
+        self._marginals = left.cone, right.cone
+        self._events = _event_indices(left_family, left.space), _event_indices(right_family, right.space)
+        self.space = product_space(left.space, right.space)
+        #: The joint cone's ``scaled_rows``, which are all that a query reads.
+        self.scaled_rows = _joint_rows(*self._marginals, *self._events)
+
+    @cached_property
+    def joint_cone(self) -> DesirableCone:
+        """The joint cone, with its generators built on first read."""
+        generators = _joint_generators(self.space, *self._marginals, *self._events)
+        return DesirableCone.with_scaled_rows(self.space, generators, self.scaled_rows)
 
     def lower(self, f: Gamble, event: Optional[Event] = None) -> Fraction:
-        return lower_prevision(self.joint_cone, f, event)
+        return lower_prevision(self, f, event)
 
     def upper(self, f: Gamble, event: Optional[Event] = None) -> Fraction:
         return -self.lower(-f, event)

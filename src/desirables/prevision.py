@@ -85,8 +85,10 @@ class BeyondSupportError(ValueError):
 
 def _divergence(cone: DesirableCone, event: Event) -> ValueError:
     """The error for a query whose supremum is infinite (equivalently, whose
-    pmf-side LP is infeasible)."""
-    if not cone.dominating_pmf_exists():
+    pmf-side LP is infeasible).  ``dominating_pmf_exists`` is called through
+    the class because it reads only ``space`` and ``scaled_rows``, which is
+    all that an ``IndependentNaturalExtension`` passes as its cone."""
+    if not DesirableCone.dominating_pmf_exists(cone):
         return SureLossError("the cone incurs a sure loss; lower previsions diverge")
     return BeyondSupportError(event)
 
@@ -102,6 +104,10 @@ def lower_prevision(cone: DesirableCone, f: Gamble, event: Optional[Event] = Non
     that of the pmf-side LP (``_pmf_side_lp``), the lower envelope of the
     dominating expectations, and it is unbounded exactly when the pmf side
     is infeasible.
+
+    Only the cone's ``space`` and ``scaled_rows`` are read, so an
+    ``IndependentNaturalExtension`` passes itself: its queries run on the
+    joint integer rows, and its joint generators are never built for them.
     """
     if f.space != cone.space:
         raise SpaceMismatchError("gamble on a different space")

@@ -34,12 +34,15 @@ comes from a primitive pivot row, a row's integers grow only linearly in
 the number of eliminations it goes through between two of its pivots.
 The elimination is sparse: each pivot lists once the positions where
 ``s * prow`` (with position ``c`` set as above and the scale slot 0) is
-non-zero, often fewer than half of them, and each other row is formed as
-``|p| * row``, or copied when ``|p|`` cancelled to 1, with ``f * s *
-prow`` subtracted at the listed positions only.  That is the dense update
-at every position.  The cost row is an ``int`` vector with an implicit
-positive scale, kept in the same layout with a 0 in the scale slot,
-updated the same way and divided by its gcd after every elimination.
+non-zero, often fewer than half of them, and each other row is updated
+in place: multiplied by ``|p|``, or left as it is when ``|p|`` cancelled
+to 1, with ``f * s * prow`` subtracted at the listed positions only.
+That is the dense update at every position.  Tableau rows are lists that
+the solve builds for itself, so ``LinearProgram.rows`` and the cached
+rows of a cone are never written.  The cost row is an ``int`` vector
+with an implicit positive scale, kept in the same layout with a 0 in the
+scale slot, updated the same way and divided by its gcd after every
+elimination.
 
 Because every scale is positive, each sign in the integer tableau is the
 sign of the rational entry, and each ratio ``rhs / a`` is the rational
@@ -145,24 +148,6 @@ def scaled_row(values: Sequence[Fraction | int]) -> tuple[int, tuple[int, ...]]:
     ratios = [a.as_integer_ratio() for a in values]
     scale = lcm(*{d for _, d in ratios})
     return scale, tuple(n * (scale // d) for n, d in ratios)
-
-
-def common_scale(
-    a: tuple[int, tuple[int, ...]], b: tuple[int, tuple[int, ...]]
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Two ``scaled_row`` rows brought to the lcm of their scales:
-    ``(scale, a_ints, b_ints)``.  A row whose entries are every value of
-    both rows plus any zeros, in any order, has this scale as its
-    ``scaled_row`` scale, and its ints are taken from these."""
-    (sa, ia), (sb, ib) = a, b
-    scale = lcm(sa, sb)
-    if sa != scale:
-        m = scale // sa
-        ia = tuple(v * m for v in ia)
-    if sb != scale:
-        m = scale // sb
-        ib = tuple(v * m for v in ib)
-    return scale, ia, ib
 
 
 class LinearProgram:
@@ -335,7 +320,16 @@ class LinearProgram:
     ) -> None:
         """Exchange the non-basic variable in position ``c`` with the basic
         variable of row ``r``.  The pivot row is divided by its gcd first and
-        stored so; the rows it eliminates are not (see ``_eliminate``)."""
+        stored so.  Every other row with a non-zero entry in position ``c``,
+        and the cost row, becomes ``(piv * row - f * elim) / g`` in place,
+        with ``f`` its entry, g = gcd(piv, f) cancelled from both multipliers
+        before the products are formed, and ``elim`` the pivot row with the
+        scale slot 0 and ``piv + s * d_r`` in position ``c``.  ``f * elim``
+        is subtracted where ``elim`` is non-zero only; a row whose multiplier
+        cancelled to 1 is not otherwise touched.  An eliminated row is not
+        divided by its gcd: no decision depends on a row's positive factor,
+        and it is reduced when it pivots.  The cost row is divided by its
+        gcd after its elimination."""
         prow = _coprime(tableau[r])
         piv = prow[c]
         if piv < 0:  # keep the new row scale positive
@@ -349,14 +343,20 @@ class LinearProgram:
         elim[0] = 0
         elim[c] = piv + d
         nonzero = [(j, a) for j, a in enumerate(elim) if a]
-        for i, row in enumerate(tableau):
+        rows = [row for i, row in enumerate(tableau) if row[c] and i != r]
+        reduce_cost = cost[c] != 0
+        if reduce_cost:
+            rows.append(cost)
+        for row in rows:
             f = row[c]
-            if f == 0 or i == r:
-                continue
-            tableau[i] = _eliminate(row, nonzero, piv, f)
-        f = cost[c]
-        if f != 0:
-            cost[:] = _coprime(_eliminate(cost, nonzero, piv, f))
+            g = gcd(piv, f)
+            p, f = piv // g, f // g
+            if p != 1:
+                row[:] = [p * v for v in row]
+            for j, a in nonzero:
+                row[j] -= f * a
+        if reduce_cost:
+            cost[:] = _coprime(cost)
         prow[0] = piv
         prow[c] = d
         tableau[r] = prow
@@ -464,25 +464,6 @@ class LinearProgram:
             if a != 0 and b < nstruct:
                 ray[b] = Fraction(-a, row[0])
         return tuple(ray)
-
-
-def _eliminate(row: list[int], nonzero: list[tuple[int, int]], piv: int, f: int) -> list[int]:
-    """``(piv * row - f * elim) / g`` with g = gcd(piv, f), where
-    ``nonzero`` lists the ``(position, value)`` pairs at which ``elim`` is
-    non-zero.  g is cancelled from both multipliers before the products are
-    formed, so they are smaller.  The result is not divided by its gcd: no
-    decision depends on a row's positive factor, and ``_pivot`` reduces the
-    row when it pivots.  ``f * elim`` is subtracted at the listed positions
-    only; elsewhere the entry is ``piv * v``, or ``v`` itself when the
-    pivot cancelled to 1."""
-    g = gcd(piv, f)
-    if g > 1:
-        piv //= g
-        f //= g
-    out = row.copy() if piv == 1 else [piv * v for v in row]
-    for j, a in nonzero:
-        out[j] -= f * a
-    return out
 
 
 def _coprime(row: list[int]) -> list[int]:

@@ -22,6 +22,8 @@ from desirables.independence import (
 )
 from desirables.measurability import MeasurabilityError
 from desirables.prevision import (
+    Assessment,
+    AssessmentEntry,
     ConditionalLowerPrevision,
     LinearPrevision,
     envelope_assessment,
@@ -576,7 +578,7 @@ class TestJointRows:
 def listed_generators(left, right, left_family, right_family):
     """The joint generators with one per listed family event, repeats
     included, and the full event appended to every custom family, whether
-    or not it lists it: the cone ``_joint_cone`` builds without repeated
+    or not it lists it: the joint cone is built without repeated
     columns."""
 
     def events(family, space):
@@ -654,3 +656,141 @@ class TestNoRepeatedGenerators:
         )
         assert len(ine.joint_cone.generators) == 84
         assert gap_instance_values() == (Fraction(1, 9), Fraction(2, 9))
+
+
+def eager_joint_cone(left, right, left_family, right_family):
+    """The INE joint cone built as construction once built it, from the
+    materialised family ``Event``s, with its rows converted from the joint
+    generators: the reference for ``IndependentNaturalExtension.joint_cone``."""
+
+    def events(family, space):
+        family = family or EventFamily.atoms(space)
+        members = dict.fromkeys(e.members for e in family.generator_events())
+        if family.kind == "custom":
+            members[space.full_event().members] = None
+        return list(members)
+
+    prod = product_space(left.space, right.space)
+    zero = Fraction(0)
+    gens = []
+    for g2 in right.generators:
+        for b1 in events(left_family, left.space):
+            values = (g2(y) if x in b1 else zero for x in left.space.outcomes for y in right.space.outcomes)
+            gens.append(Gamble(prod, tuple(values)))
+    for g1 in left.generators:
+        for b2 in events(right_family, right.space):
+            values = (g1(x) if y in b2 else zero for x in left.space.outcomes for y in right.space.outcomes)
+            gens.append(Gamble(prod, tuple(values)))
+    return DesirableCone(prod, tuple(gens))
+
+
+def seeded_query(seed, setting):
+    """INE arguments from two seeded sevenths models, 2-3 outcomes and 1-3
+    entries a side, with a query gamble and a left-cylinder event."""
+    rng = random.Random(f"lazy:{setting}:{seed}")
+    spaces = random_space(rng, "L", 2, 3), random_space(rng, "R", 2, 3)
+    families = [FAMILY_SETTINGS[setting](rng, space) for space in spaces]
+    left, right = (sevenths_model(rng, space, rng.randint(1, 3)) for space in spaces)
+    prod = product_space(*spaces)
+    f = random_gamble(rng, prod)
+    event = cylinder_event(random_nonempty_event(rng, spaces[0]), prod, "left")
+    return (left, right, *families), f, event
+
+
+class TestLazyJointCone:
+    """Construction and queries build no joint generator; ``joint_cone``
+    is built on first read, equal to the eagerly built cone, and kept."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("setting", sorted(FAMILY_SETTINGS))
+    def test_queries_build_no_product_gamble(self, setting, seed, monkeypatch):
+        args, f, event = seeded_query(seed, setting)
+        negated = -f
+        built = []
+        original = Gamble.__post_init__
+
+        def spy(self):
+            original(self)
+            if self.space == f.space:
+                built.append(self)
+
+        monkeypatch.setattr(Gamble, "__post_init__", spy)
+        ine = IndependentNaturalExtension(*args)
+        ine.lower(f)
+        ine.lower(f, event)
+        assert built == []
+        ine.upper(f)
+        assert built == [negated]  # upper(f) = -lower(-f) negates f, and builds nothing else
+        assert "joint_cone" not in vars(ine)
+        ine.joint_cone
+        assert len(built) == 1 + len(ine.joint_cone.generators)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("setting", sorted(FAMILY_SETTINGS))
+    def test_joint_cone_equals_the_eager_cone(self, setting, seed):
+        (left, right, *families), f, event = seeded_query(seed, setting)
+        ine = IndependentNaturalExtension(left, right, *families)
+        values = ine.lower(f), ine.upper(f), ine.lower(f, event)
+        reference = eager_joint_cone(left.cone, right.cone, *families)
+        joint = ine.joint_cone
+        assert joint.generators == reference.generators
+        assert joint.scaled_rows == reference.scaled_rows
+        assert ine.scaled_rows is joint.scaled_rows
+        assert ine.joint_cone is joint
+        assert values == (
+            lower_prevision(reference, f),
+            upper_prevision(reference, f),
+            lower_prevision(reference, f, event),
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("setting", sorted(FAMILY_SETTINGS))
+    def test_queries_leave_every_row_unchanged(self, setting, seed):
+        """The rows a query hands to ``LinearProgram`` are the cones' own
+        tuples; pivots write only the solve's private tableau."""
+        args, f, event = seeded_query(seed, setting)
+        ine = IndependentNaturalExtension(*args)
+        left, right = args[:2]
+
+        def rows_of(cone):
+            columns = list(zip(*(g.values for g in cone.generators))) or [()] * cone.space.size
+            return tuple(map(scaled_row, columns))
+
+        for _ in range(2):
+            ine.lower(f), ine.upper(f), ine.lower(f, event)
+            left.lower(left.space.zero() + 1), right.upper(right.space.zero() - 1)
+            assert ine.scaled_rows == rows_of(ine.joint_cone)
+            assert left.cone.scaled_rows == rows_of(left.cone)
+            assert right.cone.scaled_rows == rows_of(right.cone)
+
+
+class TestZeroBoundaryGamble:
+    """An entry whose boundary gamble [f - v] * I_B is identically zero (f
+    constant at v on B) adds the zero gamble to its marginal cone and so
+    all-zero joint columns.  It must change no INE value."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("setting", ["default", "all", "custom", "empty"])
+    def test_same_values_without_the_entry(self, setting, seed):
+        rng = random.Random(f"zero:{setting}:{seed}")
+        spaces = random_space(rng, "L", 2, 3), random_space(rng, "R", 2, 3)
+        families = [FAMILY_SETTINGS[setting](rng, space) for space in spaces]
+        left, right = (sevenths_model(rng, space, rng.randint(1, 3)) for space in spaces)
+        x = left.space
+        g = random_gamble(rng, x)
+        k = rng.randrange(x.size)
+        atom = x.event([x.outcomes[k]])
+        # g is constant at g(x_k) on the atom {x_k}, so the boundary gamble is 0.
+        zero_entry = AssessmentEntry(g, atom, g.values[k])
+        padded = ConditionalLowerPrevision(Assessment(x, (*left.assessment.entries, zero_entry)))
+        assert any(h.is_zero for h in padded.cone.generators)
+        plain = IndependentNaturalExtension(left, right, *families)
+        zeroed = IndependentNaturalExtension(padded, right, *families)
+        assert any(h.is_zero for h in zeroed.joint_cone.generators)
+        for _ in range(4):
+            f = random_gamble(rng, plain.space)
+            side = rng.choice(["left", "right"])
+            event = cylinder_event(random_nonempty_event(rng, plain.space.factor(side)), plain.space, side)
+            assert zeroed.lower(f) == plain.lower(f)
+            assert zeroed.upper(f) == plain.upper(f)
+            assert zeroed.lower(f, event) == plain.lower(f, event)

@@ -388,7 +388,9 @@ class TestCancelledPivot:
     @staticmethod
     def assert_dense_rows(case):
         tableau, cost, r, c = case
-        expected, expected_cost = [_coprime(row) for row in tableau], cost.copy()
+        # The reference rows are copies: ``_pivot`` writes the rows it is given.
+        expected, expected_cost = [_coprime(row.copy()) for row in tableau], cost.copy()
+        assert not any(a is b for a in expected for b in tableau)
         basis, labels = list(range(10, 10 + len(tableau))), [-1, *range(len(cost) - 2)]
         dense_pivot(expected, expected_cost, basis.copy(), labels.copy(), r, c)
         LinearProgram._pivot(tableau, cost, basis, labels, r, c)
@@ -428,6 +430,35 @@ class TestSparseEliminationDifferential:
         result = lp.solve(pricing)
         monkeypatch.setattr(LinearProgram, "_pivot", staticmethod(dense_pivot))
         assert result == lp.solve(pricing)
+
+
+class TestInPlacePivots:
+    """``_pivot`` updates the rows it eliminates in place, so the tableau
+    must be the solve's own: on every recorded LP, under both entering
+    rules, a solve leaves ``LinearProgram.rows`` as they were, and a second
+    solve of the same program gives an equal ``LPResult``."""
+
+    @pytest.mark.parametrize("pricing", [BLAND, DANTZIG])
+    @pytest.mark.parametrize("case", GOLDEN, ids=[f"lp{k:03d}" for k in range(len(GOLDEN))])
+    def test_rows_unchanged_and_solve_repeats(self, case, pricing):
+        objective = [Fraction(c) for c in case["objective"]]
+        rows = [([Fraction(a) for a in coeffs], rel, Fraction(rhs)) for coeffs, rel, rhs in case["rows"]]
+        lp, _ = split_program(objective, rows, case["nonneg"])
+        before = [(s, tuple(ints), rel, b) for s, ints, rel, b in lp.rows]
+        first = lp.solve(pricing)
+        assert [(s, tuple(ints), rel, b) for s, ints, rel, b in lp.rows] == before
+        assert lp.solve(pricing) == first
+
+    def test_eliminated_rows_are_updated_in_place(self):
+        # Row 1's multiplier cancels to 1 against the pivot 3 (f = 6), row
+        # 2's does not (f = 2); both keep their list, and so does the cost.
+        tableau = [[1, 3, 1, 2], [1, 6, 0, 1], [1, 2, 5, 4]]
+        cost = [0, 3, 1, 0]
+        kept = [tableau[1], tableau[2], cost]
+        LinearProgram._pivot(tableau, cost, [10, 11, 12], [-1, 0, 1], 0, 1)
+        assert all(a is b for a, b in zip([tableau[1], tableau[2], cost], kept))
+        assert tableau[1] == [1, -2, -2, -3]
+        assert tableau[2] == [3, -2, 13, 8]
 
 
 class TestRowScaleInvariance:
