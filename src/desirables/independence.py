@@ -489,20 +489,24 @@ def factored_sum(
 def nested_evaluation(
     inner: LinearPrevision, f: Gamble, prod: ProductSpace, inner_side: str
 ) -> Gamble:
-    """Integrate out one factor: for inner_side='right', the gamble
-    x1 -> inner(f(x1, .)) on the left factor."""
+    """Integrate out one factor with the pmf ``inner`` on it: for
+    inner_side='right', the gamble x1 -> inner(f(x1, .)) on the left
+    factor, and symmetrically.  In the left-major product order f(x1, .)
+    is a block of ``f.values`` and f(., x2) a stride, so both are slices."""
     if f.space != prod:
         raise SpaceMismatchError("gamble is not on the product space")
-    outer = prod.left if inner_side == "right" else prod.right
-    inner_space = prod.factor(inner_side)
-    values = []
-    for y in outer.outcomes:
-        total = Fraction(0)
-        for z in inner_space.outcomes:
-            label = f"{y}|{z}" if inner_side == "right" else f"{z}|{y}"
-            total += inner.mass(z) * f(label)
-        values.append(total)
-    return Gamble(outer, tuple(values))
+    if inner.space != prod.factor(inner_side):
+        raise SpaceMismatchError(f"the inner pmf is not on the {inner_side} factor")
+    n2 = prod.right.size
+    if inner_side == "right":
+        outer = prod.left
+        sections = (f.values[i * n2 : (i + 1) * n2] for i in range(outer.size))
+    else:
+        outer = prod.right
+        sections = (f.values[j::n2] for j in range(n2))
+    zero = Fraction(0)
+    values = tuple(sum((p * v for p, v in zip(inner.masses, row)), zero) for row in sections)
+    return Gamble(outer, values)
 
 
 @dataclass(frozen=True)

@@ -70,10 +70,6 @@ class Model:
     #: ``serialize_model`` writes back; two ids may name equal events, so
     #: they are not recovered from the events.
     family_event_ids: dict[str, list[str]] = field(default_factory=dict)
-    #: Declaration order of ids, preserved for canonical output.
-    order: dict[str, list[str]] = field(default_factory=lambda: {
-        "spaces": [], "gambles": [], "events": [], "families": []
-    })
 
     # -- lookups -----------------------------------------------------------
 
@@ -188,7 +184,6 @@ def parse_model(text: str) -> Model:
             model.spaces[sid] = Space(sid, tuple(outcomes))
         except ValueError as exc:
             raise ModelFormatError(f"space {sid!r}: {exc}") from None
-        model.order["spaces"].append(sid)
 
     def space_of(item: dict, where: str) -> Space:
         sid = _expect(item, "space", str, where)
@@ -212,7 +207,6 @@ def parse_model(text: str) -> Model:
             model.gambles[gid] = space.gamble(parsed)
         except ValueError as exc:
             raise ModelFormatError(f"gamble {gid!r}: {exc}") from None
-        model.order["gambles"].append(gid)
 
     for item in _expect(doc, "events", list, "model", optional=True, default=[]):
         where = "events entry"
@@ -228,7 +222,6 @@ def parse_model(text: str) -> Model:
             model.events[eid] = Event(space, frozenset(members))
         except ValueError as exc:
             raise ModelFormatError(f"event {eid!r}: {exc}") from None
-        model.order["events"].append(eid)
 
     for idx, item in enumerate(_expect(doc, "assessments", list, "model", optional=True, default=[])):
         where = f"assessments[{idx}]"
@@ -283,7 +276,6 @@ def parse_model(text: str) -> Model:
             if event_ids is not None:
                 raise ModelFormatError(f"family {fid!r}: only custom families list events")
             model.families[fid] = EventFamily(space, kind)
-        model.order["families"].append(fid)
 
     return model
 
@@ -294,31 +286,29 @@ def load_model(path: str) -> Model:
 
 
 def serialize_model(model: Model) -> str:
-    """Canonical text: declaration order preserved, gamble values and event
-    members in space outcome order, rationals in canonical form."""
+    """Canonical text: declaration order (the dicts' insertion order)
+    preserved, gamble values and event members in space outcome order,
+    rationals in canonical form."""
     doc: dict = {}
     doc["spaces"] = [
-        {"id": sid, "outcomes": list(model.spaces[sid].outcomes)}
-        for sid in model.order["spaces"]
+        {"id": sid, "outcomes": list(space.outcomes)}
+        for sid, space in model.spaces.items()
     ]
     doc["gambles"] = [
         {
             "id": gid,
-            "space": model.gambles[gid].space.name,
-            "values": {
-                x: str(v)
-                for x, v in zip(model.gambles[gid].space.outcomes, model.gambles[gid].values)
-            },
+            "space": g.space.name,
+            "values": {x: str(v) for x, v in zip(g.space.outcomes, g.values)},
         }
-        for gid in model.order["gambles"]
+        for gid, g in model.gambles.items()
     ]
     doc["events"] = [
         {
             "id": eid,
-            "space": model.events[eid].space.name,
-            "members": model.events[eid].sorted_members(),
+            "space": event.space.name,
+            "members": event.sorted_members(),
         }
-        for eid in model.order["events"]
+        for eid, event in model.events.items()
     ]
     doc["assessments"] = [
         {
@@ -330,10 +320,11 @@ def serialize_model(model: Model) -> str:
         for rec in model.assessments
     ]
     families = []
-    for fid in model.order["families"]:
-        fam = model.families[fid]
+    for fid, fam in model.families.items():
         entry: dict = {"id": fid, "space": fam.space.name, "kind": fam.kind}
         if fam.kind == CUSTOM:
+            if fid not in model.family_event_ids:
+                raise ModelFormatError(f"custom family {fid!r} has no event ids to write")
             entry["events"] = model.family_event_ids[fid]
         families.append(entry)
     doc["families"] = families

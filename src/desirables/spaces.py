@@ -7,11 +7,18 @@ after construction, so they can be shared freely between threads.
 The outcome order of a :class:`Space` is the declaration order; it fixes
 the coordinate order of every gamble vector and hence the column order of
 every linear program built downstream.
+
+A :class:`ProductSpace` is built from its two factors alone,
+``ProductSpace(name, left, right)``, and derives its outcomes: the compound
+labels "x1|x2" in left-major order, so product outcome k is the pair of
+left outcome k // n2 and right outcome k % n2.  This module is the only
+one that formats those labels; the lifts here and the nested evaluation
+in ``independence`` work on outcome indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -245,11 +252,14 @@ def compound_label(left_outcome: str, right_outcome: str) -> str:
 class ProductSpace(Space):
     """The binary product of two spaces, with compound outcome labels "x1|x2".
 
-    Outcomes are ordered left-major, so the coordinate order is fixed by the
-    factor declaration orders.  Every pair is present: the two variables are
-    logically independent.
+    Built as ``ProductSpace(name, left, right)``: the outcomes are derived,
+    never passed.  They are ordered left-major, so outcome k is the pair
+    (left outcome k // n2, right outcome k % n2) with n2 the right factor's
+    size, and every lift below reads that index instead of a label.  Every
+    pair is present: the two variables are logically independent.
     """
 
+    outcomes: tuple[str, ...] = field(init=False)
     left: Space
     right: Space
 
@@ -260,11 +270,10 @@ class ProductSpace(Space):
                     raise ValueError(
                         f"outcome {x!r} contains the reserved separator {PRODUCT_SEPARATOR!r}"
                     )
-        expected = tuple(
+        outcomes = tuple(
             compound_label(a, b) for a in self.left.outcomes for b in self.right.outcomes
         )
-        if self.outcomes != expected:
-            raise ValueError("product outcomes must be the ordered Cartesian product")
+        object.__setattr__(self, "outcomes", outcomes)
         super().__post_init__()
 
     def factor(self, side: str) -> Space:
@@ -275,14 +284,8 @@ class ProductSpace(Space):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def product_space(left: Space, right: Space, name: str | None = None) -> ProductSpace:
-    outcomes = tuple(compound_label(a, b) for a in left.outcomes for b in right.outcomes)
-    return ProductSpace(
-        name=name or f"{left.name}*{right.name}",
-        outcomes=outcomes,
-        left=left,
-        right=right,
-    )
+def product_space(left: Space, right: Space) -> ProductSpace:
+    return ProductSpace(f"{left.name}*{right.name}", left, right)
 
 
 def cylindrical_extension(g: Gamble, prod: ProductSpace, side: str) -> Gamble:
@@ -296,11 +299,10 @@ def cylindrical_extension(g: Gamble, prod: ProductSpace, side: str) -> Gamble:
         raise SpaceMismatchError(
             f"gamble lives on {g.space.name!r}, not on the {side} factor {factor.name!r}"
         )
-    values = []
-    for a in prod.left.outcomes:
-        for b in prod.right.outcomes:
-            values.append(g(a) if side == "left" else g(b))
-    return Gamble(prod, tuple(values))
+    if side == "left":
+        n2 = prod.right.size
+        return Gamble(prod, tuple(v for v in g.values for _ in range(n2)))
+    return Gamble(prod, g.values * prod.left.size)
 
 
 def cylinder_event(event: Event, prod: ProductSpace, side: str) -> Event:
@@ -310,11 +312,12 @@ def cylinder_event(event: Event, prod: ProductSpace, side: str) -> Event:
         raise SpaceMismatchError(
             f"event lives on {event.space.name!r}, not on the {side} factor {factor.name!r}"
         )
-    members = set()
-    for a in prod.left.outcomes:
-        for b in prod.right.outcomes:
-            if (a if side == "left" else b) in event.members:
-                members.add(compound_label(a, b))
+    inside = [x in event.members for x in factor.outcomes]
+    n2 = prod.right.size
+    if side == "left":
+        members = (x for k, x in enumerate(prod.outcomes) if inside[k // n2])
+    else:
+        members = (x for k, x in enumerate(prod.outcomes) if inside[k % n2])
     return Event(prod, frozenset(members))
 
 

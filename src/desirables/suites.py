@@ -27,6 +27,7 @@ from .independence import (
     IndependentNaturalExtension,
     factorisation_closed_form,
     factored_sum,
+    nested_evaluation,
 )
 from .measurability import (
     SimpleGambleCone,
@@ -65,10 +66,10 @@ def random_gamble(rng: random.Random, space: Space, span: int = 6, max_den: int 
     return Gamble(space, tuple(random_fraction(rng, span, max_den) for _ in space.outcomes))
 
 
-def random_nonneg_gamble(rng: random.Random, space: Space, span: int = 4) -> Gamble:
+def random_nonneg_gamble(rng: random.Random, space: Space) -> Gamble:
     return Gamble(
         space,
-        tuple(Fraction(rng.randint(0, span), rng.randint(1, 3)) for _ in space.outcomes),
+        tuple(Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in space.outcomes),
     )
 
 
@@ -79,8 +80,8 @@ def random_nonempty_event(rng: random.Random, space: Space) -> Event:
     return Event(space, frozenset(members))
 
 
-def random_strict_pmf(rng: random.Random, space: Space, top: int = 6) -> LinearPrevision:
-    weights = [rng.randint(1, top) for _ in space.outcomes]
+def random_strict_pmf(rng: random.Random, space: Space) -> LinearPrevision:
+    weights = [rng.randint(1, 6) for _ in space.outcomes]
     total = sum(weights)
     return LinearPrevision(space, tuple(Fraction(w, total) for w in weights))
 
@@ -90,7 +91,6 @@ def random_envelope_model(
     space: Space,
     n_pmfs: Optional[int] = None,
     n_entries: Optional[int] = None,
-    conditional: bool = True,
 ) -> tuple[ConditionalLowerPrevision, list[LinearPrevision]]:
     """A coherent assessment: the lower envelope of a few strictly positive
     pmfs on random (gamble, event) pairs."""
@@ -101,11 +101,7 @@ def random_envelope_model(
     seen: set[tuple] = set()
     while len(pairs) < n_entries:
         f = random_gamble(rng, space)
-        event = (
-            random_nonempty_event(rng, space)
-            if conditional and rng.random() < 0.5
-            else space.full_event()
-        )
+        event = random_nonempty_event(rng, space) if rng.random() < 0.5 else space.full_event()
         key = (f.values, event.members)
         if key in seen:
             continue
@@ -131,15 +127,13 @@ def random_family(rng: random.Random, space: Space) -> EventFamily:
     return EventFamily.custom(space, tuple(events))
 
 
-def random_measurable_gamble(
-    rng: random.Random, space: Space, family: EventFamily, terms: int = 2
-) -> Gamble:
-    """c0 + sum of non-negative multiples of family indicators: measurable
+def random_measurable_gamble(rng: random.Random, space: Space, family: EventFamily) -> Gamble:
+    """c0 plus two non-negative multiples of family indicators: measurable
     by construction (constant when the family is empty)."""
     g = space.constant(Fraction(rng.randint(0, 3), rng.randint(1, 2)))
     events = family.events()
     if events:
-        for _ in range(terms):
+        for _ in range(2):
             c = Fraction(rng.randint(0, 3), rng.randint(1, 2))
             g = g + indicator(rng.choice(events)) * c
     return g
@@ -353,14 +347,9 @@ def _independence_suite(seed: int, trials: int) -> tuple[PropertyOutcome, ...]:
         )
         v_strong = chain_values[2]
 
-        prod_pmf_values = []
-        for q1 in left_pmfs:
-            for q2 in right_pmfs:
-                expectation = Fraction(0)
-                for i, a in enumerate(left_space.outcomes):
-                    for j, b in enumerate(right_space.outcomes):
-                        expectation += q1.masses[i] * q2.masses[j] * f_joint(f"{a}|{b}")
-                prod_pmf_values.append(expectation)
+        # E_{q1 x q2}[f] = E_{q1}[x1 -> E_{q2}[f(x1, .)]].
+        nested = [nested_evaluation(q2, f_joint, ine.space, "right") for q2 in right_pmfs]
+        prod_pmf_values = [q1.expectation(g) for q1 in left_pmfs for g in nested]
         rec.check(
             "strong-product-domination",
             min(prod_pmf_values) >= v_strong,

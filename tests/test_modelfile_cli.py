@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from desirables import cli
 from desirables.cli import main
+from desirables.independence import EventFamily
 from desirables.modelfile import (
+    Model,
     ModelFormatError,
     parse_model,
     parse_rational,
     serialize_model,
 )
+from desirables.spaces import Space
 
 CREDAL = """{
   "spaces": [
@@ -117,6 +120,32 @@ class TestParsing:
         }
         text = json.dumps(doc, indent=2) + "\n"
         assert serialize_model(parse_model(text)) == text
+
+    def test_model_filled_through_its_fields_serialises_them(self):
+        # Declaration order is the dicts' insertion order, with no second
+        # record of it that a caller must keep in step.
+        model = Model()
+        x = Space("X", ("a", "b"))
+        model.spaces["X"] = x
+        model.gambles["g"] = x.gamble(["1/2", "-3"])
+        model.events["e"] = x.event(["b"])
+        model.families["F"] = EventFamily.custom(x, [model.events["e"]])
+        model.family_event_ids["F"] = ["e"]
+        doc = json.loads(serialize_model(model))
+        assert doc["spaces"] == [{"id": "X", "outcomes": ["a", "b"]}]
+        assert doc["gambles"] == [{"id": "g", "space": "X", "values": {"a": "1/2", "b": "-3"}}]
+        assert doc["events"] == [{"id": "e", "space": "X", "members": ["b"]}]
+        assert doc["families"] == [{"id": "F", "space": "X", "kind": "custom", "events": ["e"]}]
+        text = serialize_model(model)
+        assert serialize_model(parse_model(text)) == text
+
+    def test_custom_family_without_event_ids_named_in_the_error(self):
+        model = Model()
+        x = Space("X", ("a", "b"))
+        model.spaces["X"] = x
+        model.families["F"] = EventFamily.custom(x, [x.event(["a"])])
+        with pytest.raises(ModelFormatError, match="'F'"):
+            serialize_model(model)
 
     def test_dangling_gamble_reference(self):
         doc = json.loads(CREDAL)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from desirables.spaces import (
     EmptyEventError,
     Gamble,
+    ProductSpace,
     Space,
     SpaceMismatchError,
     cylinder_event,
@@ -95,8 +96,21 @@ class TestProductSpace:
         assert prod.outcomes[-1] == "b|x3"
 
     def test_separator_reserved(self):
-        with pytest.raises(ValueError):
-            product_space(Space("bad", ("a|b",)), AB)
+        bad = Space("bad", ("a|b",))
+        for factors in ((bad, AB), (AB, bad)):
+            with pytest.raises(ValueError, match="reserved separator"):
+                product_space(*factors)
+            with pytest.raises(ValueError, match="reserved separator"):
+                ProductSpace("P", *factors)
+
+    def test_outcomes_are_derived_not_passed(self):
+        prod = ProductSpace("P", AB, ABC)
+        assert prod.outcomes == ("a|x1", "a|x2", "a|x3", "b|x1", "b|x2", "b|x3")
+        assert product_space(AB, ABC) == ProductSpace("X*Y", AB, ABC)
+        with pytest.raises(TypeError):
+            ProductSpace("P", prod.outcomes, AB, ABC)
+        with pytest.raises(TypeError):
+            ProductSpace(name="P", outcomes=prod.outcomes, left=AB, right=ABC)
 
     def test_cylindrical_extension_left_singleton_right(self):
         single = Space("U", ("u",))
