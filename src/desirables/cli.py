@@ -201,7 +201,7 @@ def _cmd_ine(args) -> int:
                 f"gamble {gamble_id!r} is not on the product space "
                 f"(expected outcomes {list(ine.space.outcomes)})"
             )
-        return Gamble(ine.space, gamble.values)
+        return Gamble.from_ints(ine.space, gamble.den, gamble.nums)
 
     try:
         gamble = joint_gamble(args.gamble)

@@ -30,9 +30,11 @@ left free for a certificate, the witness margin t) write it as the
 difference of their last two columns.
 
 Every LP over a cone's outcome rows takes its generator entries as
-``scaled_rows``: per outcome, the values g_i(x) as the integer row of
-``simplex.scaled_row``.  They are computed once per cone, on first use,
-and cached as tuples of ints, so later queries convert no ``Fraction``.
+``scaled_rows``: per outcome, the values g_i(x) as the integer row that
+``simplex.scaled_row`` would give.  They are assembled once per cone, on
+first use, from the generators' own integer rows (``Gamble.den`` and
+``Gamble.nums``), and cached as tuples of ints, so no query touches a
+``Fraction``; a query's gamble goes to its LP as its own integer row too.
 Code that already knows these rows hands them over with
 ``DesirableCone.with_scaled_rows``: the joint cone of the independent
 natural extension arrives with rows assembled from the marginal cones'
@@ -50,10 +52,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .simplex import DANTZIG, EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, LPResult, LPStatus, scaled_row
+from .simplex import DANTZIG, EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, LPResult, LPStatus
 from .spaces import Event, Gamble, Space, SpaceMismatchError, indicator
 
 _ZERO = Fraction(0)
@@ -118,9 +120,7 @@ class DesirableCone:
         """Per outcome x, the generator values g_i(x) as a ``scaled_row``.
         Built on first use and kept, so every LP over this cone's outcome
         rows skips the ``Fraction`` layer."""
-        if not self.generators:
-            return tuple(map(scaled_row, [()] * self.space.size))
-        return tuple(map(scaled_row, zip(*(g.values for g in self.generators))))
+        return _outcome_rows(self.space, self.generators)
 
     # -- decision procedures ------------------------------------------------
 
@@ -179,7 +179,7 @@ class DesirableCone:
             row[k] = _ONE
             lp.add(row, GREATER_EQUAL, 0)
         for g in self.generators:
-            lp.add([*g.values, -_ONE, _ONE], GREATER_EQUAL, 0)
+            lp.add_scaled((g.den, g.nums), GREATER_EQUAL, (0, 1), last=(-1, 1))
         result = lp.solve()
         assert result.status is LPStatus.OPTIMAL  # always feasible and bounded
         if result.value <= 0:
@@ -212,6 +212,22 @@ class DesirableCone:
         return value is not None and value < 0
 
 
+def _outcome_rows(space: Space, generators: Sequence[Gamble]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The ``scaled_row`` of each outcome's generator values, read from the
+    generators' integer rows: g_i(x) = nums_i[x] / den_i, whose denominator
+    in lowest terms is den_i / gcd(nums_i[x], den_i), so the row's scale is
+    the lcm of those and no ``Fraction`` is made."""
+    columns = list(zip(*(g.nums for g in generators))) or [()] * space.size
+    dens = [g.den for g in generators]
+    if all(d == 1 for d in dens):
+        return tuple((1, column) for column in columns)
+    rows = []
+    for column in columns:
+        scale = lcm(*[d // gcd(v, d) for v, d in zip(column, dens)])
+        rows.append((scale, tuple(v * scale // d for v, d in zip(column, dens))))
+    return tuple(rows)
+
+
 # ---------------------------------------------------------------------------
 # The lower-prevision LP
 # ---------------------------------------------------------------------------
@@ -233,10 +249,11 @@ def _gamble_side_lp(
     (``DesirableCone.scaled_rows``), so no ``Fraction`` is converted per
     query, and the number of generators is the width of those rows; the
     mu coefficients are appended to it: (1, -1), or 1 with a
-    floor, on B and zeros off it.  f arrives as ``f_row``, its values as
-    one ``scaled_row`` (s, ints), and the floor as an int over the same s,
-    so each right-hand side goes to the LP as the integer ratio
-    (ints[x] - floor, s), with no ``Fraction`` arithmetic.
+    floor, on B and zeros off it.  f arrives as ``f_row``, the gamble's
+    own integer row (``Gamble.den``, ``Gamble.nums``), and the floor as an
+    int over the same denominator, so each right-hand side goes to the LP
+    as the integer ratio (nums[x] - floor, den), with no ``Fraction``
+    arithmetic.
     """
     n = len(cone.scaled_rows[0][1])
     if floor is None:
@@ -244,11 +261,11 @@ def _gamble_side_lp(
     else:
         objective, on, off = [_ZERO] * n + [_ONE], (1,), (0,)
     lp = LinearProgram(len(objective), objective)
-    scale, values = f_row
+    den, nums = f_row
     members = event.members
-    for x, row, v in zip(cone.space.outcomes, cone.scaled_rows, values):
+    for x, row, v in zip(cone.space.outcomes, cone.scaled_rows, nums):
         if x in members:
-            lp.add_scaled(row, LESS_EQUAL, (v - floor, scale), last=on)
+            lp.add_scaled(row, LESS_EQUAL, (v - floor, den), last=on)
         else:
             lp.add_scaled(row, LESS_EQUAL, (0, 1), last=off)
     return lp
@@ -258,7 +275,7 @@ def _raw_lower(cone: DesirableCone, f: Gamble, event: Event) -> LPResult:
     """The gamble-side LP with mu free (mu+ - mu-), on Bland's rule:
     coherence certificates publish the generator part of its optimal point
     or improving ray."""
-    return _gamble_side_lp(cone, scaled_row(f.values), event).solve()
+    return _gamble_side_lp(cone, (f.den, f.nums), event).solve()
 
 
 def _lower_value(
@@ -274,22 +291,23 @@ def _lower_value(
     side I_B(x) (f(x) - min_B f) is then non-negative, so the solve starts
     on its slack basis (lambda = nu = 0) with no phase 1 and no mu+ - mu-
     column pair.  The value is the same at every optimal vertex, so the
-    solve uses Dantzig pricing.  f is scaled to ints once, and min_B f is
-    taken over those ints.
+    solve uses Dantzig pricing.  f goes in as its integer row, min_B f is
+    taken over its ints, and the value is the one ``Fraction`` made.
 
     The rows are the outcomes, so the prices r are a vector on the space.
     Its dual says r >= 0, E_r[g_i] >= 0 for every generator and r(B) >= 1:
     a dominating pmf up to scale, which ``_dominating_expectations`` checks
     exactly before anything relies on it.
     """
-    f_row = scaled_row(f.values)
-    scale, values = f_row
+    den, nums = f.den, f.nums
     members = event.members
-    floor = min(v for x, v in zip(cone.space.outcomes, values) if x in members)
-    result = _gamble_side_lp(cone, f_row, event, floor).solve(DANTZIG)
+    floor = min(v for x, v in zip(cone.space.outcomes, nums) if x in members)
+    result = _gamble_side_lp(cone, (den, nums), event, floor).solve(DANTZIG)
     if result.status is LPStatus.UNBOUNDED:
         return None, ()
-    return Fraction(floor, scale) + result.value, result.prices
+    nu = result.value
+    q = nu.denominator
+    return Fraction(floor * q + nu.numerator * den, den * q), result.prices
 
 
 def _dominating_expectations(cone: DesirableCone, prices: Sequence[int]) -> Optional[tuple[int, ...]]:

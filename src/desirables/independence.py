@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .cones import DesirableCone
@@ -163,20 +164,20 @@ def _joint_generators(
     full-event generator: it is the sum of the atom generators.
     """
     n2 = right.space.size
-    blank = [Fraction(0)] * prod.size
+    blank = [0] * prod.size
     gens: list[Gamble] = []
     for g2 in right.generators:
         for b1 in left_events:
-            values = blank.copy()
+            nums = blank.copy()
             for i in b1:
-                values[i * n2 : (i + 1) * n2] = g2.values
-            gens.append(Gamble(prod, tuple(values)))
+                nums[i * n2 : (i + 1) * n2] = g2.nums
+            gens.append(Gamble.from_ints(prod, g2.den, nums))
     for g1 in left.generators:
         for b2 in right_events:
-            values = blank.copy()
+            nums = blank.copy()
             for j in b2:
-                values[j::n2] = g1.values
-            gens.append(Gamble(prod, tuple(values)))
+                nums[j::n2] = g1.nums
+            gens.append(Gamble.from_ints(prod, g1.den, nums))
     return tuple(gens)
 
 
@@ -346,23 +347,32 @@ class IndependentNaturalExtension:
     # -- lifting helpers ----------------------------------------------------
 
     def lift(self, f: Gamble) -> Gamble:
-        """Cylindrically extend a factor gamble to the product space."""
-        if f.space == self.space.left:
-            return cylindrical_extension(f, self.space, "left")
-        if f.space == self.space.right:
-            return cylindrical_extension(f, self.space, "right")
+        """Cylindrically extend a factor gamble to the product space.  When
+        both factors are f's space the side is ambiguous, and this raises
+        ``SpaceMismatchError``: use ``cylindrical_extension`` with a side."""
         if f.space == self.space:
             return f
-        raise SpaceMismatchError("gamble belongs to neither factor nor the product")
+        side = self._factor_side(f.space, "gamble", "cylindrical_extension")
+        return cylindrical_extension(f, self.space, side)
 
     def lift_event(self, event: Event) -> Event:
-        if event.space == self.space.left:
-            return cylinder_event(event, self.space, "left")
-        if event.space == self.space.right:
-            return cylinder_event(event, self.space, "right")
+        """``lift`` for events; ``cylinder_event`` takes an explicit side."""
         if event.space == self.space:
             return event
-        raise SpaceMismatchError("event belongs to neither factor nor the product")
+        return cylinder_event(event, self.space, self._factor_side(event.space, "event", "cylinder_event"))
+
+    def _factor_side(self, space: Space, what: str, explicit: str) -> str:
+        on_left, on_right = space == self.space.left, space == self.space.right
+        if on_left and on_right:
+            raise SpaceMismatchError(
+                f"both factors of {self.space.name!r} are {space.name!r}, so the {what} has no "
+                f"single factor to lift to; use {explicit}(..., side='left' or 'right')"
+            )
+        if on_left:
+            return "left"
+        if on_right:
+            return "right"
+        raise SpaceMismatchError(f"{what} belongs to neither factor nor the product")
 
 
 # ---------------------------------------------------------------------------
@@ -492,21 +502,22 @@ def nested_evaluation(
     """Integrate out one factor with the pmf ``inner`` on it: for
     inner_side='right', the gamble x1 -> inner(f(x1, .)) on the left
     factor, and symmetrically.  In the left-major product order f(x1, .)
-    is a block of ``f.values`` and f(., x2) a stride, so both are slices."""
+    is a block of ``f.nums`` and f(., x2) a stride, so both are slices,
+    each summed against the pmf's ints over one denominator."""
     if f.space != prod:
         raise SpaceMismatchError("gamble is not on the product space")
     if inner.space != prod.factor(inner_side):
         raise SpaceMismatchError(f"the inner pmf is not on the {inner_side} factor")
     n2 = prod.right.size
+    nums = f.nums
     if inner_side == "right":
         outer = prod.left
-        sections = (f.values[i * n2 : (i + 1) * n2] for i in range(outer.size))
+        sections = (nums[i * n2 : (i + 1) * n2] for i in range(outer.size))
     else:
         outer = prod.right
-        sections = (f.values[j::n2] for j in range(n2))
-    zero = Fraction(0)
-    values = tuple(sum((p * v for p, v in zip(inner.masses, row)), zero) for row in sections)
-    return Gamble(outer, values)
+        sections = (nums[j::n2] for j in range(n2))
+    weights = inner.nums
+    return Gamble.from_ints(outer, inner.den * f.den, [sum(map(mul, weights, row)) for row in sections])
 
 
 @dataclass(frozen=True)

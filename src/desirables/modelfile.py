@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from .independence import ALL_NONEMPTY, ATOMS, CUSTOM, EventFamily
@@ -33,8 +33,14 @@ class ModelFormatError(ValueError):
 
 def parse_rational(text: object, where: str) -> Fraction:
     """The rational that the canonical string ``text`` spells: "p/q" with q
-    > 1 and gcd(p, q) = 1, or "p", with no "-0".  The check is made on the
-    integers themselves, so nothing is normalised and printed back."""
+    > 1 and gcd(p, q) = 1, or "p", with no "-0"."""
+    return Fraction(*parse_ratio(text, where))
+
+
+def parse_ratio(text: object, where: str) -> tuple[int, int]:
+    """``parse_rational`` as the integers (p, q), q = 1 for "p".  The check
+    is made on the integers themselves, so nothing is normalised and
+    printed back."""
     match = _RATIONAL_RE.match(text) if isinstance(text, str) else None
     if match is None:
         raise ModelFormatError(f"{where}: rational values must be canonical strings, got {text!r}")
@@ -48,7 +54,7 @@ def parse_rational(text: object, where: str) -> Fraction:
         n = -n
     if (den is None and sign and not n) or (den is not None and (d == 1 or gcd(n, d) != 1)):
         raise ModelFormatError(f"{where}: {text!r} is not in lowest terms (expected {Fraction(n, d)})")
-    return Fraction(n, d)
+    return n, d
 
 
 @dataclass(frozen=True)
@@ -200,13 +206,15 @@ def parse_model(text: str) -> Model:
         space = space_of(item, f"gamble {gid!r}")
         values = _expect(item, "values", dict, f"gamble {gid!r}")
         parsed = {
-            outcome: parse_rational(v, f"gamble {gid!r} value at {outcome!r}")
+            outcome: parse_ratio(v, f"gamble {gid!r} value at {outcome!r}")
             for outcome, v in values.items()
         }
         try:
-            model.gambles[gid] = space.gamble(parsed)
+            ratios = space.in_order(parsed)
         except ValueError as exc:
             raise ModelFormatError(f"gamble {gid!r}: {exc}") from None
+        den = lcm(*[d for _, d in ratios])
+        model.gambles[gid] = Gamble.from_ints(space, den, [n * (den // d) for n, d in ratios])
 
     for item in _expect(doc, "events", list, "model", optional=True, default=[]):
         where = "events entry"

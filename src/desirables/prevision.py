@@ -45,7 +45,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from math import lcm
+from operator import mul, neg
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .cones import DesirableCone, _dominating_expectations, _lower_value, _raw_lower
 from .simplex import EQUAL, LESS_EQUAL, LinearProgram, LPStatus
@@ -159,7 +161,7 @@ class Assessment:
         for e in self.entries:
             if e.gamble.space != self.space:
                 raise SpaceMismatchError("entry on a different space")
-            key = (e.gamble.values, e.event.members)
+            key = (e.gamble, e.event.members)
             if key in seen and seen[key] != e.lower:
                 raise ValueError(
                     f"duplicate assessment of the same (gamble, event) pair with "
@@ -463,13 +465,13 @@ def _pmf_side_lp(cone: DesirableCone, f: Gamble, event: Event, sign: int) -> Lin
     One row per generator plus one; the generator rows are written
     -g.r <= 0 so that they start on their slacks."""
     weights = [
-        sign * f.values[k] if x in event.members else _ZERO
-        for k, x in enumerate(cone.space.outcomes)
+        Fraction(sign * v, f.den) if x in event.members else _ZERO
+        for x, v in zip(cone.space.outcomes, f.nums)
     ]
     lp = LinearProgram(cone.space.size, weights)
-    lp.add([_ONE if x in event.members else _ZERO for x in cone.space.outcomes], EQUAL, 1)
+    lp.add_scaled((1, tuple(int(x in event.members) for x in cone.space.outcomes)), EQUAL, (1, 1))
     for g in cone.generators:
-        lp.add([-v if v else v for v in g.values], LESS_EQUAL, 0)  # most joint entries are 0
+        lp.add_scaled((g.den, tuple(map(neg, g.nums))), LESS_EQUAL, (0, 1))
     return lp
 
 
@@ -481,7 +483,15 @@ def _pmf_side_lp(cone: DesirableCone, f: Gamble, event: Event, sign: int) -> Lin
 @dataclass(frozen=True)
 class LinearPrevision:
     """A pmf-induced expectation operator; conditioning follows Bayes rule
-    and is refused on events of probability zero."""
+    and is refused on events of probability zero.
+
+    ``masses`` are the public field.  Construction derives their integer
+    row, ``den`` and ``nums`` with mass ``nums[k] / den`` at outcome k, as
+    a gamble holds its values (``den`` is the lcm of the masses'
+    denominators), and validates it: every num non-negative and their sum
+    ``den``.  Expectations, probabilities and conditional expectations are
+    integer sums over the two rows, each made into one ``Fraction``.
+    """
 
     space: Space
     masses: tuple[Fraction, ...]
@@ -489,14 +499,23 @@ class LinearPrevision:
     def __post_init__(self) -> None:
         if len(self.masses) != self.space.size:
             raise ValueError("mass vector length does not match its space")
-        if any(p < 0 for p in self.masses):
+        den = lcm(*[p.denominator for p in self.masses])
+        nums = tuple(p.numerator * (den // p.denominator) for p in self.masses)
+        if any(n < 0 for n in nums):
             raise ValueError("masses must be non-negative")
-        if sum(self.masses) != 1:
+        if sum(nums) != den:
             raise ValueError("masses must sum to one")
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
 
     @staticmethod
     def from_masses(space: Space, masses) -> "LinearPrevision":
-        if isinstance(masses, dict):
+        """From a sequence in outcome order, or a mapping of outcome labels
+        to masses in which a missing outcome has mass zero."""
+        if isinstance(masses, Mapping):
+            unknown = [x for x in masses if x not in space.outcomes]
+            if unknown:
+                raise ValueError(f"masses assign unknown outcomes {unknown} of space {space.name!r}")
             vec = tuple(as_fraction(masses.get(x, 0)) for x in space.outcomes)
         else:
             vec = tuple(as_fraction(v) for v in masses)
@@ -510,24 +529,33 @@ class LinearPrevision:
     def mass(self, outcome: str) -> Fraction:
         return self.masses[self.space.index(outcome)]
 
-    def probability(self, event: Event) -> Fraction:
+    def _event_indices(self, event: Event) -> list[int]:
         if event.space != self.space:
             raise SpaceMismatchError("event on a different space")
-        return sum((self.masses[self.space.index(x)] for x in event.members), _ZERO)
+        return [self.space.index(x) for x in event.members]
+
+    def probability(self, event: Event) -> Fraction:
+        nums = self.nums
+        return Fraction(sum(nums[k] for k in self._event_indices(event)), self.den)
 
     def expectation(self, f: Gamble) -> Fraction:
         if f.space != self.space:
             raise SpaceMismatchError("gamble on a different space")
-        return sum((p * v for p, v in zip(self.masses, f.values)), _ZERO)
+        return Fraction(sum(map(mul, self.nums, f.nums)), self.den * f.den)
 
     def conditional(self, f: Gamble, event: Event) -> Fraction:
         """Renormalised expectation; defined only when the event has
         positive probability."""
         event.require_nonempty()
-        pb = self.probability(event)
-        if pb == 0:
+        inside = self._event_indices(event)
+        nums = self.nums
+        mass = sum(nums[k] for k in inside)
+        if mass == 0:
             raise BeyondSupportError(event)
-        return self.expectation(f * indicator(event)) / pb
+        if f.space != self.space:
+            raise SpaceMismatchError("gamble on a different space")
+        values = f.nums
+        return Fraction(sum(nums[k] * values[k] for k in inside), mass * f.den)
 
     def __call__(self, f: Gamble, event: Optional[Event] = None) -> Fraction:
         if event is None or event.is_full:

@@ -1,8 +1,13 @@
 """Finite possibility spaces, events, gambles, and binary product spaces.
 
-Everything is exact: gamble values are ``fractions.Fraction`` and all
-pointwise operations stay in rational arithmetic.  Values are immutable
-after construction, so they can be shared freely between threads.
+Everything is exact.  A gamble is one integer row: a positive
+denominator ``den`` and integer numerators ``nums`` in lowest terms as a
+whole, the ``simplex.scaled_row`` form of its values.  Every pointwise
+operation, sign test and lift runs on those ints, and a scalar result
+(a minimum, a maximum, a value) is the one ``fractions.Fraction`` it
+makes.  ``Gamble.values``, the values as ``Fraction``s, is derived from
+the row on first read.  Gambles are immutable after construction, so they
+can be shared freely between threads.
 
 The outcome order of a :class:`Space` is the declaration order; it fixes
 the coordinate order of every gamble vector and hence the column order of
@@ -20,9 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from math import gcd, lcm
+from operator import add, index, mul, neg, sub
+from typing import Iterable, Mapping, Sequence, TypeVar, Union
 
 RationalLike = Union[Fraction, int, str]
+T = TypeVar("T")
 
 #: Separator used in compound outcome labels of product spaces.  It is
 #: reserved: plain spaces must not use it in outcome labels.
@@ -82,26 +90,29 @@ class Space:
         """The singleton events, in outcome order."""
         return tuple(Event(self, frozenset([x])) for x in self.outcomes)
 
+    def in_order(self, values: Mapping[str, T]) -> list[T]:
+        """A gamble's values, given per outcome label, in outcome order.
+        Every outcome must be a key, and nothing else may be."""
+        missing = [x for x in self.outcomes if x not in values]
+        if missing:
+            raise ValueError(f"gamble is missing outcomes {missing} of space {self.name!r}")
+        extra = [x for x in values if x not in self._index]  # type: ignore[attr-defined]
+        if extra:
+            raise ValueError(f"gamble assigns unknown outcomes {extra}")
+        return [values[x] for x in self.outcomes]
+
     def gamble(self, values: Union[Mapping[str, RationalLike], Sequence[RationalLike]]) -> "Gamble":
         if isinstance(values, Mapping):
-            missing = [x for x in self.outcomes if x not in values]
-            if missing:
-                raise ValueError(f"gamble is missing outcomes {missing} of space {self.name!r}")
-            extra = [x for x in values if x not in self._index]  # type: ignore[attr-defined]
-            if extra:
-                raise ValueError(f"gamble assigns unknown outcomes {extra}")
-            vec = tuple(as_fraction(values[x]) for x in self.outcomes)
-        else:
-            if len(values) != self.size:
-                raise ValueError(
-                    f"gamble has {len(values)} values but space {self.name!r} has {self.size} outcomes"
-                )
-            vec = tuple(as_fraction(v) for v in values)
-        return Gamble(self, vec)
+            values = self.in_order(values)
+        elif len(values) != self.size:
+            raise ValueError(
+                f"gamble has {len(values)} values but space {self.name!r} has {self.size} outcomes"
+            )
+        return Gamble(self, [as_fraction(v) for v in values])
 
     def constant(self, value: RationalLike) -> "Gamble":
-        c = as_fraction(value)
-        return Gamble(self, (c,) * self.size)
+        p, q = _ratio(value)
+        return _gamble(self, q, (p,) * self.size)
 
     def zero(self) -> "Gamble":
         return self.constant(0)
@@ -145,19 +156,74 @@ class Event:
         return [x for x in self.space.outcomes if x in self.members]
 
 
-@dataclass(frozen=True)
 class Gamble:
-    """A total rational-valued map on a finite space, stored in outcome order."""
+    """A total rational-valued map on a finite space, stored in outcome order.
 
-    space: Space
-    values: tuple[Fraction, ...]
+    A gamble is held as one integer row: ``den > 0`` and the ints ``nums``
+    with value ``nums[k] / den`` at outcome k, in lowest terms as a whole,
+    ``gcd(den, *nums) == 1``.  That is the ``simplex.scaled_row`` form of
+    its values, and it is unique, so equality and hashing read
+    ``(space, den, nums)``.  ``Gamble(space, values)`` takes ints or
+    ``Fraction``s; ``from_ints`` takes a row directly.  Gambles are
+    immutable.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.values) != self.space.size:
+    __slots__ = ("space", "den", "nums", "_values")
+
+    def __new__(cls, space: Space, values: Sequence[Union[Fraction, int]]) -> "Gamble":
+        values = tuple(values)
+        if len(values) != space.size:
             raise ValueError("gamble vector length does not match its space")
+        try:
+            den = lcm(*[v.denominator for v in values])
+            nums = tuple(v.numerator * (den // v.denominator) for v in values)
+        except AttributeError:
+            raise TypeError(f"gamble values must be ints or Fractions, got {values!r}") from None
+        return _gamble(space, den, nums)
+
+    @staticmethod
+    def from_ints(space: Space, den: int, nums: Sequence[int]) -> "Gamble":
+        """The gamble with values ``nums[k] / den``, for any non-zero ``den``."""
+        den, nums = index(den), tuple(map(index, nums))
+        if len(nums) != space.size:
+            raise ValueError("gamble vector length does not match its space")
+        if den == 0:
+            raise ZeroDivisionError("gamble denominator is zero")
+        if den < 0:
+            den, nums = -den, tuple(map(neg, nums))
+        return _reduced(space, den, nums)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("gambles are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Gamble.from_ints, (self.space, self.den, self.nums)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The values as ``Fraction``s, built on first read and kept."""
+        values = self._values
+        if values is None:
+            den = self.den
+            values = tuple(Fraction(n, den) for n in self.nums)
+            _set_values(self, values)
+        return values
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Gamble:
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den and self.space == other.space
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.den, self.nums))
+
+    def __repr__(self) -> str:
+        return f"Gamble(space={self.space!r}, values={self.values!r})"
 
     def __call__(self, outcome: str) -> Fraction:
-        return self.values[self.space.index(outcome)]
+        return Fraction(self.nums[self.space.index(outcome)], self.den)
 
     def _check_space(self, other: "Gamble") -> None:
         if other.space is not self.space and other.space != self.space:
@@ -165,83 +231,138 @@ class Gamble:
                 f"gambles on different spaces: {self.space.name!r} vs {other.space.name!r}"
             )
 
+    def _sum(self, other: "Gamble", op) -> "Gamble":
+        """Pointwise ``op`` (add or sub) of two gambles, over the lcm of
+        their denominators."""
+        self._check_space(other)
+        d, e = self.den, other.den
+        if d == e:
+            return _reduced(self.space, d, tuple(map(op, self.nums, other.nums)))
+        den = lcm(d, e)
+        m, k = den // d, den // e
+        return _reduced(self.space, den, tuple(op(a * m, b * k) for a, b in zip(self.nums, other.nums)))
+
     def __add__(self, other: Union["Gamble", RationalLike]) -> "Gamble":
         if isinstance(other, Gamble):
-            self._check_space(other)
-            return Gamble(self.space, tuple(a + b for a, b in zip(self.values, other.values)))
-        c = as_fraction(other)
-        return Gamble(self.space, tuple(a + c for a in self.values))
+            return self._sum(other, add)
+        return self._shift(*_ratio(other))
 
     __radd__ = __add__
 
+    def _shift(self, p: int, q: int) -> "Gamble":
+        """This gamble plus the constant p / q, given in lowest terms."""
+        d = self.den
+        if q == 1:  # gcd(d, a + p * d) == gcd(d, a): still in lowest terms
+            c = p * d
+            return _gamble(self.space, d, tuple(a + c for a in self.nums))
+        den = lcm(d, q)
+        m, c = den // d, p * (den // q)
+        return _reduced(self.space, den, tuple(a * m + c for a in self.nums))
+
     def __sub__(self, other: Union["Gamble", RationalLike]) -> "Gamble":
-        return self + (-other if isinstance(other, Gamble) else -as_fraction(other))
+        if isinstance(other, Gamble):
+            return self._sum(other, sub)
+        p, q = _ratio(other)
+        return self._shift(-p, q)
 
     def __rsub__(self, other: RationalLike) -> "Gamble":
-        return (-self) + as_fraction(other)
+        return (-self)._shift(*_ratio(other))
 
     def __neg__(self) -> "Gamble":
-        return Gamble(self.space, tuple(-a for a in self.values))
+        return _gamble(self.space, self.den, tuple(map(neg, self.nums)))
 
     def __mul__(self, other: Union["Gamble", RationalLike]) -> "Gamble":
         """Pointwise product with a gamble, or scaling by a rational."""
         if isinstance(other, Gamble):
             self._check_space(other)
-            return Gamble(self.space, tuple(a * b for a, b in zip(self.values, other.values)))
-        c = as_fraction(other)
-        return Gamble(self.space, tuple(a * c for a in self.values))
+            return _reduced(self.space, self.den * other.den, tuple(map(mul, self.nums, other.nums)))
+        p, q = _ratio(other)
+        return _reduced(self.space, self.den * q, tuple(a * p for a in self.nums))
 
     __rmul__ = __mul__
 
     def scale(self, factor: RationalLike) -> "Gamble":
-        return self * as_fraction(factor)
+        return self * factor
+
+    def _over(self, event: Event, pick) -> Fraction:
+        if event.space != self.space:
+            raise SpaceMismatchError("event on a different space")
+        if event.is_empty:
+            raise EmptyEventError(f"{pick.__name__} over the empty event is undefined")
+        nums, where = self.nums, self.space._index  # type: ignore[attr-defined]
+        return Fraction(pick(nums[where[x]] for x in event.members), self.den)
 
     def min_over(self, event: Event) -> Fraction:
-        if event.space != self.space:
-            raise SpaceMismatchError("event on a different space")
-        if event.is_empty:
-            raise EmptyEventError("min over the empty event is undefined")
-        return min(self.values[self.space.index(x)] for x in event.members)
+        return self._over(event, min)
 
     def max_over(self, event: Event) -> Fraction:
-        if event.space != self.space:
-            raise SpaceMismatchError("event on a different space")
-        if event.is_empty:
-            raise EmptyEventError("max over the empty event is undefined")
-        return max(self.values[self.space.index(x)] for x in event.members)
+        return self._over(event, max)
 
     def maximum(self) -> Fraction:
-        return max(self.values)
+        return Fraction(max(self.nums), self.den)
 
     @property
     def is_nonneg(self) -> bool:
-        return all(v >= 0 for v in self.values)
+        return all(v >= 0 for v in self.nums)
 
     @property
     def is_nonpos(self) -> bool:
-        return all(v <= 0 for v in self.values)
+        return all(v <= 0 for v in self.nums)
 
     @property
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not any(self.nums)
 
     def abs(self) -> "Gamble":
-        return Gamble(self.space, tuple(abs(v) for v in self.values))
+        return _gamble(self.space, self.den, tuple(map(abs, self.nums)))
 
     def support(self) -> Event:
-        return Event(self.space, frozenset(x for x, v in zip(self.space.outcomes, self.values) if v != 0))
+        return Event(self.space, frozenset(x for x, v in zip(self.space.outcomes, self.nums) if v))
 
     def as_dict(self) -> dict[str, Fraction]:
         return dict(zip(self.space.outcomes, self.values))
 
 
+_set_space, _set_den, _set_nums, _set_values = (
+    vars(Gamble)[name].__set__ for name in Gamble.__slots__
+)
+_new = object.__new__
+
+
+def _gamble(space: Space, den: int, nums: tuple[int, ...]) -> Gamble:
+    """The gamble with the row ``(den, nums)``, which must already be in
+    lowest terms.  Every gamble is made here."""
+    g = _new(Gamble)
+    _set_space(g, space)
+    _set_den(g, den)
+    _set_nums(g, nums)
+    _set_values(g, None)
+    return g
+
+
+def _reduced(space: Space, den: int, nums: tuple[int, ...]) -> Gamble:
+    """The gamble with values ``nums / den`` for ``den > 0``, brought to
+    lowest terms."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = tuple(a // g for a in nums)
+    return _gamble(space, den, nums)
+
+
+def _ratio(value: RationalLike) -> tuple[int, int]:
+    """A scalar operand as (numerator, denominator) in lowest terms."""
+    if isinstance(value, int):
+        return value, 1
+    c = as_fraction(value)
+    return c.numerator, c.denominator
+
+
 def indicator(event: Event) -> Gamble:
     """The 0/1 gamble of an event (the event may be empty)."""
-    one, zero = Fraction(1), Fraction(0)
-    return Gamble(
-        event.space,
-        tuple(one if x in event.members else zero for x in event.space.outcomes),
-    )
+    members = event.members
+    return _gamble(event.space, 1, tuple(1 if x in members else 0 for x in event.space.outcomes))
 
 
 def compound_label(left_outcome: str, right_outcome: str) -> str:
@@ -301,8 +422,8 @@ def cylindrical_extension(g: Gamble, prod: ProductSpace, side: str) -> Gamble:
         )
     if side == "left":
         n2 = prod.right.size
-        return Gamble(prod, tuple(v for v in g.values for _ in range(n2)))
-    return Gamble(prod, g.values * prod.left.size)
+        return _gamble(prod, g.den, tuple(v for v in g.nums for _ in range(n2)))
+    return _gamble(prod, g.den, g.nums * prod.left.size)
 
 
 def cylinder_event(event: Event, prod: ProductSpace, side: str) -> Event:

@@ -102,7 +102,7 @@ def random_envelope_model(
     while len(pairs) < n_entries:
         f = random_gamble(rng, space)
         event = random_nonempty_event(rng, space) if rng.random() < 0.5 else space.full_event()
-        key = (f.values, event.members)
+        key = (f, event.members)
         if key in seen:
             continue
         seen.add(key)
@@ -489,7 +489,7 @@ def _measurability_suite(seed: int, trials: int) -> tuple[PropertyOutcome, ...]:
                 rebuilt = rebuilt + indicator(event) * c
             rec.check(
                 "simple-cone-reconstruction",
-                rebuilt.values == g.values,
+                rebuilt == g,
                 lambda t=t: f"trial {t}: certificate coefficients do not reproduce the gamble",
             )
 

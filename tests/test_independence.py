@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from desirables import cones, simplex
+from desirables import cones, simplex, spaces
 from desirables.cones import DesirableCone
 from desirables.independence import (
     EventFamily,
@@ -230,6 +230,31 @@ class TestJointLowerPrevisions:
         for member in ("u", "v"):
             event = ine.lift_event(UV.event([member]))
             assert ine.lower(ine.lift(f), event) == left.lower(f)
+
+    @staticmethod
+    def self_product():
+        p1 = LinearPrevision.from_masses(AB, ["1/4", "3/4"])
+        p2 = LinearPrevision.from_masses(AB, ["1/2", "1/2"])
+        return IndependentNaturalExtension(p1.as_lower_prevision(), p2.as_lower_prevision())
+
+    def test_self_product_lift_is_refused(self):
+        # Both factors are AB, so a gamble or event on AB has no single
+        # factor to lift to; the error names the explicit-side lifts.
+        ine = self.self_product()
+        with pytest.raises(SpaceMismatchError, match="cylindrical_extension"):
+            ine.lift(AB.gamble([1, 0]))
+        with pytest.raises(SpaceMismatchError, match="cylinder_event"):
+            ine.lift_event(AB.event(["a"]))
+        f = ine.space.gamble([1, 0, 0, 0])
+        assert ine.lift(f) is f
+
+    def test_self_product_explicit_lift_keeps_each_marginal(self):
+        ine = self.self_product()
+        f = AB.gamble([1, 0])
+        assert ine.lower(cylindrical_extension(f, ine.space, "left")) == Fraction(1, 4)
+        assert ine.lower(cylindrical_extension(f, ine.space, "right")) == Fraction(1, 2)
+        on_a = cylinder_event(AB.event(["a"]), ine.space, "left")
+        assert ine.lower(cylindrical_extension(f, ine.space, "right"), on_a) == Fraction(1, 2)
 
     def test_incoherent_marginal_rejected(self):
         bad = ConditionalLowerPrevision.from_entries(
@@ -555,12 +580,13 @@ class TestJointRows:
             left, right = random_envelope_model(rng, x)[0], random_envelope_model(rng, y)[0]
         # The marginal coherence checks build the marginal rows.
         assert left.is_coherent() and right.is_coherent()
-        calls = []
-        for module in (cones, simplex):
-            original = module.scaled_row
-            monkeypatch.setattr(
-                module, "scaled_row", lambda values, original=original: calls.append(values) or original(values)
-            )
+        calls, assembled = [], []
+        original = simplex.scaled_row
+        monkeypatch.setattr(simplex, "scaled_row", lambda values: calls.append(values) or original(values))
+        assemble = cones._outcome_rows
+        monkeypatch.setattr(
+            cones, "_outcome_rows", lambda space, gens: assembled.append(space) or assemble(space, gens)
+        )
         families = EventFamily.atoms(x), EventFamily.custom(y, [y.event([y.outcomes[0]])])
         if route == "product":
             joint = independent_product_cone(left, right, *families)
@@ -573,6 +599,7 @@ class TestJointRows:
         lower_prevision(joint, f, event)
         # Only the marginal coherence LPs of independent_product_cone add rows here.
         assert not any(len(values) == len(joint.generators) for values in calls)
+        assert joint.space not in assembled
 
 
 def listed_generators(left, right, left_family, right_family):
@@ -707,14 +734,16 @@ class TestLazyJointCone:
         args, f, event = seeded_query(seed, setting)
         negated = -f
         built = []
-        original = Gamble.__post_init__
+        original = spaces._gamble
 
-        def spy(self):
-            original(self)
-            if self.space == f.space:
-                built.append(self)
+        def spy(space, den, nums):
+            made = original(space, den, nums)
+            if space == f.space:
+                built.append(made)
+            return made
 
-        monkeypatch.setattr(Gamble, "__post_init__", spy)
+        # Every Gamble, from any constructor or operator, is made by spaces._gamble.
+        monkeypatch.setattr(spaces, "_gamble", spy)
         ine = IndependentNaturalExtension(*args)
         ine.lower(f)
         ine.lower(f, event)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from desirables import cones, prevision
+from desirables import cones, prevision, simplex
 from desirables.cones import DesirableCone
 from desirables.prevision import (
     Assessment,
@@ -23,7 +23,7 @@ from desirables.prevision import (
     lower_prevision,
     upper_prevision,
 )
-from desirables.simplex import LinearProgram
+from desirables.simplex import LinearProgram, scaled_row
 from desirables.spaces import Space, indicator
 from desirables.suites import (
     random_envelope_model,
@@ -186,7 +186,8 @@ class TestIntegerRows:
         for _ in range(3):
             f = space.gamble([Fraction(rng.randint(-20, 20), 7) for _ in space.outcomes])
             event = random_nonempty_event(rng, space) if conditional else space.full_event()
-            f_row = cones.scaled_row(f.values)
+            f_row = (f.den, f.nums)
+            assert f_row == scaled_row(f.values)
             low = f.min_over(event)
             assert (low * f_row[0]).denominator == 1
             for floor, on, off, shift in ((None, (1, -1), (0, 0), 0), (int(low * f_row[0]), (1,), (0,), low)):
@@ -214,14 +215,15 @@ class TestIntegerRows:
         assert sympy_lower_prevision(space, cone.generators, f, space.full_event()) == Fraction(39, 77)
 
     def test_rows_built_once_per_cone(self, monkeypatch):
-        builds = []
-        build = cones.scaled_row
+        builds, scalings = [], []
+        build = cones._outcome_rows
 
-        def counted(values):
-            builds.append(values)
-            return build(values)
+        def counted(space, generators):
+            builds.append((space, tuple(generators)))
+            return build(space, generators)
 
-        monkeypatch.setattr(cones, "scaled_row", counted)
+        monkeypatch.setattr(cones, "_outcome_rows", counted)
+        monkeypatch.setattr(simplex, "scaled_row", lambda values: scalings.append(values) or scaled_row(values))
         pmfs = [LinearPrevision.from_masses(ABC, m) for m in (["1/2", "1/4", "1/4"], ["1/5", "2/5", "2/5"])]
         pairs = [(ABC.gamble([1, 0, 2]), None), (ABC.gamble(["1/3", "-2/3", 0]), ABC.event(["x1", "x2"]))]
         model = ConditionalLowerPrevision(envelope_assessment(ABC, pmfs, pairs))
@@ -232,13 +234,13 @@ class TestIntegerRows:
         assert model.is_coherent()
         assert model.cone.is_coherent()
         assert model.cone.contains(f + 2)
-        # Each query also scales its gamble once (``cones._lower_value``);
-        # the cone's outcome rows, the generator values per outcome, are
-        # built once, in outcome order.
-        outcome_rows = list(zip(*(g.values for g in model.cone.generators)))
-        assert len(outcome_rows[0]) != ABC.size  # no gamble row looks like one
-        assert [values for values in builds if len(values) != ABC.size] == outcome_rows
+        # The cone's outcome rows, the generator values per outcome, are
+        # assembled once from the generators' integer rows, and no query
+        # scales its gamble: ``cones._lower_value`` reads its den and nums.
+        assert builds == [(ABC, model.cone.generators)]
+        assert scalings == []
         rows = model.cone.scaled_rows
+        assert rows == tuple(map(scaled_row, zip(*(g.values for g in model.cone.generators))))
         assert isinstance(rows, tuple) and len(rows) == ABC.size
         for scale, ints in rows:
             assert isinstance(scale, int) and scale > 0
@@ -675,3 +677,9 @@ class TestLinearPrevisions:
             LinearPrevision.from_masses(AB, ["1/2", "1/3"])
         with pytest.raises(ValueError):
             LinearPrevision.from_masses(AB, ["3/2", "-1/2"])
+
+    def test_mapping_with_unknown_outcomes_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown outcomes \['typo'\]"):
+            LinearPrevision.from_masses(AB, {"a": 1, "typo": 0})
+        # A missing outcome still has mass zero.
+        assert LinearPrevision.from_masses(AB, {"a": 1}).masses == (1, 0)
