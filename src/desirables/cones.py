@@ -29,12 +29,13 @@ variable is non-negative, so the LPs here that need a signed unknown (mu
 left free for a certificate, the witness margin t) write it as the
 difference of their last two columns.
 
-Every LP over a cone's outcome rows takes its generator entries as
-``scaled_rows``: per outcome, the values g_i(x) as the integer row that
-``simplex.scaled_row`` would give.  They are assembled once per cone, on
-first use, from the generators' own integer rows (``Gamble.den`` and
-``Gamble.nums``), and cached as tuples of ints, so no query touches a
-``Fraction``; a query's gamble goes to its LP as its own integer row too.
+Every LP here has an ``int`` objective and integer rows.  Those over a
+cone's outcome rows take the generator entries as ``scaled_rows``: per
+outcome, the values g_i(x) as the integer row that ``simplex.scaled_row``
+would give.  They are assembled once per cone, on first use, from the
+generators' own integer rows (``Gamble.den`` and ``Gamble.nums``), and
+cached as tuples of ints, so no query touches a ``Fraction``; a query's
+gamble goes to its LP as its own integer row too.
 Code that already knows these rows hands them over with
 ``DesirableCone.with_scaled_rows``: the joint cone of the independent
 natural extension arrives with rows assembled from the marginal cones'
@@ -57,9 +58,6 @@ from typing import Iterable, Optional, Sequence
 
 from .simplex import DANTZIG, EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, LPResult, LPStatus
 from .spaces import Event, Gamble, Space, SpaceMismatchError, indicator
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -173,11 +171,9 @@ class DesirableCone:
         # Variables: p_1..p_n >= 0 and the margin t = t+ - t-.  Maximize t
         # subject to p_k >= t, sum p = 1, p.f_i >= t.
         lp = LinearProgram(n + 2, [0] * n + [1, -1])
-        lp.add([1] * n + [0, 0], EQUAL, 1)
+        lp.add_scaled((1, (1,) * n), EQUAL, (1, 1), last=(0, 0))
         for k in range(n):
-            row = [_ZERO] * n + [-_ONE, _ONE]
-            row[k] = _ONE
-            lp.add(row, GREATER_EQUAL, 0)
+            lp.add_scaled((1, tuple(int(j == k) for j in range(n))), GREATER_EQUAL, (0, 1), last=(-1, 1))
         for g in self.generators:
             lp.add_scaled((g.den, g.nums), GREATER_EQUAL, (0, 1), last=(-1, 1))
         result = lp.solve()
@@ -257,9 +253,9 @@ def _gamble_side_lp(
     """
     n = len(cone.scaled_rows[0][1])
     if floor is None:
-        objective, on, off, floor = [_ZERO] * n + [_ONE, -_ONE], (1, -1), (0, 0), 0
+        objective, on, off, floor = [0] * n + [1, -1], (1, -1), (0, 0), 0
     else:
-        objective, on, off = [_ZERO] * n + [_ONE], (1,), (0,)
+        objective, on, off = [0] * n + [1], (1,), (0,)
     lp = LinearProgram(len(objective), objective)
     den, nums = f_row
     members = event.members

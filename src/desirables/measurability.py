@@ -76,11 +76,8 @@ class SimpleGambleCone:
         events = self.family.generator_events()
         n = 1 + len(events)
         lp = LinearProgram(n, [0] * n)
-        for k, x in enumerate(self.space.outcomes):
-            row = [Fraction(1)]
-            for e in events:
-                row.append(Fraction(1) if x in e.members else Fraction(0))
-            lp.add(row, EQUAL, g.values[k])
+        for x, v in zip(self.space.outcomes, g.nums):
+            lp.add_scaled((1, (1, *(int(x in e.members) for e in events))), EQUAL, (v, g.den))
         result = lp.solve()
         if result.status is not LPStatus.OPTIMAL:
             return None
@@ -98,7 +95,9 @@ def is_measurable(g: Gamble, family: "EventFamily") -> bool:
 
 
 def level_set(g: Gamble, level: Fraction) -> Event:
-    return Event(g.space, frozenset(x for x, v in zip(g.space.outcomes, g.values) if v >= level))
+    p, q = level.as_integer_ratio()  # v / den >= p / q, in ints
+    bound = p * g.den
+    return Event(g.space, frozenset(x for x, v in zip(g.space.outcomes, g.nums) if v * q >= bound))
 
 
 def split_into_disjoint(event: Event, family: "EventFamily") -> Optional[tuple[Event, ...]]:

@@ -62,7 +62,6 @@ from .spaces import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class SureLossError(ValueError):
@@ -327,9 +326,10 @@ class ConditionalLowerPrevision:
                 )
                 for x in region_list:
                     xi = self.space.index(x)
-                    row = [gens[gi].values[xi] for gi in subset] + [_ONE]
-                    lp.add(row, LESS_EQUAL, minus.values[xi])
-                lp.add([0] * len(subset) + [1], LESS_EQUAL, 1)
+                    scale, ints = self.cone.scaled_rows[xi]
+                    row = (scale, tuple(ints[gi] for gi in subset))
+                    lp.add_scaled(row, LESS_EQUAL, (minus.nums[xi], minus.den), last=(1,))
+                lp.add_scaled((1, (0,) * len(subset)), LESS_EQUAL, (1, 1), last=(1,))
                 result = lp.solve()
                 if result.status is LPStatus.OPTIMAL and result.value > 0:
                     lambdas = [_ZERO] * len(gens)
@@ -455,21 +455,23 @@ class ConditionalLowerPrevision:
 
     def dominates(self, pmf: "LinearPrevision") -> bool:
         """Whether the pmf gives every boundary generator non-negative expectation."""
-        return all(pmf.expectation(g) >= 0 for g in self.cone.generators)
+        if pmf.space != self.space:
+            raise SpaceMismatchError("pmf on a different space")
+        return all(sum(map(mul, pmf.nums, g.nums)) >= 0 for g in self.cone.generators)
 
 
 def _pmf_side_lp(cone: DesirableCone, f: Gamble, event: Event, sign: int) -> LinearProgram:
     """The credal-set LP of a query: maximize sign * sum_{x in B} f(x) r(x)
     over r >= 0 with unit mass on B and every generator expectation
     non-negative.  It is the dual of the gamble-side lower-prevision LP.
-    One row per generator plus one; the generator rows are written
-    -g.r <= 0 so that they start on their slacks."""
-    weights = [
-        Fraction(sign * v, f.den) if x in event.members else _ZERO
-        for x, v in zip(cone.space.outcomes, f.nums)
-    ]
+    The objective is sign * f.nums on B, ints, so the optimum is ``f.den``
+    times the expectation at the same point.  One integer row per
+    generator plus one; the generator rows are written -g.r <= 0 so that
+    they start on their slacks."""
+    members = event.members
+    weights = [sign * v if x in members else 0 for x, v in zip(cone.space.outcomes, f.nums)]
     lp = LinearProgram(cone.space.size, weights)
-    lp.add_scaled((1, tuple(int(x in event.members) for x in cone.space.outcomes)), EQUAL, (1, 1))
+    lp.add_scaled((1, tuple(int(x in members) for x in cone.space.outcomes)), EQUAL, (1, 1))
     for g in cone.generators:
         lp.add_scaled((g.den, tuple(map(neg, g.nums))), LESS_EQUAL, (0, 1))
     return lp

@@ -6,10 +6,11 @@ The few quantities in this package that have no sign (the price mu of a
 lower-prevision query, the margin of the pmf witness) are written by
 their callers as differences of two such columns.
 
-Problems go in and answers come out as ``fractions.Fraction``, but the
-tableau is fraction-free.  ``LinearProgram`` keeps each constraint row as
-an ``int`` vector scaled once, on entry, by the lcm of its denominators;
-that scale becomes the row's positive scale ``d`` in the tableau, so the
+Problems go in as ints and answers come out as ``fractions.Fraction``;
+the tableau is fraction-free.  The objective is an ``int`` vector, and
+each row goes in through ``LinearProgram.add_scaled`` as ``(scale,
+ints)``, the ``scaled_row`` form, with an integer-ratio right-hand side;
+the scale becomes the row's positive scale ``d`` in the tableau, so the
 rational row it stands for is ``row / d``.
 
 The tableau is a compact exchange tableau (a dictionary): it stores the
@@ -25,13 +26,18 @@ with ``f = row[c]``, scale ``|p| * d_i`` and ``-f * s * d_r`` in position
 ``c`` (integer-preserving elimination as in Bareiss 1968 and Avis's lrs),
 so no rational is normalised inside the pivot loop.  The common factor
 ``g = gcd(|p|, f)`` is cancelled from both multipliers before the
-products are formed.  An eliminated row is not divided by its gcd: a
-row's size reaches other rows only through the multipliers it gives as
-the pivot row, and it is reduced then.  So each row is a positive
-multiple of the row that the exchange tableau holds with every row
-divided by its gcd, and equal to it when it pivots; as every multiplier
-comes from a primitive pivot row, a row's integers grow only linearly in
-the number of eliminations it goes through between two of its pivots.
+products are formed.  An eliminated row is not divided by its gcd until
+its scale passes 256 bits: a row's size reaches other rows only through
+the multipliers it gives as the pivot row, and it is reduced then.  So
+each row is a positive multiple of the row that the exchange tableau
+holds with every row divided by its gcd, and equal to it when it pivots.
+Between two of its own pivots a row gains about one pivot row's bit
+length per elimination, without bound over the hundred-odd pivots of a
+rich independent natural extension (7251 bits on a 6x6 one), hence the
+reduction.  256 bits is far above the rows of the small LPs that make
+most solves, so these pay no gcd per elimination, and it held the rich
+queries to 261 bits; a 64-bit bound reduces far more often and measured
+slower.
 The elimination is sparse: each pivot lists once the positions where
 ``s * prow`` (with position ``c`` set as above and the scale slot 0) is
 non-zero, often fewer than half of them, and each other row is updated
@@ -101,9 +107,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import Optional, Sequence
-
-from .spaces import RationalLike, as_fraction
 
 _ZERO = Fraction(0)
 
@@ -142,9 +147,8 @@ class LPResult:
 def scaled_row(values: Sequence[Fraction | int]) -> tuple[int, tuple[int, ...]]:
     """The rationals ``values`` as ``(scale, ints)``: ``scale`` is the lcm
     of their denominators and ``ints`` are the values times ``scale``.  This
-    is the form in which ``LinearProgram`` keeps its rows; a caller that
-    sends the same coefficients to many programs scales them once here and
-    adds them with ``LinearProgram.add_scaled``."""
+    is the integer row form that ``LinearProgram.add_scaled`` takes; a
+    caller with rational coefficients converts them here."""
     ratios = [a.as_integer_ratio() for a in values]
     scale = lcm(*{d for _, d in ratios})
     return scale, tuple(n * (scale // d) for n, d in ratios)
@@ -153,21 +157,17 @@ def scaled_row(values: Sequence[Fraction | int]) -> tuple[int, tuple[int, ...]]:
 class LinearProgram:
     """maximize c.x subject to rows (a.x <= / == / >= b) and x >= 0.
 
+    The objective c is ints, and rows go in as integer rows (``add_scaled``).
     A caller with a free variable y writes it as y+ - y-, two non-negative
     columns, and reads y back as their difference."""
 
-    def __init__(self, num_vars: int, objective: Sequence[RationalLike]):
+    def __init__(self, num_vars: int, objective: Sequence[int]):
         if len(objective) != num_vars:
             raise ValueError("objective length does not match variable count")
         self.num_vars = num_vars
-        self.objective = [as_fraction(c) for c in objective]
+        self.objective = list(map(index, objective))
         #: (scale, coefficients * scale, relation, rhs * scale), all ints.
         self.rows: list[tuple[int, Sequence[int], str, int]] = []
-
-    def add(self, coeffs: Sequence[RationalLike], rel: str, rhs: RationalLike) -> None:
-        # Callers mostly pass Fractions already; coerce only the rest.
-        row = [a if isinstance(a, Fraction) else as_fraction(a) for a in coeffs]
-        self.add_scaled(scaled_row(row), rel, as_fraction(rhs).as_integer_ratio())
 
     def add_scaled(
         self,
@@ -264,9 +264,8 @@ class LinearProgram:
                 labels = [-1, *(labels[j] for j in keep)]
                 tableau[:] = [[row[0], *(row[j] for j in keep), row[-1]] for row in tableau]
 
-        # Phase 2 over the structural objective, scaled to ints.
-        scale = lcm(*(c.denominator for c in self.objective))
-        costs = {j: c.numerator * (scale // c.denominator) for j, c in enumerate(self.objective) if c}
+        # Phase 2 over the structural objective.
+        costs = {j: c for j, c in enumerate(self.objective) if c}
         cost = self._cost_row([costs.get(v, 0) for v in basis], tableau, labels, costs)
         status, entering = self._iterate(tableau, basis, labels, cost, pricing)
 
@@ -328,8 +327,8 @@ class LinearProgram:
         is subtracted where ``elim`` is non-zero only; a row whose multiplier
         cancelled to 1 is not otherwise touched.  An eliminated row is not
         divided by its gcd: no decision depends on a row's positive factor,
-        and it is reduced when it pivots.  The cost row is divided by its
-        gcd after its elimination."""
+        and it is reduced when it pivots, or as soon as its scale passes 256
+        bits.  The cost row is divided by its gcd after its elimination."""
         prow = _coprime(tableau[r])
         piv = prow[c]
         if piv < 0:  # keep the new row scale positive
@@ -355,6 +354,8 @@ class LinearProgram:
                 row[:] = [p * v for v in row]
             for j, a in nonzero:
                 row[j] -= f * a
+            if row[0].bit_length() > 256:
+                row[:] = _coprime(row)
         if reduce_cost:
             cost[:] = _coprime(cost)
         prow[0] = piv

@@ -28,7 +28,7 @@ from desirables.prevision import (
     SureLossError,
     lower_prevision,
 )
-from desirables.simplex import EQUAL, GREATER_EQUAL, LinearProgram, LPStatus
+from desirables.simplex import EQUAL, GREATER_EQUAL, LinearProgram, LPStatus, scaled_row
 from desirables.spaces import Space, indicator
 from desirables.suites import (
     random_envelope_model,
@@ -137,23 +137,17 @@ class TestQueryDuality:
 
         # Dual: minimize r.(f * I_B) over r >= 0 with unit mass on the event
         # and non-negative expectation per generator, solved by the same
-        # simplex on the transposed formulation.
+        # simplex on the transposed formulation.  The objective is f's
+        # integer row, so the optimum is f.den times the rational one.
         n = space.size
-        weights = [
-            -(f.values[k]) if x in event.members else Fraction(0)
-            for k, x in enumerate(space.outcomes)
-        ]
+        weights = [-v if x in event.members else 0 for v, x in zip(f.nums, space.outcomes)]
         lp = LinearProgram(n, weights)
-        lp.add(
-            [Fraction(1) if x in event.members else Fraction(0) for x in space.outcomes],
-            EQUAL,
-            1,
-        )
+        lp.add_scaled(scaled_row([int(x in event.members) for x in space.outcomes]), EQUAL, (1, 1))
         for g in model.cone.generators:
-            lp.add(list(g.values), GREATER_EQUAL, 0)
+            lp.add_scaled(scaled_row(g.values), GREATER_EQUAL, (0, 1))
         result = lp.solve()
         assert result.status is LPStatus.OPTIMAL
-        assert -result.value == primal
+        assert -result.value == primal * f.den
 
     def test_dual_point_is_a_scaled_dominating_pmf(self):
         rng = random.Random(8100)
@@ -208,7 +202,7 @@ class TestQueryDuality:
                     continue
                 seen["finite"] += 1
                 value = lower_prevision(model.cone, f, event)
-                assert value == -dual.value
+                assert value * f.den == -dual.value
                 argmin, _argmax = model.dominating_previsions(f, event)
                 assert argmin.conditional(f, event) == value
         assert all(seen.values())
@@ -245,7 +239,8 @@ def highs_lower(optimize, generators, f, event):
 
 
 class TestIndependentNaturalExtensionAgainstHighs:
-    """6x6, 7x7 and 8x8 joints: the exact lower, upper and conditional values
+    """6x6, 7x7 and 8x8 joints of 3-entry marginals, and 6x6 joints of
+    12-entry ones: the exact lower, upper and conditional values
     must match HiGHS on the LP over ``joint_cone.generators`` within 1e-6
     relative to max(1, |value|).  The joint rows the engine solves over
     are assembled from the marginal rows, so this also checks that path."""
@@ -253,12 +248,22 @@ class TestIndependentNaturalExtensionAgainstHighs:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_queries_match_highs(self, n, seed):
+        self.assert_queries_match_highs(random.Random(f"highs:{n}:{seed}"), n, 3)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rich_marginals_match_highs(self, seed):
+        """Marginals of 12 entries on general gambles take an INE query
+        through 100-odd pivots, where tableau integers grow if rows are
+        not reduced between pivots."""
+        self.assert_queries_match_highs(random.Random(f"highs-rich:{seed}"), 6, 12)
+
+    @staticmethod
+    def assert_queries_match_highs(rng, n, n_entries):
         optimize = pytest.importorskip("scipy.optimize")
-        rng = random.Random(f"highs:{n}:{seed}")
         x = Space("X", tuple(f"x{i}" for i in range(n)))
         y = Space("Y", tuple(f"y{i}" for i in range(n)))
-        left, _ = random_envelope_model(rng, x, n_pmfs=3, n_entries=3)
-        right, _ = random_envelope_model(rng, y, n_pmfs=3, n_entries=3)
+        left, _ = random_envelope_model(rng, x, n_pmfs=3, n_entries=n_entries)
+        right, _ = random_envelope_model(rng, y, n_pmfs=3, n_entries=n_entries)
         right_family = EventFamily.custom(y, [random_nonempty_event(rng, y) for _ in range(2)])
         ine = IndependentNaturalExtension(left, right, EventFamily.atoms(x), right_family)
         generators = ine.joint_cone.generators

@@ -1,15 +1,21 @@
 """The exact rational LP core, cross-checked against independent routes."""
 
+import ast
 import itertools
 import json
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from desirables import simplex
+from desirables.independence import EventFamily, IndependentNaturalExtension
 from desirables.simplex import BLAND, DANTZIG, LinearProgram, LPResult, LPStatus, _coprime, scaled_row
+from desirables.spaces import Space
+from desirables.suites import random_envelope_model, random_gamble, random_nonempty_event
 
 from oracles import solve_linear_system, sympy_lp_max
 
@@ -101,12 +107,14 @@ class TestCannedPrograms:
 
 
 def split_program(objective, rows, nonneg):
-    """The ``LinearProgram`` that maximizes the objective subject to
-    (coeffs, rel, rhs) rows, and the function that folds its points and
-    rays back.  ``nonneg`` flags each variable (or all of them) as
-    non-negative; a free variable x is written x+ - x-, with the x- column
-    right after the x+ one, and its point and ray entries are read back as
-    the difference."""
+    """The ``LinearProgram`` that maximizes the rational objective subject
+    to rational (coeffs, rel, rhs) rows, and the function that folds its
+    result back.  The objective goes in times the lcm k of its
+    denominators, each row as its ``scaled_row``, and the folded result's
+    value is divided by k.  ``nonneg`` flags each variable (or all of
+    them) as non-negative; a free variable x is written x+ - x-, with the
+    x- column right after the x+ one, and its point and ray entries are
+    read back as the difference."""
     if isinstance(nonneg, bool):
         nonneg = [nonneg] * len(objective)
     # Per variable, its column and, when free, the column of its negation.
@@ -129,18 +137,24 @@ def split_program(objective, rows, nonneg):
             return None
         return tuple(values[plus] - (values[minus] if minus >= 0 else 0) for plus, minus in columns)
 
-    lp = LinearProgram(width, split(objective))
+    k = lcm(*(Fraction(c).denominator for c in objective))
+    lp = LinearProgram(width, [int(c * k) for c in split(objective)])
     for coeffs, rel, rhs in rows:
-        lp.add(split(coeffs), rel, rhs)
-    return lp, fold
+        lp.add_scaled(scaled_row([Fraction(a) for a in split(coeffs)]), rel, Fraction(rhs).as_integer_ratio())
+
+    def unsplit(result):
+        value = None if result.value is None else result.value / k
+        return LPResult(result.status, value, fold(result.point), fold(result.ray))
+
+    return lp, unsplit
 
 
 def solve_priced(pricing, objective, rows, nonneg=True):
-    """Solve ``split_program`` with the given entering rule; the point and
-    ray are folded back to the free variables."""
-    lp, fold = split_program(objective, rows, nonneg)
-    result = lp.solve(pricing)
-    return LPResult(result.status, result.value, fold(result.point), fold(result.ray))
+    """Solve ``split_program`` with the given entering rule; the value is
+    the rational objective's, and the point and ray are folded back to
+    the free variables."""
+    lp, unsplit = split_program(objective, rows, nonneg)
+    return unsplit(lp.solve(pricing))
 
 
 def assert_satisfies(rows, nonneg, point):
@@ -300,12 +314,12 @@ class TestAgainstSympy:
 
 
 class TestScaledRows:
-    """``add_scaled`` with a ``scaled_row`` stores the row that ``add``
-    stores for the same rationals, the rhs denominator included, whether
-    the rhs ratio comes in lowest terms or not."""
+    """``add_scaled`` with a ``scaled_row`` stores the rationals' row over
+    the lcm of every denominator, the rhs one included, whether the rhs
+    ratio comes in lowest terms or not."""
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_add_scaled_matches_add(self, seed):
+    def test_add_scaled_stores_the_lowest_terms_row(self, seed):
         rng = random.Random(3300 + seed)
         n = rng.randint(0, 5)
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
@@ -314,14 +328,14 @@ class TestScaledRows:
         rel = rng.choice(["<=", ">=", "=="])
         scale, ints = scaled_row(coeffs)
         assert scale > 0 and all(Fraction(a, scale) == c for a, c in zip(ints, coeffs))
-        plain = LinearProgram(n + 1, [0] * (n + 1))
-        plain.add(coeffs + list(last), rel, rhs)
         scaled = LinearProgram(n + 1, [0] * (n + 1))
         scaled.add_scaled((scale, ints), rel, rhs.as_integer_ratio(), last=last)
         k = rng.randint(2, 12)
         scaled.add_scaled((scale, ints), rel, (rhs.numerator * k, rhs.denominator * k), last=last)
-        (s1, c1, r1, b1), (s2, c2, r2, b2), (s3, c3, r3, b3) = plain.rows[0], *scaled.rows
-        assert (s1, list(c1), r1, b1) == (s2, list(c2), r2, b2) == (s3, list(c3), r3, b3)
+        want = lcm(scale, rhs.denominator)
+        expected = (want, [int(c * want) for c in [*coeffs, *last]], rel, int(rhs * want))
+        (s2, c2, r2, b2), (s3, c3, r3, b3) = scaled.rows
+        assert (s2, list(c2), r2, b2) == (s3, list(c3), r3, b3) == expected
 
     def test_add_scaled_checks_length_and_relation(self):
         lp = LinearProgram(2, [0, 0])
@@ -495,6 +509,44 @@ class TestRowScaleInvariance:
         assert tableau[0] == [2, 3, 1, 6]
 
 
+def rich_ine_query(seed):
+    """A 6x6 independent natural extension of two 12-entry marginals, with
+    a query gamble: each of its queries takes about a hundred pivots."""
+    rng = random.Random(f"rich-ine:{seed}")
+    x = Space("X", tuple(f"x{i}" for i in range(6)))
+    y = Space("Y", tuple(f"y{i}" for i in range(6)))
+    left, _ = random_envelope_model(rng, x, n_pmfs=3, n_entries=12)
+    right, _ = random_envelope_model(rng, y, n_pmfs=3, n_entries=12)
+    family = EventFamily.custom(y, [random_nonempty_event(rng, y) for _ in range(2)])
+    ine = IndependentNaturalExtension(left, right, EventFamily.atoms(x), family)
+    return ine, random_gamble(rng, ine.space, span=3)
+
+
+class TestTableauBitBound:
+    """A row whose scale passes 256 bits is divided by its gcd after its
+    elimination, so on rich INE queries no tableau integer passes 300
+    bits (without the reduction they reach 1800-7300 bits), and the
+    values are those of the dense pivots, which reduce every row."""
+
+    BITS = 300
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_largest_tableau_integer_is_bounded(self, seed, monkeypatch):
+        ine, f = rich_ine_query(seed)
+        bits = []
+        original = LinearProgram._pivot
+
+        def spy(tableau, cost, basis, labels, r, c):
+            original(tableau, cost, basis, labels, r, c)
+            bits.append(max(abs(v).bit_length() for row in (*tableau, cost) for v in row))
+
+        monkeypatch.setattr(LinearProgram, "_pivot", staticmethod(spy))
+        values = ine.lower(f), ine.upper(f)
+        assert len(bits) > 50 and max(bits) <= self.BITS
+        monkeypatch.setattr(LinearProgram, "_pivot", staticmethod(dense_pivot))
+        assert (ine.lower(f), ine.upper(f)) == values
+
+
 def assert_prices_certify(objective, rows, result):
     """``result.prices`` is an optimal dual of the program up to one positive
     scale K: with every row written as ``<=`` (a . x <= b), the prices u
@@ -535,9 +587,11 @@ class TestPrices:
             coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
             rows.append((coeffs, rng.choice(["<=", ">="]), Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
         rows += [([Fraction(int(j == k)) for j in range(n)], "<=", Fraction(6)) for k in range(n)]  # bounded
+        k = lcm(*(c.denominator for c in objective))
+        objective = [int(c * k) for c in objective]
         lp = LinearProgram(n, objective)
         for coeffs, rel, rhs in rows:
-            lp.add(coeffs, rel, rhs)
+            lp.add_scaled(scaled_row(coeffs), rel, rhs.as_integer_ratio())
         result = lp.solve(pricing)
         if result.status is LPStatus.OPTIMAL:
             assert_prices_certify(objective, rows, result)
@@ -547,15 +601,34 @@ class TestPrices:
     def test_canned_prices(self):
         # max x + y s.t. x + 2y <= 4, x <= 1: y = 3/2, duals 1/2 and 1/2.
         lp = LinearProgram(2, [1, 1])
-        lp.add([1, 2], "<=", 4)
-        lp.add([1, 0], "<=", 1)
-        lp.add([0, 1], "<=", 5)
+        lp.add_scaled((1, (1, 2)), "<=", (4, 1))
+        lp.add_scaled((1, (1, 0)), "<=", (1, 1))
+        lp.add_scaled((1, (0, 1)), "<=", (5, 1))
         prices = lp.solve().prices
         assert prices[0] == prices[1] > 0 and prices[2] == 0
 
     def test_equality_rows_are_priced_zero(self):
         lp = LinearProgram(2, [1, 1])
-        lp.add([1, 1], "==", 2)
-        lp.add([1, 0], "<=", 1)
+        lp.add_scaled((1, (1, 1)), "==", (2, 1))
+        lp.add_scaled((1, (1, 0)), "<=", (1, 1))
         result = lp.solve()
         assert result.value == 2 and result.prices[0] == 0
+
+
+def test_simplex_imports_no_package_module():
+    """The LP core takes ints and knows nothing of gambles or spaces."""
+    modules = []
+    for node in ast.walk(ast.parse(Path(simplex.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+    assert modules and not [m for m in modules if m.startswith((".", "desirables"))]
+
+
+def test_objective_must_be_ints():
+    with pytest.raises(TypeError):
+        LinearProgram(2, [Fraction(1, 2), 0])
+    with pytest.raises(TypeError):
+        LinearProgram(1, [Fraction(2)])
+    assert LinearProgram(2, [3, -1]).objective == [3, -1]
