@@ -54,9 +54,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .simplex import DANTZIG, EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, LPResult, LPStatus
+from .simplex import DANTZIG, EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, LPResult, LPStatus, scaled_row
 from .spaces import Event, Gamble, Space, SpaceMismatchError, indicator
 
 
@@ -69,17 +70,22 @@ class PmfWitness:
     masses: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        """Derive and validate the masses' integer row ``(den, nums)``, as
+        ``LinearPrevision`` does: mass ``nums[k] / den`` at outcome k."""
         if len(self.masses) != self.space.size:
             raise ValueError("witness length does not match its space")
-        if any(p <= 0 for p in self.masses):
+        den, nums = scaled_row(self.masses)
+        if any(n <= 0 for n in nums):
             raise ValueError("witness masses must be strictly positive")
-        if sum(self.masses) != 1:
+        if sum(nums) != den:
             raise ValueError("witness masses must sum to one")
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
 
     def expectation(self, g: Gamble) -> Fraction:
         if g.space != self.space:
             raise SpaceMismatchError("gamble on a different space")
-        return sum((p * v for p, v in zip(self.masses, g.values)), Fraction(0))
+        return Fraction(sum(map(mul, self.nums, g.nums)), self.den * g.den)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from .simplex import EQUAL, LinearProgram, LPStatus
-from .spaces import Event, Gamble, Space, SpaceMismatchError, indicator
+from .spaces import Event, Gamble, Space, SpaceMismatchError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .independence import EventFamily
@@ -95,7 +95,11 @@ def is_measurable(g: Gamble, family: "EventFamily") -> bool:
 
 
 def level_set(g: Gamble, level: Fraction) -> Event:
-    p, q = level.as_integer_ratio()  # v / den >= p / q, in ints
+    return _level_set(g, *level.as_integer_ratio())
+
+
+def _level_set(g: Gamble, p: int, q: int) -> Event:
+    """{g >= p / q} for q > 0, compared in ints as nums[k] * q >= p * den."""
     bound = p * g.den
     return Event(g.space, frozenset(x for x, v in zip(g.space.outcomes, g.nums) if v * q >= bound))
 
@@ -189,19 +193,19 @@ def level_set_approximation(g: Gamble, family: "EventFamily", n: int) -> LevelAp
     if n < 1:
         raise ValueError("the step count n must be a positive integer")
     alpha = g.maximum() + 1
-    pieces = []
+    a, b = alpha.as_integer_ratio()
+    q = n * b  # level k is k * alpha / n = k * a / q
     for k in range(1, n):
-        level = Fraction(k, n) * alpha
-        ls = level_set(g, level)
+        ls = _level_set(g, k * a, q)
         if split_into_disjoint(ls, family) is None:
             return LevelApproximation(
-                alpha=alpha, n=n, approximant=None, witness_level=level, witness_set=ls
+                alpha=alpha, n=n, approximant=None, witness_level=Fraction(k * a, q), witness_set=ls
             )
-        pieces.append(indicator(ls))
-    approx = g.space.zero()
-    for piece in pieces:
-        approx = approx + piece
-    approx = approx * (alpha / n)
+    # g_n(x) = (alpha / n) * #{k < n : g(x) >= k * a / q}; that count is
+    # floor(g(x) * q / a), at most n - 1 because g < alpha, so g_n(x) is
+    # a * floor(nums[x] * q / (a * den)) / q.
+    step = a * g.den
+    approx = Gamble.from_ints(g.space, q, [a * (v * q // step) for v in g.nums])
     return LevelApproximation(alpha=alpha, n=n, approximant=approx)
 
 

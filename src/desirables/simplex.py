@@ -79,6 +79,21 @@ alone use it, because those are the same whichever optimal vertex the
 pivots reach: lower-prevision queries, the value-first coherence probes,
 cone membership, the strict cone check and the credal-set questions.
 
+Under ``DANTZIG`` a tie in the ratio test goes to the row whose pivot
+entry ``a_i / d_i`` is largest, compared as ``a_i * d_j > a_j * d_i``
+(the classical choice of Harris 1973), and to the smallest basic label
+when those are equal too; like the ratio, that entry does not depend on
+a row's positive factor.  Most ties are degenerate (rhs 0): on the
+coherence probes of 12-entry models three in four pivots were, under the
+smallest-label tie-break, and this rule took away about a quarter of
+all pivots.
+Bland's rule keeps its smallest-label tie-break, because its termination
+rests on it and because the published vertices and rays come from its
+path; so does a Dantzig phase once it has switched to Bland's rule.  A
+Dantzig solve may therefore end at another optimal basis than it did
+with the smallest-label tie-break, and its point and prices may differ,
+but its status and value may not.
+
 A ``<=`` row with a non-negative right-hand side (or a ``>=`` row with a
 negative one) starts on its slack; only the other rows get an artificial,
 and a solve with none runs no phase 1.  Lower-prevision queries and every
@@ -88,7 +103,11 @@ Artificial columns leave the tableau once phase 1 ends.
 
 The solver reports exactly one of three outcomes: an optimum together
 with a point that satisfies every constraint exactly, infeasibility, or
-unboundedness together with an improving ray.  An optimum also carries one
+unboundedness together with an improving ray.  An optimum keeps the
+basic rows' ``(label, rhs, scale)`` ints, and its value is summed from
+them in ints and made one ``Fraction``; ``LPResult.point`` is built from
+them the first time it is read, so a solve read for its value or prices
+alone (``cones._lower_value``) makes no point.  An optimum also carries one
 integer price per row, read in one pass over the final non-basic labels:
 minus the cost-row entry of the row's slack when that slack is non-basic,
 and 0 when it is basic or the row is an equality.  A slack's reduced cost
@@ -103,7 +122,6 @@ problem data are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
@@ -130,18 +148,77 @@ class LPStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
 class LPResult:
+    """The outcome of a solve.  ``LPResult(status, value, point, ray,
+    prices)`` builds one directly; a solve hands over its optimum as the
+    basic rows' ints instead of a point, and ``point`` is built from them
+    the first time it is read, so a caller that reads only the value or
+    the prices makes no ``Fraction`` point.  Results are immutable, and
+    equal when their status, value, point, ray and prices are."""
+
+    __slots__ = ("status", "value", "ray", "prices", "_point", "_basic")
+
     status: LPStatus
-    value: Optional[Fraction] = None
-    point: Optional[tuple[Fraction, ...]] = None
+    value: Optional[Fraction]
     #: On UNBOUNDED: a direction d with A-feasibility preserved along x + t*d
     #: and strictly increasing objective.
-    ray: Optional[tuple[Fraction, ...]] = None
+    ray: Optional[tuple[Fraction, ...]]
     #: On OPTIMAL: one integer price per row, the dual value of an
     #: inequality row written as ``<=``, times one positive scale shared by
     #: all rows (0 for a row whose slack is basic, and for an ``==`` row).
-    prices: Optional[tuple[int, ...]] = None
+    prices: Optional[tuple[int, ...]]
+
+    def __init__(
+        self,
+        status: LPStatus,
+        value: Optional[Fraction] = None,
+        point: Optional[tuple[Fraction, ...]] = None,
+        ray: Optional[tuple[Fraction, ...]] = None,
+        prices: Optional[tuple[int, ...]] = None,
+    ) -> None:
+        for name, v in zip(self.__slots__, (status, value, ray, prices, point, None)):
+            object.__setattr__(self, name, v)
+
+    @classmethod
+    def _optimum(
+        cls, nstruct: int, basic: tuple[tuple[int, int, int], ...], value: Fraction, prices: tuple[int, ...]
+    ) -> "LPResult":
+        """An optimum whose point has ``nstruct`` entries: ``rhs / scale``
+        for each ``(label, rhs, scale)`` in ``basic``, and 0 elsewhere."""
+        result = cls(LPStatus.OPTIMAL, value, prices=prices)
+        object.__setattr__(result, "_basic", (nstruct, basic))
+        return result
+
+    @property
+    def point(self) -> Optional[tuple[Fraction, ...]]:
+        """On OPTIMAL: the optimal vertex's structural part."""
+        if self._point is None and self._basic is not None:
+            nstruct, basic = self._basic
+            point = [_ZERO] * nstruct
+            for label, rhs, scale in basic:
+                point[label] = Fraction(rhs, scale)
+            object.__setattr__(self, "_point", tuple(point))
+        return self._point
+
+    def _fields(self) -> tuple:
+        return self.status, self.value, self.point, self.ray, self.prices
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not LPResult:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = zip(("status", "value", "point", "ray", "prices"), self._fields())
+        return f"LPResult({', '.join(f'{name}={v!r}' for name, v in fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("LP results are immutable")
+
+    __delattr__ = __setattr__
 
 
 def scaled_row(values: Sequence[Fraction | int]) -> tuple[int, tuple[int, ...]]:
@@ -273,14 +350,22 @@ class LinearProgram:
             ray = self._extract_ray(tableau, basis, labels[entering], entering, nstruct)
             return LPResult(status=LPStatus.UNBOUNDED, ray=ray)
 
-        point = self._extract_point(tableau, basis, nstruct)
-        value = sum((c * x for c, x in zip(self.objective, point) if c), _ZERO)
+        # The value sum(c_b * rhs_b / d_b) over the basic structural rows,
+        # summed over the product of their scales and made one Fraction.
+        objective = self.objective
+        basic = tuple((b, row[-1], row[0]) for row, b in zip(tableau, basis) if b < nstruct)
+        num, den = 0, 1
+        for b, rhs, d in basic:
+            c = objective[b]
+            if c:
+                num = num * d + c * rhs * den
+                den *= d
         prices = [0] * len(self.rows)
         slack_row = [i for i, s in enumerate(slack_label) if s >= 0]
         for v, c in zip(labels[1:], cost[1:-1]):
             if v >= nstruct:
                 prices[slack_row[v - nstruct]] = -c
-        return LPResult(status=LPStatus.OPTIMAL, value=value, point=point, prices=tuple(prices))
+        return LPResult._optimum(nstruct, basic, Fraction(num, den), tuple(prices))
 
     @staticmethod
     def _cost_row(
@@ -393,9 +478,12 @@ class LinearProgram:
             if enter < 0:
                 return LPStatus.OPTIMAL, -1
             # Ratio test: rhs / a, with the row scale cancelled, compared
-            # as rhs_i * a_best < rhs_best * a_i (both a positive).
+            # as rhs_i * a_best < rhs_best * a_i (both a positive).  A tie
+            # goes to the smallest basic label under Bland's rule, and
+            # otherwise to the largest pivot entry a / d, compared as
+            # a_i * d_best > a_best * d_i, then to the smallest label.
             leave = -1
-            best_rhs = best_a = 0
+            best_rhs = best_a = best_d = 0
             for i, row in enumerate(tableau):
                 a = row[enter]
                 if a <= 0:
@@ -403,9 +491,15 @@ class LinearProgram:
                 if leave >= 0:
                     lhs = row[-1] * best_a
                     rhs = best_rhs * a
-                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                    if lhs > rhs:
                         continue
-                best_rhs, best_a = row[-1], a
+                    if lhs == rhs:
+                        if not bland:
+                            lhs = a * best_d
+                            rhs = best_a * row[0]
+                        if lhs < rhs or (lhs == rhs and basis[i] > basis[leave]):
+                            continue
+                best_rhs, best_a, best_d = row[-1], a, row[0]
                 leave = i
             if leave < 0:
                 return LPStatus.UNBOUNDED, enter
@@ -437,15 +531,6 @@ class LinearProgram:
         for i in reversed(drop):
             del tableau[i]
             del basis[i]
-
-    @staticmethod
-    def _extract_point(tableau: list[list[int]], basis: list[int], nstruct: int) -> tuple[Fraction, ...]:
-        """The basic solution's structural part; slacks are not read."""
-        point = [_ZERO] * nstruct
-        for row, b in zip(tableau, basis):
-            if b < nstruct:
-                point[b] = Fraction(row[-1], row[0])
-        return tuple(point)
 
     @staticmethod
     def _extract_ray(

@@ -188,19 +188,16 @@ def restricted_family_gap_instance() -> GapInstance:
 def gap_instance_values() -> tuple[Fraction, Fraction]:
     """Recompute both sides of the committed gap instance.  The all-events
     side lists every non-empty subset as a custom family, so that it does
-    not lean on the atom reduction of the ``all`` family."""
+    not lean on the atom reduction of the ``all`` family.  Both sides share
+    the two marginals, so each marginal's coherence is checked once."""
     inst = restricted_family_gap_instance()
-    ine_custom = IndependentNaturalExtension(
-        inst.left.as_lower_prevision(),
-        inst.right.as_lower_prevision(),
-        inst.left_family,
-        inst.right_family,
-    )
+    left, right = inst.left.as_lower_prevision(), inst.right.as_lower_prevision()
+    ine_custom = IndependentNaturalExtension(left, right, inst.left_family, inst.right_family)
     joint_gamble = ine_custom.lift(inst.odd) * ine_custom.lift(inst.even)
     custom_value = ine_custom.lower(joint_gamble)
     ine_all = IndependentNaturalExtension(
-        inst.left.as_lower_prevision(),
-        inst.right.as_lower_prevision(),
+        left,
+        right,
         EventFamily.custom(inst.left.space, EventFamily.all_nonempty(inst.left.space).events()),
         EventFamily.custom(inst.right.space, EventFamily.all_nonempty(inst.right.space).events()),
     )

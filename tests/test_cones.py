@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from desirables.cones import DesirableCone, _dominating_expectations, _lower_value
+from desirables.cones import DesirableCone, PmfWitness, _dominating_expectations, _lower_value
 from desirables.simplex import LinearProgram
 from desirables.spaces import Gamble, Space, SpaceMismatchError
 from desirables.suites import random_gamble, random_nonempty_event
@@ -113,6 +113,32 @@ class TestPmfWitness:
             assert all(p > 0 for p in witness.masses)
             assert sum(witness.masses) == 1
             assert all(witness.expectation(g) > 0 for g in cone.generators)
+
+
+class TestPmfWitnessRows:
+    """A witness derives its masses' integer row and takes expectations
+    over it, making one ``Fraction``."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_expectation_equals_the_fraction_sum(self, seed):
+        rng = random.Random(f"witness-rows:{seed}")
+        space = Space("W", tuple(f"w{i}" for i in range(rng.randint(1, 6))))
+        weights = [rng.randint(1, 9) for _ in space.outcomes]
+        masses = tuple(Fraction(w, sum(weights)) for w in weights)
+        witness = PmfWitness(space, masses)
+        assert sum(witness.nums) == witness.den and Fraction(witness.nums[0], witness.den) == masses[0]
+        g = random_gamble(rng, space)
+        assert witness.expectation(g) == sum((p * v for p, v in zip(masses, g.values)), Fraction(0))
+
+    def test_invalid_masses_rejected(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            PmfWitness(AB, (Fraction(0), Fraction(1)))
+        with pytest.raises(ValueError, match="sum to one"):
+            PmfWitness(AB, (Fraction(1, 3), Fraction(1, 3)))
+        with pytest.raises(ValueError, match="length"):
+            PmfWitness(AB, (Fraction(1),))
+        with pytest.raises(SpaceMismatchError):
+            PmfWitness(AB, (Fraction(1, 2), Fraction(1, 2))).expectation(Space("C", ("c", "d")).gamble([1, 2]))
 
 
 class TestExtension:

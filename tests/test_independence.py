@@ -684,6 +684,20 @@ class TestNoRepeatedGenerators:
         assert len(ine.joint_cone.generators) == 84
         assert gap_instance_values() == (Fraction(1, 9), Fraction(2, 9))
 
+    def test_gap_instance_checks_each_marginal_once(self, monkeypatch):
+        # Both extensions of the gap instance share the two marginals, so
+        # their coherence is checked twice in all, not once per extension.
+        checked = []
+        original = ConditionalLowerPrevision._check_coherence
+
+        def spy(model):
+            checked.append(model)
+            return original(model)
+
+        monkeypatch.setattr(ConditionalLowerPrevision, "_check_coherence", spy)
+        assert gap_instance_values() == (Fraction(1, 9), Fraction(2, 9))
+        assert len(checked) == 2
+
 
 def eager_joint_cone(left, right, left_family, right_family):
     """The INE joint cone built as construction once built it, from the

@@ -11,6 +11,7 @@ import pytest
 
 from desirables.independence import EventFamily
 from desirables.measurability import (
+    LevelApproximation,
     SimpleGambleCone,
     family_is_field,
     generated_field,
@@ -24,7 +25,7 @@ from desirables.measurability import (
     MeasurabilityError,
 )
 from desirables.spaces import Event, Space, indicator
-from desirables.suites import random_measurable_gamble, random_nonneg_gamble
+from desirables.suites import random_family, random_measurable_gamble, random_nonneg_gamble, random_space
 
 X4 = Space("X", ("1", "2", "3", "4"))
 X6 = Space("S", tuple(str(i) for i in range(1, 7)))
@@ -122,6 +123,37 @@ class TestLevelSets:
         g = random_nonneg_gamble(rng, X4)
         if non_measurability_witness(g, fam) is None:
             assert is_measurable(g, fam)
+
+
+def fraction_staircase(g, family, n):
+    """The staircase as it was built over ``Fraction`` levels and a sum of
+    level-set indicators scaled by alpha / n."""
+    alpha = g.maximum() + 1
+    approx = g.space.zero()
+    for k in range(1, n):
+        level = Fraction(k, n) * alpha
+        ls = level_set(g, level)
+        if split_into_disjoint(ls, family) is None:
+            return LevelApproximation(alpha=alpha, n=n, approximant=None, witness_level=level, witness_set=ls)
+        approx = approx + indicator(ls)
+    return LevelApproximation(alpha=alpha, n=n, approximant=approx * (alpha / n))
+
+
+class TestIntegerStaircase:
+    """``level_set_approximation`` compares the integer rows with each grid
+    level as a ratio and builds its approximant from ints; every field is
+    the one the ``Fraction`` construction gives."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_approximation_as_fraction_levels(self, seed):
+        rng = random.Random(f"staircase:{seed}")
+        space = random_space(rng, "S", 2, 6)
+        family = random_family(rng, space)
+        g = random_measurable_gamble(rng, space, family) if seed % 2 else random_nonneg_gamble(rng, space)
+        for n in (1, 2, 3, 5, 8):
+            approx = level_set_approximation(g, family, n)
+            assert approx == fraction_staircase(g, family, n)
+            assert (approx.alpha, approx.error_bound) == (g.maximum() + 1, (g.maximum() + 1) / n)
 
 
 class TestAllFamilyStaysOnAtoms:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from desirables import simplex
+from desirables.cones import _lower_value
 from desirables.independence import EventFamily, IndependentNaturalExtension
 from desirables.simplex import BLAND, DANTZIG, LinearProgram, LPResult, LPStatus, _coprime, scaled_row
 from desirables.spaces import Space
@@ -545,6 +546,134 @@ class TestTableauBitBound:
         assert len(bits) > 50 and max(bits) <= self.BITS
         monkeypatch.setattr(LinearProgram, "_pivot", staticmethod(dense_pivot))
         assert (ine.lower(f), ine.upper(f)) == values
+
+
+class TestRatioTieRule:
+    """Under Dantzig pricing a ratio-test tie leaves on the row with the
+    largest pivot entry a / d, then on the smallest basic label; under
+    Bland's rule it leaves on the smallest basic label."""
+
+    @staticmethod
+    def tied_program():
+        # max x over four rows whose ratios all tie at 2.  As rationals the
+        # pivot entries are 1, 5/8, 2 and 2: row 1 is stored as [8, 5, 10]
+        # and row 3 as [3, 6, 12], so their largest ints are not their
+        # largest entries, and rows 2 and 3 tie on the entry too.
+        lp = LinearProgram(1, [1])
+        lp.add_scaled((1, (1,)), "<=", (2, 1))
+        lp.add_scaled((8, (5,)), "<=", (10, 8))
+        lp.add_scaled((1, (2,)), "<=", (4, 1))
+        lp.add_scaled((3, (6,)), "<=", (12, 3))
+        return lp
+
+    @pytest.mark.parametrize("pricing, leaving", [(BLAND, 0), (DANTZIG, 2)])
+    def test_tied_rows(self, pricing, leaving, monkeypatch):
+        pivots = []
+        original = LinearProgram._pivot
+
+        def spy(tableau, cost, basis, labels, r, c):
+            pivots.append(r)
+            original(tableau, cost, basis, labels, r, c)
+
+        monkeypatch.setattr(LinearProgram, "_pivot", staticmethod(spy))
+        result = self.tied_program().solve(pricing)
+        assert pivots == [leaving]
+        assert result.value == 2 and result.point == (Fraction(2),)
+        assert [i for i, p in enumerate(result.prices) if p] == [leaving]
+
+
+class TestDegeneratePivotBudget:
+    """The coherence checks of fixed 12-entry envelope models on 6-8
+    outcomes are value-only Dantzig solves, and three in four of their
+    pivots were degenerate under the smallest-label tie-break.  Leaving on
+    the largest pivot entry, they take at most 700 pivots in all (606
+    measured, 990 with the smallest-label tie-break)."""
+
+    PIVOTS = 700
+
+    def test_coherence_checks_stay_within_the_budget(self, monkeypatch):
+        pivots = []
+        original = LinearProgram._pivot
+
+        def counted(*args):
+            pivots.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(LinearProgram, "_pivot", staticmethod(counted))
+        for seed in range(20):
+            rng = random.Random(f"pivot-budget:{seed}")
+            space = Space("X", tuple(f"x{i}" for i in range(6 + seed % 3)))
+            model, _ = random_envelope_model(rng, space, n_pmfs=3, n_entries=12)
+            assert model.is_coherent()
+        assert len(pivots) <= self.PIVOTS
+
+
+def eager_point(tableau, basis, nstruct):
+    """The point as every optimum once built it from the final tableau."""
+    point = [Fraction(0)] * nstruct
+    for row, b in zip(tableau, basis):
+        if b < nstruct:
+            point[b] = Fraction(row[-1], row[0])
+    return tuple(point)
+
+
+class TestLazyPoint:
+    """An optimum keeps its basic rows' ints and builds ``point`` on first
+    read; value-only callers never read it, so they build none."""
+
+    @pytest.mark.parametrize("pricing", [BLAND, DANTZIG])
+    @pytest.mark.parametrize("case", GOLDEN, ids=[f"lp{k:03d}" for k in range(len(GOLDEN))])
+    def test_point_and_value_as_eager_extraction(self, case, pricing, monkeypatch):
+        objective = [Fraction(c) for c in case["objective"]]
+        rows = [([Fraction(a) for a in coeffs], rel, Fraction(rhs)) for coeffs, rel, rhs in case["rows"]]
+        lp, _ = split_program(objective, rows, case["nonneg"])
+        phases = []
+        original = LinearProgram._iterate
+
+        def spy(tableau, basis, labels, cost, pricing):
+            phases.append((tableau, basis))
+            return original(tableau, basis, labels, cost, pricing)
+
+        monkeypatch.setattr(LinearProgram, "_iterate", staticmethod(spy))
+        result = lp.solve(pricing)
+        if result.status is not LPStatus.OPTIMAL:
+            assert result.point is None
+            return
+        tableau, basis = phases[-1]  # the final tableau of phase 2
+        point = eager_point(tableau, basis, lp.num_vars)
+        assert result.point == point
+        assert result.value == sum((c * x for c, x in zip(lp.objective, point)), Fraction(0))
+
+    def test_value_only_solves_build_no_point(self, monkeypatch):
+        results = []
+        original = LinearProgram.solve
+
+        def spy(lp, pricing=BLAND):
+            results.append(original(lp, pricing))
+            return results[-1]
+
+        monkeypatch.setattr(LinearProgram, "solve", spy)
+        rng = random.Random("lazy-point")
+        space = Space("X", tuple(f"x{i}" for i in range(7)))
+        model, _ = random_envelope_model(rng, space, n_pmfs=3, n_entries=12)
+        assert model.is_coherent()
+        for _ in range(10):
+            _lower_value(model.cone, random_gamble(rng, space), random_nonempty_event(rng, space))
+        assert len(results) > 10
+        assert all(result._point is None for result in results)
+        optimum = next(r for r in results if r.status is LPStatus.OPTIMAL)
+        assert optimum.point is not None and optimum._point is optimum.point
+
+    def test_results_compare_by_their_answers(self):
+        result = solve_priced(BLAND, [1, 1], [([1, 2], "<=", 4), ([1, 0], "<=", 1)])
+        assert result == LPResult(LPStatus.OPTIMAL, Fraction(5, 2), (Fraction(1), Fraction(3, 2)), None)
+        lp, _ = split_program([1, 1], [([1, 2], "<=", 4), ([1, 0], "<=", 1)], True)
+        solved = lp.solve()
+        assert solved == LPResult(LPStatus.OPTIMAL, solved.value, solved.point, None, solved.prices)
+        assert hash(solved) == hash(LPResult(LPStatus.OPTIMAL, solved.value, solved.point, None, solved.prices))
+        assert solved != LPResult(LPStatus.OPTIMAL, solved.value, solved.point, None, None)
+        with pytest.raises(AttributeError):
+            solved.value = Fraction(0)
 
 
 def assert_prices_certify(objective, rows, result):
