@@ -43,8 +43,15 @@ rows (see ``independence``), so no joint entry is converted at all.  The
 query LP reads a cone's ``space`` and ``scaled_rows`` only, its width
 included, so an ``IndependentNaturalExtension`` is queried on its joint
 rows without its joint generators.
-Cones are immutable: the cache is not a field, so it takes no part in
-equality or hashing, and it never changes once built.  Queries are pure
+A cone also caches ``credal_vertices``: the vertices of its dominating
+credal set {p >= 0, sum p = 1, E_p[g_i] >= 0}, enumerated once by double
+description in ints over the generators' integer rows and held as int
+tuples over one common denominator.  ``independence`` answers some INE
+queries from the marginals' vertices alone.  The enumeration gives up
+when more than ``VERTEX_CAP`` rays are kept at some step; the property
+is then None, and callers answer by LP.
+Cones are immutable: the caches are not fields, so they take no part in
+equality or hashing, and they never change once built.  Queries are pure
 and safe to run concurrently.
 """
 
@@ -59,6 +66,11 @@ from typing import Iterable, Optional, Sequence
 
 from .simplex import DANTZIG, EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, LPResult, LPStatus, scaled_row
 from .spaces import Event, Gamble, Space, SpaceMismatchError, indicator
+
+#: The most extreme rays that ``DesirableCone.credal_vertices`` keeps at any
+#: step of its enumeration; past it the property is None, and callers
+#: answer by LP instead.
+VERTEX_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -125,6 +137,17 @@ class DesirableCone:
         Built on first use and kept, so every LP over this cone's outcome
         rows skips the ``Fraction`` layer."""
         return _outcome_rows(self.space, self.generators)
+
+    @cached_property
+    def credal_vertices(self) -> Optional[tuple[tuple[int, ...], ...]]:
+        """The vertices of the dominating credal set {p >= 0, sum p = 1,
+        E_p[g_i] >= 0 for every generator}, as int tuples over one common
+        denominator (the sum of any of them), in the order the enumeration
+        finds them; empty when the cone incurs a sure loss, and None when
+        the enumeration keeps more than ``VERTEX_CAP`` rays at some step.
+        Built on first use from the generators' ``nums`` and kept, like
+        ``scaled_rows``; see ``_credal_vertices``."""
+        return _credal_vertices(self.space.size, [g.nums for g in self.generators])
 
     # -- decision procedures ------------------------------------------------
 
@@ -228,6 +251,59 @@ def _outcome_rows(space: Space, generators: Sequence[Gamble]) -> tuple[tuple[int
         scale = lcm(*[d // gcd(v, d) for v, d in zip(column, dens)])
         rows.append((scale, tuple(v * scale // d for v, d in zip(column, dens))))
     return tuple(rows)
+
+
+def _credal_vertices(n: int, rows: Sequence[Sequence[int]]) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The vertices of {p >= 0, sum p = 1, a . p >= 0 for each row a}, by
+    double description in ints (Motzkin et al. 1953; Fukuda & Prodon 1996).
+
+    The extreme rays of the cone {p >= 0, a . p >= 0} start as the unit
+    vectors of p >= 0, and each row a is added in turn.  A ray with
+    a . r >= 0 stays; every pair r+, r- with a . r+ > 0 > a . r- that is
+    adjacent gives the ray (a . r+) r- - (a . r-) r+ on the hyperplane
+    a . p = 0, divided by the gcd of its ints; the rays with a . r < 0 go.
+    Each ray carries the bit set of the constraints it makes tight (bit k
+    for p_k >= 0, bit n + i for row i).  Two rays are adjacent iff no other
+    ray is tight on every constraint that both are (the combinatorial
+    test); they must share at least n - 2 such constraints first, because
+    the face they span has dimension two.  Every step is exact, and the
+    vertices are the final rays, brought to the lcm of their sums.  None
+    when more than ``VERTEX_CAP`` rays are kept at some step.
+    """
+    if n > VERTEX_CAP:
+        return None
+    everything = (1 << n) - 1
+    rays = [(tuple(int(j == k) for j in range(n)), everything ^ (1 << k)) for k in range(n)]
+    for i, a in enumerate(rows):
+        bit = 1 << (n + i)
+        kept, plus, minus = [], [], []
+        for ray in rays:
+            side = sum(map(mul, a, ray[0]))
+            if side > 0:
+                plus.append((ray, side))
+                kept.append(ray)
+            elif side < 0:
+                minus.append((ray, side))
+            else:
+                kept.append((ray[0], ray[1] | bit))
+        if not minus:
+            rays = kept
+            continue
+        for (r1, z1), s1 in plus:
+            for (r2, z2), s2 in minus:
+                common = z1 & z2
+                if common.bit_count() < n - 2:
+                    continue
+                if any(common & z == common for _, z in rays if z != z1 and z != z2):
+                    continue
+                ints = [s1 * v2 - s2 * v1 for v1, v2 in zip(r1, r2)]
+                g = gcd(*ints)
+                kept.append((tuple(v // g for v in ints), common | bit))
+        if len(kept) > VERTEX_CAP:
+            return None
+        rays = kept
+    den = lcm(*(sum(r) for r, _ in rays))
+    return tuple(tuple(v * (den // sum(r)) for v in r) for r, _ in rays)
 
 
 # ---------------------------------------------------------------------------

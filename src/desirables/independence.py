@@ -36,6 +36,37 @@ Joint lower previsions are exact LP optima over this cone.  With coherent
 marginals the joint is coherent, reproduces the marginals, and satisfies
 factorisation and external additivity; those statements are executable
 properties, exercised by the test suites.
+
+Many queries need neither the LP nor the joint rows.  Say the left
+family's generator events hold every atom (``atoms``, ``all``, or a
+custom family listing each singleton); otherwise the same holds with the
+sides swapped.  Then the joint cone holds g2 * I_{x1} for every right
+generator g2 and left outcome x1, and g1 * 1 for every left generator g1.
+So a dominating joint pmf p has each conditional p(. | x1) in the right
+credal set K2 and its left marginal p1 in K1, and for a cylinder event
+A x Y (A = X for an unconditional query)
+
+    lower(f | A x Y) >= LB = min { E_v[H | A] : v a vertex of K1, v(A) > 0 },
+    H(x1) = min { E_w[f(x1, .)] : w a vertex of K2 },
+
+the marginal extension (Miranda & De Cooman 2007); a ratio of linear
+maps is least over K1 at a vertex.  The ``lower`` method of
+:class:`IndependentNaturalExtension` computes LB from the marginal cones'
+cached integer ``credal_vertices``, taking p1 and each p2^{x1} as the
+first vertex that attains its minimum.  The product pmf p1(x1) p2^{x1}(x2) gives f the
+conditional expectation LB.  It gives every generator g2 * I_{B1} a
+non-negative expectation, because each p2^{x1} is in K2, and g1 on the
+full right event too, because p1 is in K1.  What is left is checked in
+ints: for every left generator g1 and every other right generator event
+B2, sum_x1 p1(x1) g1(x1) p2^{x1}(B2) >= 0.  When all hold, the product
+pmf dominates and attains LB, so by weak duality the query's value is LB
+exactly, and the query runs no LP and builds no joint row.  When a check
+fails, when the event is no such cylinder, when no outer vertex gives A
+positive mass, or when a marginal has no vertices (past
+``cones.VERTEX_CAP``), the query runs the joint LP through
+``lower_prevision``, which stays the reference the tests compare with.
+The certified path runs after the same argument checks, so every error
+is the LP's.
 """
 
 from __future__ import annotations
@@ -53,6 +84,7 @@ from .measurability import require_measurable
 from .prevision import (
     ConditionalLowerPrevision,
     LinearPrevision,
+    _query_event,
     lower_prevision,
 )
 from .spaces import (
@@ -74,6 +106,16 @@ CUSTOM = "custom"
 
 class IncoherentMarginalError(ValueError):
     """A marginal model failed its coherence check."""
+
+
+#: The most outcomes on which ``EventFamily.events`` materialises the
+#: all-events family: 2^16 - 1 events.
+MAX_ALL_EVENTS_OUTCOMES = 16
+
+
+class FamilyTooLargeError(ValueError):
+    """Materialising the all-events family would exceed
+    ``MAX_ALL_EVENTS_OUTCOMES`` outcomes."""
 
 
 @dataclass(frozen=True)
@@ -111,11 +153,18 @@ class EventFamily:
         return EventFamily(space, CUSTOM, ())
 
     def events(self) -> tuple[Event, ...]:
-        """The family members, materialised (exponentially many for 'all')."""
+        """The family members, materialised: 2^n - 1 of them for 'all',
+        which raises ``FamilyTooLargeError`` past
+        ``MAX_ALL_EVENTS_OUTCOMES`` outcomes instead."""
         if self.kind == ATOMS:
             return self.space.atoms()
         if self.kind == ALL_NONEMPTY:
             outcomes = self.space.outcomes
+            if len(outcomes) > MAX_ALL_EVENTS_OUTCOMES:
+                raise FamilyTooLargeError(
+                    f"the all-events family on {self.space.name!r} has 2^{len(outcomes)} - 1 events; "
+                    f"it is materialised on at most {MAX_ALL_EVENTS_OUTCOMES} outcomes"
+                )
             members = []
             for size in range(1, len(outcomes) + 1):
                 for subset in itertools.combinations(outcomes, size):
@@ -250,6 +299,78 @@ def independent_product_cone(
     )
 
 
+def _cylinder_base(event: Event, sections: list[slice]) -> Optional[list[int]]:
+    """The indicator of the base A, as 0/1 per outer outcome, when the
+    product event is the cylinder A x Y over the outer factor whose
+    outcomes have these ``sections`` of the product's outcome indices;
+    None when it is not such a cylinder."""
+    if event.is_full:
+        return [1] * len(sections)
+    members = event.members
+    inside = [x in members for x in event.space.outcomes]
+    area = []
+    for s in sections:
+        block = inside[s]
+        if all(block):
+            area.append(1)
+        elif any(block):
+            return None
+        else:
+            area.append(0)
+    return area
+
+
+def _marginal_extension(
+    outer: DesirableCone,
+    inner: DesirableCone,
+    inner_events: list[list[int]],
+    sections: list[slice],
+    area: list[int],
+    f: Gamble,
+) -> Optional[Fraction]:
+    """lower(f | A x Y) from the marginals' credal vertices, when the
+    product pmf of the first minimisers certifies it; None otherwise.
+
+    H(x1) is the least inner-vertex expectation of f(x1, .), attained
+    first by p2^{x1}, and LB the least E_v[H | A] over the outer vertices v
+    with v(A) > 0, attained first by p1.  The value is LB when, for every
+    outer generator g1 and every ``inner_events`` member B2 (the inner
+    generator events but the full one), sum_x1 p1(x1) g1(x1) p2^{x1}(B2)
+    >= 0.  Everything is compared in ints: the vertices of each marginal
+    share one denominator, so H is an int row over the inner one and each
+    E_v[H | A] a ratio of ints.
+    """
+    outer_vertices, inner_vertices = outer.credal_vertices, inner.credal_vertices
+    if not outer_vertices or not inner_vertices:
+        return None
+    nums = f.nums
+    lows, minimisers = [], []
+    for s in sections:
+        section = nums[s]
+        expectations = [sum(map(mul, v, section)) for v in inner_vertices]
+        low = min(expectations)
+        lows.append(low)
+        minimisers.append(inner_vertices[expectations.index(low)])
+    on_area = list(map(mul, area, lows))
+    best = mass = p1 = None
+    for v in outer_vertices:
+        m = sum(map(mul, v, area))
+        if m:
+            e = sum(map(mul, v, on_area))
+            if p1 is None or e * mass < best * m:
+                best, mass, p1 = e, m, v
+    if p1 is None:
+        return None
+    support = [i for i, w in enumerate(p1) if w]
+    for b in inner_events:
+        weights = [(i, p1[i] * sum(minimisers[i][j] for j in b)) for i in support]
+        for g in outer.generators:
+            g_nums = g.nums
+            if sum(w * g_nums[i] for i, w in weights) < 0:
+                return None
+    return Fraction(best, mass * sum(inner_vertices[0]) * f.den)
+
+
 def _other_side(side: str) -> str:
     return "right" if side == "left" else "left"
 
@@ -329,8 +450,29 @@ class IndependentNaturalExtension:
         self._marginals = left.cone, right.cone
         self._events = _event_indices(left_family, left.space), _event_indices(right_family, right.space)
         self.space = product_space(left.space, right.space)
-        #: The joint cone's ``scaled_rows``, which are all that a query reads.
-        self.scaled_rows = _joint_rows(*self._marginals, *self._events)
+        # The marginal-extension routes, left outer first: a side whose
+        # generator events hold every atom is the outer one, with the other
+        # side's events but the full one, and each outer outcome's section
+        # of the product's outcome indices.
+        sizes = left.space.size, right.space.size
+        n2 = sizes[1]
+        sections = [slice(i * n2, (i + 1) * n2) for i in range(sizes[0])], [slice(j, None, n2) for j in range(n2)]
+        self._routes = [
+            (
+                self._marginals[outer],
+                self._marginals[1 - outer],
+                [b for b in self._events[1 - outer] if len(b) < sizes[1 - outer]],
+                sections[outer],
+            )
+            for outer in (0, 1)
+            if sum(len(b) == 1 for b in self._events[outer]) == sizes[outer]
+        ]
+
+    @cached_property
+    def scaled_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The joint cone's ``scaled_rows``, which are all that a query LP
+        reads; built on first read and kept."""
+        return _joint_rows(*self._marginals, *self._events)
 
     @cached_property
     def joint_cone(self) -> DesirableCone:
@@ -339,6 +481,17 @@ class IndependentNaturalExtension:
         return DesirableCone.with_scaled_rows(self.space, generators, self.scaled_rows)
 
     def lower(self, f: Gamble, event: Optional[Event] = None) -> Fraction:
+        """The joint lower prevision of f given the event: the certified
+        marginal extension when it applies (see the module docstring),
+        otherwise the joint LP, ``lower_prevision(self, f, event)``."""
+        event = _query_event(self, f, event)
+        for outer, inner, inner_events, sections in self._routes:
+            area = _cylinder_base(event, sections)
+            if area is not None:
+                value = _marginal_extension(outer, inner, inner_events, sections, area, f)
+                if value is not None:
+                    return value
+                break
         return lower_prevision(self, f, event)
 
     def upper(self, f: Gamble, event: Optional[Event] = None) -> Fraction:

@@ -110,17 +110,24 @@ def lower_prevision(cone: DesirableCone, f: Gamble, event: Optional[Event] = Non
     ``IndependentNaturalExtension`` passes itself: its queries run on the
     joint integer rows, and its joint generators are never built for them.
     """
-    if f.space != cone.space:
-        raise SpaceMismatchError("gamble on a different space")
-    if event is None:
-        event = cone.space.full_event()
-    elif event.space != cone.space:
-        raise SpaceMismatchError("event on a different space")
-    event.require_nonempty()
+    event = _query_event(cone, f, event)
     value, _ = _lower_value(cone, f, event)
     if value is None:
         raise _divergence(cone, event)
     return value
+
+
+def _query_event(cone: DesirableCone, f: Gamble, event: Optional[Event]) -> Event:
+    """The conditioning event of a query of f on the cone: the full event
+    for None.  Raises ``SpaceMismatchError`` when f or the event is on
+    another space and ``EmptyEventError`` when the event is empty."""
+    if f.space != cone.space:
+        raise SpaceMismatchError("gamble on a different space")
+    if event is None:
+        return cone.space.full_event()
+    if event.space != cone.space:
+        raise SpaceMismatchError("event on a different space")
+    return event.require_nonempty()
 
 
 def upper_prevision(cone: DesirableCone, f: Gamble, event: Optional[Event] = None) -> Fraction:

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from desirables import cones
 from desirables.cones import DesirableCone, PmfWitness, _dominating_expectations, _lower_value
+from desirables.prevision import LinearPrevision
 from desirables.simplex import LinearProgram
 from desirables.spaces import Gamble, Space, SpaceMismatchError
 from desirables.suites import random_gamble, random_nonempty_event
@@ -299,6 +301,85 @@ class TestConeGolden:
             assert witness is None
         else:
             assert witness.masses == tuple(Fraction(p) for p in case["positive_pmf_witness"])
+
+
+VERTEX_GOLDEN = json.loads((Path(__file__).parent / "data" / "vertex_golden.json").read_text())
+
+
+def normalised(vertices):
+    """Integer vertices over their common denominator as sorted pmfs."""
+    return sorted(tuple(Fraction(v, sum(vertex)) for v in vertex) for vertex in vertices)
+
+
+def golden_cone(case):
+    space = Space("K", tuple(f"k{i}" for i in range(case["outcomes"])))
+    return DesirableCone(space, tuple(space.gamble([Fraction(v) for v in g]) for g in case["generators"]))
+
+
+class TestCredalVertices:
+    """``credal_vertices`` by integer double description against the
+    brute-force enumeration of ``oracles.credal_vertices``: recorded for
+    the 300 golden cones (``vertex_golden.json``, from
+    ``make_vertex_golden.py``), and run live on small random cones."""
+
+    @pytest.mark.parametrize(
+        "case, recorded", list(zip(CONE_GOLDEN, VERTEX_GOLDEN)), ids=[f"c{k:03d}" for k in range(len(CONE_GOLDEN))]
+    )
+    def test_golden_cones_match_the_brute_force_vertices(self, case, recorded, monkeypatch):
+        want = [tuple(Fraction(p) for p in vertex) for vertex in recorded]
+        capped = golden_cone(case).credal_vertices
+        if len(want) > cones.VERTEX_CAP:
+            assert capped is None
+        elif capped is not None:  # None too when an earlier step kept more rays
+            assert normalised(capped) == want
+        monkeypatch.setattr(cones, "VERTEX_CAP", 10**6)
+        cone = golden_cone(case)
+        vertices = cone.credal_vertices
+        assert normalised(vertices) == want
+        assert len({sum(v) for v in vertices}) <= 1  # one common denominator
+        if not case["dominating_pmf_exists"]:
+            assert vertices == ()
+        if not case["generators"]:
+            n = case["outcomes"]
+            assert sorted(vertices) == sorted(tuple(int(j == k) for j in range(n)) for k in range(n))
+
+    def test_golden_cones_cover_every_kind(self):
+        """The recorded cones include sure losses, generator-free cones and
+        cones past the cap."""
+        assert any(not case["dominating_pmf_exists"] for case in CONE_GOLDEN)
+        assert any(not case["generators"] for case in CONE_GOLDEN)
+        assert any(len(recorded) > cones.VERTEX_CAP for recorded in VERTEX_GOLDEN)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_small_random_cones_match_the_oracle(self, seed):
+        cone = random_cone(random.Random(5600 + seed), max_size=4, max_gens=5)
+        assert normalised(cone.credal_vertices) == credal_vertices(cone.space, cone.generators)
+
+    def test_a_linear_marginal_has_one_vertex(self):
+        """A self-conjugate assessment of every atom pins one pmf."""
+        space = Space("L", ("a", "b", "c"))
+        pmf = LinearPrevision.from_masses(space, [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)])
+        vertices = pmf.as_lower_prevision().cone.credal_vertices
+        assert vertices == ((1, 2, 3),)
+
+    def test_a_zero_generator_changes_nothing(self):
+        space = Space("Z", ("a", "b", "c"))
+        g = space.gamble([1, -1, Fraction(1, 2)])
+        plain = DesirableCone(space, (g,))
+        padded = DesirableCone(space, (space.zero(), g, space.zero()))
+        assert normalised(padded.credal_vertices) == normalised(plain.credal_vertices)
+        assert normalised(plain.credal_vertices) == credal_vertices(space, (g,))
+
+    def test_past_the_cap_there_are_none(self, monkeypatch):
+        monkeypatch.setattr(cones, "VERTEX_CAP", 2)
+        space = Space("C", ("a", "b", "c"))
+        assert DesirableCone.vacuous(space).credal_vertices is None
+        assert DesirableCone.vacuous(Space("D", ("a", "b"))).credal_vertices == ((1, 0), (0, 1))
+
+    def test_cached_and_not_a_field(self):
+        cone = DesirableCone(AB, (AB.gamble([1, -1]),))
+        assert cone.credal_vertices is cone.credal_vertices
+        assert cone == DesirableCone(AB, (AB.gamble([1, -1]),))
 
 
 class TestStatusSolvesRunNoPhaseOne:

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+from desirables import independence
 from desirables.prevision import _pmf_side_lp
 from desirables.independence import EventFamily, IndependentNaturalExtension
 from desirables.prevision import (
@@ -256,6 +257,23 @@ class TestIndependentNaturalExtensionAgainstHighs:
         through 100-odd pivots, where tableau integers grow if rows are
         not reduced between pivots."""
         self.assert_queries_match_highs(random.Random(f"highs-rich:{seed}"), 6, 12)
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_certified_values_match_highs(self, n, monkeypatch):
+        """With the left family the atoms, a query whose marginal-extension
+        certificate holds is answered from the marginals' vertices; those
+        values must match HiGHS too, and some query here takes that path."""
+        certified = []
+        original = independence._marginal_extension
+
+        def spy(*args):
+            certified.append(original(*args))
+            return certified[-1]
+
+        monkeypatch.setattr(independence, "_marginal_extension", spy)
+        for seed in range(3):
+            self.assert_queries_match_highs(random.Random(f"highs-certified:{n}:{seed}"), n, 3)
+        assert any(value is not None for value in certified)
 
     @staticmethod
     def assert_queries_match_highs(rng, n, n_entries):

@@ -5,11 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from desirables import cones, simplex, spaces
+from desirables import cones, independence, simplex, spaces
 from desirables.cones import DesirableCone
 from desirables.independence import (
+    MAX_ALL_EVENTS_OUTCOMES,
     EventFamily,
+    FamilyTooLargeError,
     IncoherentMarginalError,
     IndependentNaturalExtension,
     MarginalConeView,
@@ -24,13 +27,14 @@ from desirables.measurability import MeasurabilityError
 from desirables.prevision import (
     Assessment,
     AssessmentEntry,
+    BeyondSupportError,
     ConditionalLowerPrevision,
     LinearPrevision,
     envelope_assessment,
     lower_prevision,
     upper_prevision,
 )
-from desirables.simplex import scaled_row
+from desirables.simplex import LinearProgram, scaled_row
 from desirables.spaces import (
     Gamble,
     Space,
@@ -39,6 +43,7 @@ from desirables.spaces import (
     cylindrical_extension,
     indicator,
     product_space,
+    rectangle_event,
 )
 from desirables.suites import (
     gap_instance_values,
@@ -837,3 +842,173 @@ class TestZeroBoundaryGamble:
             assert zeroed.lower(f) == plain.lower(f)
             assert zeroed.upper(f) == plain.upper(f)
             assert zeroed.lower(f, event) == plain.lower(f, event)
+
+
+def sparse_envelope_model(rng, space):
+    """The lower envelope of 1-3 pmfs on 0-3 gambles.  The pmfs may share
+    outcomes of mass zero, and then an entry gives the rest lower
+    probability one, so events inside those outcomes are beyond support."""
+    zeros = set(rng.sample(range(space.size), rng.randint(0, space.size - 1)))
+    pmfs = []
+    for _ in range(rng.randint(1, 3)):
+        weights = [0 if k in zeros else rng.randint(1, 4) for k in range(space.size)]
+        pmfs.append(LinearPrevision(space, tuple(Fraction(w, sum(weights)) for w in weights)))
+    pairs = [(random_gamble(rng, space, span=3), None) for _ in range(rng.randint(0, 3))]
+    if zeros:
+        support = space.event(x for k, x in enumerate(space.outcomes) if k not in zeros)
+        pairs.append((indicator(support), None))
+    return ConditionalLowerPrevision(envelope_assessment(space, pmfs, pairs))
+
+
+#: Families for the certified-path tests: the first three hold every atom.
+PATH_FAMILIES = {
+    "atoms": lambda rng, space: EventFamily.atoms(space),
+    "all": lambda rng, space: EventFamily.all_nonempty(space),
+    "every-atom": lambda rng, space: EventFamily.custom(space, [*space.atoms(), random_nonempty_event(rng, space)]),
+    "custom": lambda rng, space: EventFamily.custom(space, [random_nonempty_event(rng, space) for _ in range(2)]),
+    "empty": lambda rng, space: EventFamily.empty(space),
+}
+
+#: Query events for the certified-path tests; only the first two can be
+#: outer cylinders when the left family holds every atom.
+PATH_EVENTS = {
+    "none": lambda rng, prod: None,
+    "left-cylinder": lambda rng, prod: cylinder_event(random_nonempty_event(rng, prod.left), prod, "left"),
+    "right-cylinder": lambda rng, prod: cylinder_event(random_nonempty_event(rng, prod.right), prod, "right"),
+    "rectangle": lambda rng, prod: rectangle_event(
+        random_nonempty_event(rng, prod.left), random_nonempty_event(rng, prod.right), prod
+    ),
+    "arbitrary": lambda rng, prod: random_nonempty_event(rng, prod),
+}
+
+
+def outcome(query):
+    """A query's value, or the class of the error it raised."""
+    try:
+        return query()
+    except BeyondSupportError as exc:
+        return type(exc)
+
+
+@pytest.fixture
+def certified(monkeypatch):
+    """The values ``_marginal_extension`` returns, None when it certifies
+    nothing."""
+    values = []
+    original = independence._marginal_extension
+
+    def spy(*args):
+        values.append(original(*args))
+        return values[-1]
+
+    monkeypatch.setattr(independence, "_marginal_extension", spy)
+    return values
+
+
+class TestMarginalExtensionPath:
+    """``IndependentNaturalExtension.lower`` answers from the marginals'
+    credal vertices when the product of the first minimisers certifies
+    the marginal-extension bound, and from the joint LP otherwise; every
+    value and error equals the joint LP's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        left_kind=st.sampled_from(sorted(PATH_FAMILIES)),
+        right_kind=st.sampled_from(sorted(PATH_FAMILIES)),
+        event_kind=st.sampled_from(sorted(PATH_EVENTS)),
+    )
+    def test_values_and_errors_equal_the_joint_lp(self, seed, left_kind, right_kind, event_kind):
+        rng = random.Random(seed)
+        spaces = random_space(rng, "L", 1, 4), random_space(rng, "R", 1, 4)
+        left, right = (sparse_envelope_model(rng, space) for space in spaces)
+        ine = IndependentNaturalExtension(
+            left, right, PATH_FAMILIES[left_kind](rng, spaces[0]), PATH_FAMILIES[right_kind](rng, spaces[1])
+        )
+        f = random_gamble(rng, ine.space, span=4)
+        event = PATH_EVENTS[event_kind](rng, ine.space)
+        assert outcome(lambda: ine.lower(f, event)) == outcome(lambda: lower_prevision(ine, f, event))
+        assert outcome(lambda: ine.upper(f, event)) == outcome(lambda: -lower_prevision(ine, -f, event))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_certified_query_solves_no_lp_and_builds_no_joint_rows(self, seed, monkeypatch, certified):
+        """Linear marginals with the left atoms family always certify: the
+        value is the product pmf's expectation."""
+        rng = random.Random(f"certified:{seed}")
+        x, y = random_space(rng, "L", 2, 5), random_space(rng, "R", 2, 5)
+        p1, p2 = random_strict_pmf(rng, x), random_strict_pmf(rng, y)
+        right_family = EventFamily.custom(y, [random_nonempty_event(rng, y) for _ in range(2)])
+        ine = IndependentNaturalExtension(p1.as_lower_prevision(), p2.as_lower_prevision(), None, right_family)
+        f = random_gamble(rng, ine.space)
+        base = random_nonempty_event(rng, x)
+        event = cylinder_event(base, ine.space, "left")
+        solves = []
+        original = LinearProgram.solve
+
+        def spy(self, *args, **kwargs):
+            solves.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinearProgram, "solve", spy)
+        values = ine.lower(f), ine.upper(f), ine.lower(f, event)
+        assert solves == []
+        assert "scaled_rows" not in vars(ine)
+        assert None not in certified and len(certified) == 3
+        nested = nested_evaluation(p2, f, ine.space, "right")
+        assert values[0] == values[1] == p1.expectation(nested)
+        assert values[2] == p1(nested, base)
+        assert values == (lower_prevision(ine, f), -lower_prevision(ine, -f), lower_prevision(ine, f, event))
+
+    def test_a_product_pmf_that_fails_one_column_certifies_nothing(self, certified):
+        """Left X = {a, b} with P(a) >= 1/2 and the atoms family, right
+        Y = {c, d} vacuous with the family {c}.  For f = (2, 1, 0, 1) the
+        inner minimisers are the point masses on d (at a) and on c (at b),
+        so H = (1, 0) and LB = 1/2 at p1 = (1/2, 1/2).  The column
+        (I_a - 1/2) * I_{c} then has expectation -1/4 under the product pmf,
+        and the joint value is 1, not LB."""
+        x, y = Space("X", ("a", "b")), Space("Y", ("c", "d"))
+        left = ConditionalLowerPrevision.from_entries(x, [(indicator(x.event(["a"])), None, Fraction(1, 2))])
+        right = ConditionalLowerPrevision.from_entries(y, [])
+        ine = IndependentNaturalExtension(left, right, EventFamily.atoms(x), EventFamily.custom(y, [y.event(["c"])]))
+        f = ine.space.gamble([2, 1, 0, 1])
+        assert ine.lower(f) == lower_prevision(ine, f) == 1
+        assert certified == [None]
+        # Without the column the same product pmf certifies LB.
+        plain = IndependentNaturalExtension(left, right, EventFamily.atoms(x), EventFamily.empty(y))
+        assert plain.lower(f) == lower_prevision(plain, f) == Fraction(1, 2)
+        assert certified == [None, Fraction(1, 2)]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_without_vertices_every_query_takes_the_lp(self, seed, monkeypatch, certified):
+        """With the vertex cap at 1 no marginal on two or more outcomes has
+        vertices, and the values are still the joint LP's."""
+        monkeypatch.setattr(cones, "VERTEX_CAP", 1)
+        rng = random.Random(f"capped:{seed}")
+        spaces = random_space(rng, "L", 2, 3), random_space(rng, "R", 2, 3)
+        left, right = (sparse_envelope_model(rng, space) for space in spaces)
+        ine = IndependentNaturalExtension(left, right, EventFamily.atoms(spaces[0]), EventFamily.atoms(spaces[1]))
+        f = random_gamble(rng, ine.space)
+        event = cylinder_event(random_nonempty_event(rng, spaces[1]), ine.space, "right")
+        assert outcome(lambda: ine.lower(f)) == outcome(lambda: lower_prevision(ine, f))
+        assert outcome(lambda: ine.upper(f, event)) == outcome(lambda: -lower_prevision(ine, -f, event))
+        assert set(certified) == {None}
+        assert left.cone.credal_vertices is None and right.cone.credal_vertices is None
+
+    def test_errors_before_the_path_are_unchanged(self):
+        ine = IndependentNaturalExtension(sevenths_model(random.Random(1), AB, 2), sevenths_model(random.Random(2), UV, 2))
+        with pytest.raises(SpaceMismatchError):
+            ine.lower(AB.zero())
+        with pytest.raises(SpaceMismatchError):
+            ine.lower(ine.space.zero(), AB.full_event())
+        with pytest.raises(spaces.EmptyEventError):
+            ine.upper(ine.space.zero(), ine.space.event([]))
+
+
+class TestAllEventsSizeGuard:
+    def test_seventeen_outcomes_are_refused(self):
+        big = Space("B", tuple(f"b{i}" for i in range(MAX_ALL_EVENTS_OUTCOMES + 1)))
+        with pytest.raises(FamilyTooLargeError, match=str(MAX_ALL_EVENTS_OUTCOMES)):
+            EventFamily.all_nonempty(big).events()
+        assert issubclass(FamilyTooLargeError, ValueError)
+        # Construction and the generator events ride on the atoms.
+        assert len(EventFamily.all_nonempty(big).generator_events()) == big.size
