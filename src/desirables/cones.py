@@ -36,13 +36,15 @@ would give.  They are assembled once per cone, on first use, from the
 generators' own integer rows (``Gamble.den`` and ``Gamble.nums``), and
 cached as tuples of ints, so no query touches a ``Fraction``; a query's
 gamble goes to its LP as its own integer row too.
-Code that already knows these rows hands them over with
-``DesirableCone.with_scaled_rows``: the joint cone of the independent
-natural extension arrives with rows assembled from the marginal cones'
-rows (see ``independence``), so no joint entry is converted at all.  The
-query LP reads a cone's ``space`` and ``scaled_rows`` only, its width
-included, so an ``IndependentNaturalExtension`` is queried on its joint
-rows without its joint generators.
+Code that already knows these rows builds its cone from them with
+``DesirableCone.from_scaled_rows``, which reads generator i off column i
+and keeps the rows as the cache, so rows and generators cannot disagree:
+the joint cone of the independent natural extension is built from rows
+assembled from the marginal cones' rows (see ``independence``), so no
+joint entry is converted at all.  The query LP reads a cone's ``space``
+and ``scaled_rows`` only, its width included, so an
+``IndependentNaturalExtension`` is queried on its joint rows without its
+joint generators.
 A cone also caches ``credal_vertices``: the vertices of its dominating
 credal set {p >= 0, sum p = 1, E_p[g_i] >= 0}, enumerated once by double
 description in ints over the generators' integer rows and held as int
@@ -122,12 +124,14 @@ class DesirableCone:
         return DesirableCone(space, tuple(generators))
 
     @staticmethod
-    def with_scaled_rows(
-        space: Space, generators: tuple[Gamble, ...], rows: tuple[tuple[int, tuple[int, ...]], ...]
-    ) -> "DesirableCone":
-        """The cone on these generators with its ``scaled_rows`` cache set
-        to ``rows``, which must be exactly what that property would build."""
-        cone = DesirableCone(space, generators)
+    def from_scaled_rows(space: Space, rows: tuple[tuple[int, tuple[int, ...]], ...]) -> "DesirableCone":
+        """The cone whose ``scaled_rows`` are ``rows``, one ``scaled_row``
+        per outcome: generator i is column i, over the lcm of the row
+        scales, and ``rows`` is kept as the cache, so the two agree by
+        construction."""
+        den = lcm(*(s for s, _ in rows))
+        columns = zip(*(tuple(v * (den // s) for v in ints) for s, ints in rows))
+        cone = DesirableCone(space, tuple(Gamble.from_ints(space, den, c) for c in columns))
         cone.__dict__["scaled_rows"] = rows
         return cone
 

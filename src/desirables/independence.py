@@ -23,14 +23,17 @@ is the sum of the atom generators and is left out (and symmetrically).
 The joint is one object, a :class:`DesirableCone` on the product space:
 ``independent_product_cone`` returns it for two marginal cones, and
 :class:`IndependentNaturalExtension` keeps it as ``joint_cone`` for two
-marginal assessments.  ``_joint_generators`` builds its generators and
-``_joint_rows`` its integer outcome rows (``DesirableCone.scaled_rows``):
-every joint entry is a marginal value or zero, so the row at (x1, x2) is
-the marginal cones' cached rows at x1 and x2, brought to one scale and
-masked by event membership, and no joint ``Fraction`` is converted.  An
-``IndependentNaturalExtension`` builds only the rows; its ``joint_cone``
-is built on first read, because a query reads nothing but the rows.  Its
-marginal and conditional cones are views of it, :class:`MarginalConeView`.
+marginal assessments.  ``_joint_rows`` builds its integer outcome rows
+(``DesirableCone.scaled_rows``): every joint entry is a marginal value or
+zero, so the row at (x1, x2) is the marginal cones' cached rows at x1 and
+x2, brought to one scale and masked by event membership, and no joint
+``Fraction`` is converted.  ``DesirableCone.from_scaled_rows`` reads the
+generators off those rows' columns, so there is one builder and the
+rows and generators agree by construction.  An
+``IndependentNaturalExtension`` builds only the rows, on first need; its
+``joint_cone`` is built on first read, because a query reads nothing but
+the rows.  Its marginal and conditional cones are views of it,
+:class:`MarginalConeView`.
 
 Joint lower previsions are exact LP optima over this cone.  With coherent
 marginals the joint is coherent, reproduces the marginals, and satisfies
@@ -197,49 +200,22 @@ def _event_indices(family: Optional[EventFamily], factor: Space) -> list[list[in
     return [[k for k, x in enumerate(factor.outcomes) if x in e] for e in events]
 
 
-def _joint_generators(
-    prod: ProductSpace,
-    left: DesirableCone,
-    right: DesirableCone,
-    left_events: list[list[int]],
-    right_events: list[list[int]],
-) -> tuple[Gamble, ...]:
-    """The INE generators on the product space.
-
-    Each is a marginal generator's values on the cylinder of a conditioning
-    event and zero elsewhere, in left-major outcome order: first every
-    right generator on every left event, then every left generator on every
-    right event.  A side whose generator events are the atoms gets no
-    full-event generator: it is the sum of the atom generators.
-    """
-    n2 = right.space.size
-    blank = [0] * prod.size
-    gens: list[Gamble] = []
-    for g2 in right.generators:
-        for b1 in left_events:
-            nums = blank.copy()
-            for i in b1:
-                nums[i * n2 : (i + 1) * n2] = g2.nums
-            gens.append(Gamble.from_ints(prod, g2.den, nums))
-    for g1 in left.generators:
-        for b2 in right_events:
-            nums = blank.copy()
-            for j in b2:
-                nums[j::n2] = g1.nums
-            gens.append(Gamble.from_ints(prod, g1.den, nums))
-    return tuple(gens)
-
-
 def _joint_rows(
     left: DesirableCone,
     right: DesirableCone,
     left_events: list[list[int]],
     right_events: list[list[int]],
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The ``scaled_rows`` of the ``_joint_generators`` columns, taken from
-    the marginal cones' rows.
+    """The ``scaled_rows`` of the INE joint cone, taken from the marginal
+    cones' rows.
 
-    The row at outcome (x1, x2) holds the right generators' values at x2,
+    Each joint generator is a marginal generator's values on the cylinder
+    of a conditioning event and zero elsewhere: first every right
+    generator on every left event, then every left generator on every
+    right event.  A side whose generator events are the atoms gets no
+    full-event generator: it is the sum of the atom generators.  The rows
+    run over the outcomes in left-major order, and the row at outcome
+    (x1, x2) holds the right generators' values at x2,
     the left generators' values at x1, and zeros.  Every value occurs in
     it, because each side's events cover its space (the atoms, or a custom
     family with its full event), so its scale is the lcm of the two
@@ -294,9 +270,7 @@ def independent_product_cone(
             raise IncoherentMarginalError(f"{name} marginal cone is incoherent")
     events = _event_indices(left_family, left.space), _event_indices(right_family, right.space)
     prod = product_space(left.space, right.space)
-    return DesirableCone.with_scaled_rows(
-        prod, _joint_generators(prod, left, right, *events), _joint_rows(left, right, *events)
-    )
+    return DesirableCone.from_scaled_rows(prod, _joint_rows(left, right, *events))
 
 
 def _cylinder_base(event: Event, sections: list[slice]) -> Optional[list[int]]:
@@ -429,9 +403,10 @@ class IndependentNaturalExtension:
     factor leaves local values unchanged.  Missing families default to the
     atoms.
 
-    Construction builds the product space and the joint cone's integer
-    rows, ``scaled_rows``, and queries read only those.  ``joint_cone``,
-    with its ``Gamble`` generators, is built on first read and kept.
+    Construction builds the product space.  The joint cone's integer rows,
+    ``scaled_rows``, are built on a query's first LP, and queries read
+    only those.  ``joint_cone``, with its ``Gamble`` generators read off
+    those rows, is built on first read and kept.
     """
 
     def __init__(
@@ -476,9 +451,9 @@ class IndependentNaturalExtension:
 
     @cached_property
     def joint_cone(self) -> DesirableCone:
-        """The joint cone, with its generators built on first read."""
-        generators = _joint_generators(self.space, *self._marginals, *self._events)
-        return DesirableCone.with_scaled_rows(self.space, generators, self.scaled_rows)
+        """The joint cone, with its generators read off ``scaled_rows`` on
+        first read."""
+        return DesirableCone.from_scaled_rows(self.space, self.scaled_rows)
 
     def lower(self, f: Gamble, event: Optional[Event] = None) -> Fraction:
         """The joint lower prevision of f given the event: the certified

@@ -20,6 +20,9 @@ set).  Level-set splitting is sufficient for measurability, not
 necessary; a failed split at some level is reported as a witness against
 that sufficient condition, and is guaranteed to exist whenever the gamble
 is genuinely non-measurable.
+
+Every function here that takes a family raises ``SpaceMismatchError``
+when the family is on another space than its gamble or event.
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ def _require_nonneg(g: Gamble) -> None:
         raise ValueError("measurability is defined for non-negative gambles only")
 
 
+def _require_family_on(space: Space, family: "EventFamily") -> None:
+    if family.space != space:
+        raise SpaceMismatchError("family on a different space")
+
+
 @dataclass(frozen=True)
 class SimpleGambleCone:
     """The convex cone of non-negative simple combinations of family
@@ -60,8 +68,7 @@ class SimpleGambleCone:
     family: "EventFamily"
 
     def __post_init__(self) -> None:
-        if self.family.space != self.space:
-            raise SpaceMismatchError("family on a different space")
+        _require_family_on(self.space, self.family)
 
     def coefficients(
         self, g: Gamble
@@ -110,6 +117,7 @@ def split_into_disjoint(event: Event, family: "EventFamily") -> Optional[tuple[E
     search runs over the family's generator events: every union of atoms
     is a disjoint union of atoms, so the all-events family needs no
     other candidate."""
+    _require_family_on(event.space, family)
     if event.is_empty:
         return ()
     if event.is_full:
@@ -137,6 +145,7 @@ def non_measurability_witness(
     """The first positive value r of g whose level set {g >= r} does not
     split into disjoint family events, scanning values in increasing
     order; None when every level splits (which makes g measurable)."""
+    _require_family_on(g.space, family)
     _require_nonneg(g)
     for r in sorted(set(v for v in g.values if v > 0)):
         ls = level_set(g, r)
@@ -189,6 +198,7 @@ def level_set_approximation(g: Gamble, family: "EventFamily", n: int) -> LevelAp
     checks the sufficient condition only: a measurable gamble can still
     fail it for a particular family.
     """
+    _require_family_on(g.space, family)
     _require_nonneg(g)
     if n < 1:
         raise ValueError("the step count n must be a positive integer")
@@ -251,6 +261,7 @@ def measurable_by_field_criterion(g: Gamble, family: "EventFamily") -> bool:
     For families that already form a field this criterion coincides with
     cone membership; for general families it need not.
     """
+    _require_family_on(g.space, family)
     _require_nonneg(g)
     field = generated_field(family)
     return all(level_set(g, r).members in field for r in set(g.values))

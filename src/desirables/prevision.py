@@ -24,18 +24,24 @@ Queries solve the gamble side (``cones._lower_value``), with
 mu = min_B f + nu and nu >= 0.  The substitution is exact because
 lower(f | B) >= min_B f (the point lambda = 0, mu = min_B f is feasible),
 and it makes every right-hand side non-negative, so the solve starts at a
-feasible vertex and runs no phase 1.  Queries and the value-first
-coherence probes return values only, so they use Dantzig pricing.  Every
-solve whose vertex or ray is published keeps Bland's rule: a probe that
-fails is re-solved with mu free for its certificate, and certificate
-polishing and dominating pmfs (the pmf side, ``_pmf_side_lp``) are Bland
-solves too.
+feasible vertex and runs no phase 1.  Queries, the value-first
+coherence probes and the dominating pmfs use Dantzig pricing: they read
+the optimal value, and the prices of whichever optimal basis the solve
+reaches, which are checked exactly before use.  Every solve whose vertex
+or ray is published keeps Bland's rule: a probe that fails is re-solved
+with mu free for its certificate, and certificate polishing is a Bland
+solve too.
 
-A passing coherence probe also hands back the dual prices of its solve, a
-vector r on the outcomes.  When ``cones._dominating_expectations`` finds
-in integers that r is dominating, r proves every later probe passes whose
-generator has expectation 0 under r and whose event r reaches, so those
-probes run no LP.  The prices only ever save a solve: a vector that fails
+The dual of a query ranges over dominating pmfs, and its solve hands back
+the dual prices, a vector r on the outcomes; normalised, r is a dominating
+pmf that attains the query value.  ``dominating_previsions`` returns those
+of the queries of f and -f, once each is checked exactly.
+
+A passing coherence probe also hands back its prices r.  When
+``cones._dominating_expectations`` finds in integers that r is
+dominating, r proves every later probe passes whose generator has
+expectation 0 under r and whose event r reaches, so those probes run no
+LP.  The prices only ever save a solve: a vector that fails
 the check is dropped, and a verdict never rests on one.
 """
 
@@ -46,11 +52,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import mul, neg
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .cones import DesirableCone, _dominating_expectations, _lower_value, _raw_lower
-from .simplex import EQUAL, LESS_EQUAL, LinearProgram, LPStatus
+from .simplex import LESS_EQUAL, LinearProgram, LPStatus
 from .spaces import (
     Event,
     Gamble,
@@ -85,10 +91,11 @@ class BeyondSupportError(ValueError):
 
 
 def _divergence(cone: DesirableCone, event: Event) -> ValueError:
-    """The error for a query whose supremum is infinite (equivalently, whose
-    pmf-side LP is infeasible).  ``dominating_pmf_exists`` is called through
-    the class because it reads only ``space`` and ``scaled_rows``, which is
-    all that an ``IndependentNaturalExtension`` passes as its cone."""
+    """The error for a query whose supremum is infinite (equivalently, for
+    which no dominating pmf gives the event positive mass).
+    ``dominating_pmf_exists`` is called through the class because it reads
+    only ``space`` and ``scaled_rows``, which is all that an
+    ``IndependentNaturalExtension`` passes as its cone."""
     if not DesirableCone.dominating_pmf_exists(cone):
         return SureLossError("the cone incurs a sure loss; lower previsions diverge")
     return BeyondSupportError(event)
@@ -101,10 +108,10 @@ def lower_prevision(cone: DesirableCone, f: Gamble, event: Optional[Event] = Non
 
     There is one formulation for every cone shape: the gamble-side LP
     (one row per outcome), started at its feasible vertex mu = min_B f and
-    priced by Dantzig's rule (see ``_lower_value``).  Its optimum equals
-    that of the pmf-side LP (``_pmf_side_lp``), the lower envelope of the
-    dominating expectations, and it is unbounded exactly when the pmf side
-    is infeasible.
+    priced by Dantzig's rule (see ``_lower_value``).  By duality its
+    optimum is the lower envelope of the dominating conditional
+    expectations, and it is unbounded exactly when no dominating pmf gives
+    the event positive mass.
 
     Only the cone's ``space`` and ``scaled_rows`` are read, so an
     ``IndependentNaturalExtension`` passes itself: its queries run on the
@@ -439,49 +446,31 @@ class ConditionalLowerPrevision:
         """Mass functions from the dominating set attaining the minimum and
         maximum of the conditional expectation of f given the event.
 
-        The LP (``_pmf_side_lp``) runs over vectors r >= 0 with unit mass on
-        the event and non-negative expectation for every boundary
-        generator; normalising an optimal r yields a dominating pmf whose
-        conditional expectation attains the bound.  The vertex is
-        published, so the solve keeps Bland's rule.
+        Each is priced by one query solve, ``_lower_value`` on f and on -f:
+        its row prices r are dominating up to scale and give the event
+        positive mass (see ``_lower_value``), so r / sum(r) is a dominating
+        pmf whose conditional expectation is the query value.  Both facts
+        are checked exactly before the pmf is returned.  Errors are those
+        of ``lower``.
         """
-        if f.space != self.space:
-            raise SpaceMismatchError("gamble on a different space")
-        if event is None:
-            event = self.space.full_event()
-        event.require_nonempty()
-        points = []
-        for sign in (-1, 1):  # minimize first, then maximize
-            result = _pmf_side_lp(self.cone, f, event, sign).solve()
-            if result.status is LPStatus.INFEASIBLE:
+        event = _query_event(self.cone, f, event)
+        pmfs = []
+        for h, sign in ((f, 1), (-f, -1)):  # minimize first, then maximize
+            value, prices = _lower_value(self.cone, h, event)
+            if value is None:
                 raise _divergence(self.cone, event)
-            assert result.status is LPStatus.OPTIMAL  # objective bounded on the event
-            total = sum(result.point, _ZERO)
-            points.append(tuple(v / total for v in result.point))
-        return LinearPrevision(self.space, points[0]), LinearPrevision(self.space, points[1])
+            assert _dominating_expectations(self.cone, prices) is not None
+            total = sum(prices)
+            pmf = LinearPrevision(self.space, tuple(Fraction(r, total) for r in prices))
+            assert pmf.conditional(f, event) == sign * value
+            pmfs.append(pmf)
+        return pmfs[0], pmfs[1]
 
     def dominates(self, pmf: "LinearPrevision") -> bool:
         """Whether the pmf gives every boundary generator non-negative expectation."""
         if pmf.space != self.space:
             raise SpaceMismatchError("pmf on a different space")
         return all(sum(map(mul, pmf.nums, g.nums)) >= 0 for g in self.cone.generators)
-
-
-def _pmf_side_lp(cone: DesirableCone, f: Gamble, event: Event, sign: int) -> LinearProgram:
-    """The credal-set LP of a query: maximize sign * sum_{x in B} f(x) r(x)
-    over r >= 0 with unit mass on B and every generator expectation
-    non-negative.  It is the dual of the gamble-side lower-prevision LP.
-    The objective is sign * f.nums on B, ints, so the optimum is ``f.den``
-    times the expectation at the same point.  One integer row per
-    generator plus one; the generator rows are written -g.r <= 0 so that
-    they start on their slacks."""
-    members = event.members
-    weights = [sign * v if x in members else 0 for x, v in zip(cone.space.outcomes, f.nums)]
-    lp = LinearProgram(cone.space.size, weights)
-    lp.add_scaled((1, tuple(int(x in members) for x in cone.space.outcomes)), EQUAL, (1, 1))
-    for g in cone.generators:
-        lp.add_scaled((g.den, tuple(map(neg, g.nums))), LESS_EQUAL, (0, 1))
-    return lp
 
 
 # ---------------------------------------------------------------------------

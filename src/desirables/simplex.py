@@ -66,7 +66,7 @@ are decided exactly.
 
 Two entering rules are offered.  ``BLAND`` is the default, and every
 solve whose vertex or ray is published (coherence certificates, pmf
-witnesses, dominating pmfs, measurability coefficients) uses it, because
+witnesses, measurability coefficients) uses it, because
 another rule may end at another optimal vertex and so change those
 answers.  ``DANTZIG`` enters the variable with the largest reduced cost,
 smallest label on ties, which takes far fewer pivots; the cost row's
@@ -78,6 +78,9 @@ termination.  Solves whose answer is the optimal value or the status
 alone use it, because those are the same whichever optimal vertex the
 pivots reach: lower-prevision queries, the value-first coherence probes,
 cone membership, the strict cone check and the credal-set questions.
+Dominating pmfs are read off the prices of two such query solves, so
+they may change with the basis reached, but every one is checked to be
+dominating and to attain the query value.
 
 Under ``DANTZIG`` a tie in the ratio test goes to the row whose pivot
 entry ``a_i / d_i`` is largest, compared as ``a_i * d_j > a_j * d_i``

@@ -306,10 +306,6 @@ class Gamble:
         return all(v >= 0 for v in self.nums)
 
     @property
-    def is_nonpos(self) -> bool:
-        return all(v <= 0 for v in self.nums)
-
-    @property
     def is_zero(self) -> bool:
         return not any(self.nums)
 
@@ -318,9 +314,6 @@ class Gamble:
 
     def support(self) -> Event:
         return Event(self.space, frozenset(x for x, v in zip(self.space.outcomes, self.nums) if v))
-
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(zip(self.space.outcomes, self.values))
 
 
 _set_space, _set_den, _set_nums, _set_values = (

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from desirables import cones
-from desirables.cones import DesirableCone, PmfWitness, _dominating_expectations, _lower_value
+from desirables.cones import DesirableCone, PmfWitness, _dominating_expectations, _lower_value, _outcome_rows
 from desirables.prevision import LinearPrevision
 from desirables.simplex import LinearProgram
 from desirables.spaces import Gamble, Space, SpaceMismatchError
@@ -233,7 +233,7 @@ class TestClosureProperties:
                 )
                 if probe.is_zero:
                     continue
-                assert not cone.contains(probe) or not probe.is_nonpos
+                assert not cone.contains(probe) or not all(v <= 0 for v in probe.nums)
         else:
             assert cone.contains(cone.space.zero())
 
@@ -493,3 +493,38 @@ class TestDominatingExpectations:
         mass = sum(r for r, _ in on_event)
         assert mass > 0
         assert sum((r * v for r, v in on_event), Fraction(0)) / mass == value
+
+
+class TestFromScaledRows:
+    """``DesirableCone.from_scaled_rows`` reads generator i off column i of
+    the rows and keeps the rows as the ``scaled_rows`` cache, so rebuilding
+    the rows from its generators gives them back."""
+
+    ABC = Space("Y", ("a", "b", "c"))
+
+    def test_no_generators(self):
+        rows = ((1, ()),) * self.ABC.size
+        cone = DesirableCone.from_scaled_rows(self.ABC, rows)
+        assert cone.generators == ()
+        assert cone.scaled_rows is rows
+        assert _outcome_rows(cone.space, cone.generators) == rows
+        assert cone == DesirableCone.vacuous(self.ABC)
+
+    def test_rows_with_mixed_scales(self):
+        # Values 1/2, 1/3, 0 in column 0 and 3/2, -2/3, 5 in column 1.
+        rows = ((2, (1, 3)), (3, (1, -2)), (1, (0, 5)))
+        cone = DesirableCone.from_scaled_rows(self.ABC, rows)
+        assert cone.generators == (
+            self.ABC.gamble(["1/2", "1/3", 0]),
+            self.ABC.gamble(["3/2", "-2/3", 5]),
+        )
+        assert cone.scaled_rows is rows
+        assert _outcome_rows(cone.space, cone.generators) == rows
+
+    def test_round_trip_on_random_cones(self):
+        rng = random.Random(5700)
+        for _ in range(80):
+            cone = random_cone(rng)
+            rebuilt = DesirableCone.from_scaled_rows(cone.space, cone.scaled_rows)
+            assert rebuilt == cone
+            assert _outcome_rows(rebuilt.space, rebuilt.generators) == rebuilt.scaled_rows

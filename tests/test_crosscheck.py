@@ -19,7 +19,6 @@ from fractions import Fraction
 import pytest
 
 from desirables import independence
-from desirables.prevision import _pmf_side_lp
 from desirables.independence import EventFamily, IndependentNaturalExtension
 from desirables.prevision import (
     Assessment,
@@ -126,6 +125,20 @@ class TestCoherenceClassifierAgainstSympy:
         assert sup == violation.sup_value < 0
 
 
+def dual_lp(cone, f, event):
+    """The dual of the query LP: minimize r.(f * I_B) over r >= 0 with unit
+    mass on the event and non-negative expectation per generator, written
+    as its own transposed LP for the same simplex.  The objective is -f's
+    integer row on B, so the optimum is -f.den times the rational minimum."""
+    space = cone.space
+    weights = [-v if x in event.members else 0 for v, x in zip(f.nums, space.outcomes)]
+    lp = LinearProgram(space.size, weights)
+    lp.add_scaled(scaled_row([int(x in event.members) for x in space.outcomes]), EQUAL, (1, 1))
+    for g in cone.generators:
+        lp.add_scaled(scaled_row(g.values), GREATER_EQUAL, (0, 1))
+    return lp
+
+
 class TestQueryDuality:
     @pytest.mark.parametrize("seed", range(25))
     def test_primal_equals_dual_on_random_models(self, seed):
@@ -135,18 +148,7 @@ class TestQueryDuality:
         f = random_gamble(rng, space)
         event = random_nonempty_event(rng, space)
         primal = lower_prevision(model.cone, f, event)
-
-        # Dual: minimize r.(f * I_B) over r >= 0 with unit mass on the event
-        # and non-negative expectation per generator, solved by the same
-        # simplex on the transposed formulation.  The objective is f's
-        # integer row, so the optimum is f.den times the rational one.
-        n = space.size
-        weights = [-v if x in event.members else 0 for v, x in zip(f.nums, space.outcomes)]
-        lp = LinearProgram(n, weights)
-        lp.add_scaled(scaled_row([int(x in event.members) for x in space.outcomes]), EQUAL, (1, 1))
-        for g in model.cone.generators:
-            lp.add_scaled(scaled_row(g.values), GREATER_EQUAL, (0, 1))
-        result = lp.solve()
+        result = dual_lp(model.cone, f, event).solve()
         assert result.status is LPStatus.OPTIMAL
         assert -result.value == primal * f.den
 
@@ -169,9 +171,10 @@ class TestQueryDuality:
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_pmf_side_agrees_with_queries(self, shape):
-        """Queries solve the gamble side only.  Its dual, the pmf-side LP,
-        must give the same value, be infeasible exactly when the query
-        diverges, and yield a minimising dominating pmf whose conditional
+        """Queries solve the gamble side only.  Its dual, solved as its own
+        LP (``dual_lp``), must give the same value and be infeasible
+        exactly when the query diverges, and ``dominating_previsions`` must
+        yield a minimising dominating pmf whose conditional
         expectation is the query value.  The cones have fewer and more
         generators than outcomes, and arbitrary entry values, so that some
         queries diverge."""
@@ -192,7 +195,7 @@ class TestQueryDuality:
             for _ in range(3):
                 f = random_gamble(rng, space)
                 event = random_nonempty_event(rng, space)
-                dual = _pmf_side_lp(model.cone, f, event, sign=-1).solve()
+                dual = dual_lp(model.cone, f, event).solve()
                 if dual.status is LPStatus.INFEASIBLE:
                     error = SureLossError if not model.cone.dominating_pmf_exists() else BeyondSupportError
                     seen[error] += 1

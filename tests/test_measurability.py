@@ -24,7 +24,7 @@ from desirables.measurability import (
     split_into_disjoint,
     MeasurabilityError,
 )
-from desirables.spaces import Event, Space, indicator
+from desirables.spaces import Event, Space, SpaceMismatchError, indicator
 from desirables.suites import random_family, random_measurable_gamble, random_nonneg_gamble, random_space
 
 X4 = Space("X", ("1", "2", "3", "4"))
@@ -70,6 +70,35 @@ class TestSimpleCone:
         g = X4.gamble([1, 2, 1, 0])
         assert is_measurable(g, fam)
         assert split_into_disjoint(level_set(g, Fraction(2)), fam) is None
+
+
+class TestFamilyOnAnotherSpace:
+    """Every function that takes a family refuses one on another space, as
+    ``is_measurable`` does, even when the labels coincide."""
+
+    X = Space("X", ("a", "b", "c"))
+    W = Space("W", ("a", "b", "c"))
+    FAMILY = EventFamily.custom(W, (W.event(["a"]), W.event(["c"])))
+
+    def test_is_measurable(self):
+        with pytest.raises(SpaceMismatchError):
+            is_measurable(self.X.gamble([1, 0, 1]), self.FAMILY)
+
+    def test_non_measurability_witness(self):
+        with pytest.raises(SpaceMismatchError):
+            non_measurability_witness(self.X.gamble([1, 0, 1]), self.FAMILY)
+
+    def test_level_set_approximation(self):
+        with pytest.raises(SpaceMismatchError):
+            level_set_approximation(self.X.gamble([1, 0, 1]), self.FAMILY, 4)
+
+    def test_split_into_disjoint(self):
+        with pytest.raises(SpaceMismatchError):
+            split_into_disjoint(self.X.event(["a", "c"]), self.FAMILY)
+
+    def test_measurable_by_field_criterion(self):
+        with pytest.raises(SpaceMismatchError):
+            measurable_by_field_criterion(self.X.gamble([1, 0, 1]), self.FAMILY)
 
 
 class TestLevelSets:

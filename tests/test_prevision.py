@@ -24,7 +24,7 @@ from desirables.prevision import (
     upper_prevision,
 )
 from desirables.simplex import LinearProgram, scaled_row
-from desirables.spaces import Space, indicator
+from desirables.spaces import Space, SpaceMismatchError, indicator
 from desirables.suites import (
     random_envelope_model,
     random_gamble,
@@ -590,6 +590,102 @@ class TestEnvelopeAgainstVertexOracle:
         )
         assert model.dominates(half)
         assert half.expectation(f) == Fraction(1, 2)
+
+
+class TestDominatingPmfsFromTheDual:
+    """``dominating_previsions`` normalises the prices of the queries of f
+    and -f: each is a dominating pmf that attains the query value."""
+
+    @staticmethod
+    def assert_attaining(model, f, event):
+        argmin, argmax = model.dominating_previsions(f, event)
+        for pmf in (argmin, argmax):
+            assert model.dominates(pmf)
+            assert sum(pmf.masses) == 1
+        assert argmin.conditional(f, event) == model.lower(f, event)
+        assert argmax.conditional(f, event) == model.upper(f, event)
+        return argmin, argmax
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_pmfs_dominate_and_attain_both_bounds(self, seed):
+        rng = random.Random(7400 + seed)
+        space = random_space(rng, "E", 2, 5)
+        model, _ = random_envelope_model(rng, space)
+        f = random_gamble(rng, space)
+        event = random_nonempty_event(rng, space) if rng.random() < 0.5 else None
+        self.assert_attaining(model, f, event if event is not None else space.full_event())
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_f_constant_on_the_event(self, seed):
+        # nu = 0 in both solves: lower = upper = min_B f, and the dual's mass
+        # row on B need not be tight.
+        rng = random.Random(7500 + seed)
+        space = random_space(rng, "E", 3, 5)
+        model, _ = random_envelope_model(rng, space)
+        event = random_nonempty_event(rng, space)
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        f = space.gamble([c if x in event.members else Fraction(rng.randint(-5, 5)) for x in space.outcomes])
+        self.assert_attaining(model, f, event)
+        assert model.lower(f, event) == model.upper(f, event) == c
+
+    def test_vacuous_model_attains_the_minimum_over_the_event(self):
+        model = ConditionalLowerPrevision.from_entries(ABC, [])
+        f = ABC.gamble([3, -1, 2])
+        event = ABC.event(["x1", "x3"])
+        self.assert_attaining(model, f, event)
+        assert model.lower(f, event) == 2 and model.upper(f, event) == 3
+
+    def test_pmf_with_mass_outside_the_event(self):
+        # Every dominating pmf gives x3 at least 1/2, so both witnesses for a
+        # query on {x1, x2} put mass off the event.
+        model = ConditionalLowerPrevision.from_entries(ABC, [(indicator(ABC.event(["x3"])), None, "1/2")])
+        f = ABC.gamble([1, 3, 0])
+        event = ABC.event(["x1", "x2"])
+        argmin, argmax = self.assert_attaining(model, f, event)
+        assert (model.lower(f, event), model.upper(f, event)) == (1, 3)
+        assert argmin.mass("x3") >= Fraction(1, 2) and argmax.mass("x3") >= Fraction(1, 2)
+
+    def test_sure_loss_diverges(self):
+        model = ConditionalLowerPrevision.from_entries(
+            AB, [(AB.gamble([1, 0]), None, "2/3"), (AB.gamble([0, 1]), None, "2/3")]
+        )
+        with pytest.raises(SureLossError):
+            model.dominating_previsions(AB.gamble([1, 2]))
+
+    def test_conditioning_beyond_support_diverges(self):
+        model = ConditionalLowerPrevision.from_entries(
+            ABC, [(indicator(ABC.event(["x3"])), None, 0, True)]
+        )
+        event = ABC.event(["x3"])
+        with pytest.raises(BeyondSupportError):
+            model.dominating_previsions(ABC.gamble([1, 2, 3]), event)
+        with pytest.raises(BeyondSupportError):
+            model.lower(ABC.gamble([1, 2, 3]), event)
+
+    @pytest.mark.parametrize("other", [Space("W", ("a", "b")), Space("Z", ("c", "d"))])
+    def test_event_on_another_space_is_refused_as_by_lower(self, other):
+        model = ConditionalLowerPrevision.from_entries(AB, [(AB.gamble([1, 0]), None, "1/4")])
+        f = AB.gamble([1, 2])
+        event = other.event([other.outcomes[0]])
+        with pytest.raises(SpaceMismatchError):
+            model.lower(f, event)
+        with pytest.raises(SpaceMismatchError):
+            model.dominating_previsions(f, event)
+
+    def test_two_dantzig_solves(self, monkeypatch):
+        rules = []
+        original = LinearProgram.solve
+
+        def spy(lp, pricing=simplex.BLAND):
+            rules.append(pricing)
+            return original(lp, pricing)
+
+        monkeypatch.setattr(LinearProgram, "solve", spy)
+        rng = random.Random(7600)
+        space = random_space(rng, "E", 3, 5)
+        model, _ = random_envelope_model(rng, space)
+        model.dominating_previsions(random_gamble(rng, space))
+        assert rules == [simplex.DANTZIG, simplex.DANTZIG]
 
 
 class TestAxioms:

@@ -116,7 +116,7 @@ class TestProductSpace:
         single = Space("U", ("u",))
         prod = product_space(AB, single)
         lifted = cylindrical_extension(AB.gamble([1, 2]), prod, "left")
-        assert lifted.as_dict() == {"a|u": 1, "b|u": 2}
+        assert dict(zip(prod.outcomes, lifted.values)) == {"a|u": 1, "b|u": 2}
 
     def test_cylindrical_extension_right_depends_on_second_coordinate(self):
         uv = Space("U", ("u", "v"))
