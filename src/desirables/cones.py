@@ -17,7 +17,9 @@ builds its queries, coherence probes and certificates on it.  The solve
 also returns its row prices, a vector r on the outcomes, and
 ``_dominating_expectations`` checks in integers whether r is dominating
 (r >= 0 and every E_r[g_i] >= 0), so that it may stand as a dual bound.
-Three status questions are one such solve each: f with a negative value is a
+A small cone skips the solve: ``_lower_value`` reads the same value, and a
+vertex as r, off its cached credal vertices (below).
+Three status questions are one such query each: f with a negative value is a
 member iff lower(f) >= 0 or it diverges, a dominating pmf exists iff
 lower(0) is finite, and one gives B positive mass iff lower(-I_B) is
 finite and negative.  Coherence (no non-positive element) is lost exactly
@@ -52,6 +54,16 @@ tuples over one common denominator.  ``independence`` answers some INE
 queries from the marginals' vertices alone.  The enumeration gives up
 when more than ``VERTEX_CAP`` rays are kept at some step; the property
 is then None, and callers answer by LP.
+Queries read the vertices only on a cone whose ``vertex_bound`` is within
+``VERTEX_CAP``.  On n outcomes with m generators that bound is the upper
+bound theorem's (McMullen 1970) vertex count for a polytope of dimension
+below n with n + m facets, so no step of the enumeration can pass it, and
+it is computed once per cone.  There lower(f | B) is the least
+E_v[f * I_B] / v(B) over the vertices v with v(B) > 0 (``_least_ratio``,
+the integer scan ``independence`` uses as well), which is exactly the LP's
+value, because the LP's dual is that linear-fractional program over the
+credal set; ``_lower_value`` says why.  Larger cones, and the INE joint
+rows, which are no ``DesirableCone``, are solved.
 Cones are immutable: the caches are not fields, so they take no part in
 equality or hashing, and they never change once built.  Queries are pure
 and safe to run concurrently.
@@ -62,7 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -71,7 +83,8 @@ from .spaces import Event, Gamble, Space, SpaceMismatchError, indicator
 
 #: The most extreme rays that ``DesirableCone.credal_vertices`` keeps at any
 #: step of its enumeration; past it the property is None, and callers
-#: answer by LP instead.
+#: answer by LP instead.  Queries take the vertex path only on cones whose
+#: ``vertex_bound`` is within it.
 VERTEX_CAP = 64
 
 
@@ -152,6 +165,12 @@ class DesirableCone:
         Built on first use from the generators' ``nums`` and kept, like
         ``scaled_rows``; see ``_credal_vertices``."""
         return _credal_vertices(self.space.size, [g.nums for g in self.generators])
+
+    @cached_property
+    def vertex_bound(self) -> int:
+        """The upper bound theorem's limit on the rays ``credal_vertices``
+        keeps at any step of its enumeration; see ``_vertex_bound``."""
+        return _vertex_bound(self.space.size, len(self.generators))
 
     # -- decision procedures ------------------------------------------------
 
@@ -310,6 +329,50 @@ def _credal_vertices(n: int, rows: Sequence[Sequence[int]]) -> Optional[tuple[tu
     return tuple(tuple(v * (den // sum(r)) for v in r) for r, _ in rays)
 
 
+def _vertex_bound(n: int, m: int) -> int:
+    """The most vertices a credal set on n outcomes cut by m generator rows
+    can have, and so the most rays ``_credal_vertices`` keeps at any step.
+
+    Each step's cone {p >= 0, a . p >= 0 for the rows so far} is cut by
+    sum p = 1 into a polytope of some dimension d <= n - 1 with at most
+    f = n + m facets, whose vertices are the step's extreme rays.  By the
+    upper bound theorem (McMullen 1970) such a polytope has at most
+    C(f - ceil(d/2), floor(d/2)) + C(f - floor(d/2) - 1, ceil(d/2) - 1)
+    vertices, the count of the dual cyclic polytope; that grows with f,
+    and the maximum over d = 1 .. n - 1 covers every step.  A single
+    outcome has the one vertex.
+    """
+    if n == 1:
+        return 1
+    f = n + m
+    return max(comb(f - (d + 1) // 2, d // 2) + comb(f - d // 2 - 1, (d + 1) // 2 - 1) for d in range(1, n))
+
+
+def _least_ratio(
+    vertices: Sequence[Sequence[int]], values: Sequence[int], area: Optional[Sequence[int]] = None
+) -> Optional[tuple[int, int, Sequence[int]]]:
+    """The least sum(v * values * area) / sum(v * area) over the vertices v
+    that give ``area`` positive mass, as (numerator, mass, the first v
+    attaining it), or None when none does.
+
+    ``area`` is a 0/1 int per outcome, or None for every outcome, where
+    each vertex's mass is the vertices' common denominator.  The ratios are
+    compared by cross-multiplying, so only ints are used.
+    """
+    if area is None:
+        total = sum(vertices[0]) if vertices else 0
+    else:
+        values = list(map(mul, values, area))
+    best = mass = first = None
+    for v in vertices:
+        m = total if area is None else sum(map(mul, v, area))
+        if m:
+            e = sum(map(mul, v, values))
+            if first is None or e * mass < best * m:
+                best, mass, first = e, m, v
+    return None if first is None else (best, mass, first)
+
+
 # ---------------------------------------------------------------------------
 # The lower-prevision LP
 # ---------------------------------------------------------------------------
@@ -364,10 +427,25 @@ def _lower_value(
     cone: DesirableCone, f: Gamble, event: Event
 ) -> tuple[Optional[Fraction], tuple[int, ...]]:
     """sup{mu : [f - mu] * indicator(B) in cone}, or None when it is infinite,
-    with the solve's row prices (``LPResult.prices``; empty when infinite).
+    with row prices r on the outcomes that attain it (empty when infinite).
 
-    The LP is solved with mu = min_B f + nu, nu >= 0.  That is exact:
-    lambda = 0, mu = min_B f is feasible, because [f - min_B f] * I_B is
+    A ``DesirableCone`` whose ``vertex_bound`` is within ``VERTEX_CAP`` is
+    answered from its ``credal_vertices``, with no LP: the value is the
+    least E_v[f * I_B] / v(B) over the vertices v with v(B) > 0, and r is
+    the first vertex attaining it.  That is exact.  The LP's dual is the
+    least E_p[f * I_B] / p(B) over the p in the credal set K with
+    p(B) > 0.  Such a p is a convex combination of vertices, and a vertex
+    with v(B) = 0 adds nothing to the numerator or the denominator (f * I_B
+    vanishes off B), so the ratio at p is a weighted mean of the ratios at
+    the vertices with v(B) > 0 and is at least their least.  The dual is
+    infeasible, and the LP unbounded, exactly when K is empty or no vertex
+    reaches B.  The vertex is a dominating r that attains the value, as the
+    LP's prices are.  The bound covers every step of the enumeration, so a
+    gated-in cone always has its vertices.
+
+    Every other cone, and an ``IndependentNaturalExtension`` queried on its
+    joint rows, solves the LP, with mu = min_B f + nu, nu >= 0.  That is
+    exact: lambda = 0, mu = min_B f is feasible, because [f - min_B f] * I_B is
     non-negative, so the supremum is at least min_B f and restricting mu to
     that range keeps both the optimum and unboundedness.  Every right-hand
     side I_B(x) (f(x) - min_B f) is then non-negative, so the solve starts
@@ -378,11 +456,18 @@ def _lower_value(
 
     The rows are the outcomes, so the prices r are a vector on the space.
     Its dual says r >= 0, E_r[g_i] >= 0 for every generator and r(B) >= 1:
-    a dominating pmf up to scale, which ``_dominating_expectations`` checks
-    exactly before anything relies on it.
+    a dominating pmf up to scale.  On either path ``_dominating_expectations``
+    checks r exactly before anything relies on it.
     """
     den, nums = f.den, f.nums
     members = event.members
+    if isinstance(cone, DesirableCone) and cone.vertex_bound <= VERTEX_CAP:
+        area = None if event.is_full else [x in members for x in cone.space.outcomes]
+        least = _least_ratio(cone.credal_vertices, nums, area)
+        if least is None:
+            return None, ()
+        e, mass, vertex = least
+        return Fraction(e, mass * den), vertex
     floor = min(v for x, v in zip(cone.space.outcomes, nums) if x in members)
     result = _gamble_side_lp(cone, (den, nums), event, floor).solve(DANTZIG)
     if result.status is LPStatus.UNBOUNDED:

@@ -82,7 +82,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .cones import DesirableCone
+from .cones import DesirableCone, _least_ratio
 from .measurability import require_measurable
 from .prevision import (
     ConditionalLowerPrevision,
@@ -310,9 +310,9 @@ def _marginal_extension(
     with v(A) > 0, attained first by p1.  The value is LB when, for every
     outer generator g1 and every ``inner_events`` member B2 (the inner
     generator events but the full one), sum_x1 p1(x1) g1(x1) p2^{x1}(B2)
-    >= 0.  Everything is compared in ints: the vertices of each marginal
-    share one denominator, so H is an int row over the inner one and each
-    E_v[H | A] a ratio of ints.
+    >= 0.  Both minima are ``cones._least_ratio`` scans, in ints: the
+    vertices of each marginal share one denominator, so H is an int row
+    over the inner one and each E_v[H | A] a ratio of ints.
     """
     outer_vertices, inner_vertices = outer.credal_vertices, inner.credal_vertices
     if not outer_vertices or not inner_vertices:
@@ -320,21 +320,13 @@ def _marginal_extension(
     nums = f.nums
     lows, minimisers = [], []
     for s in sections:
-        section = nums[s]
-        expectations = [sum(map(mul, v, section)) for v in inner_vertices]
-        low = min(expectations)
+        low, _, w = _least_ratio(inner_vertices, nums[s])
         lows.append(low)
-        minimisers.append(inner_vertices[expectations.index(low)])
-    on_area = list(map(mul, area, lows))
-    best = mass = p1 = None
-    for v in outer_vertices:
-        m = sum(map(mul, v, area))
-        if m:
-            e = sum(map(mul, v, on_area))
-            if p1 is None or e * mass < best * m:
-                best, mass, p1 = e, m, v
-    if p1 is None:
+        minimisers.append(w)
+    least = _least_ratio(outer_vertices, lows, area)
+    if least is None:
         return None
+    best, mass, p1 = least
     support = [i for i, w in enumerate(p1) if w]
     for b in inner_events:
         weights = [(i, p1[i] * sum(minimisers[i][j] for j in b)) for i in support]

@@ -20,11 +20,15 @@ zero by every dominating pmf ("conditioning beyond support"); in the
 latter case finite mass functions cannot represent the conditional model
 and the engine refuses to guess.
 
-Queries solve the gamble side (``cones._lower_value``), with
-mu = min_B f + nu and nu >= 0.  The substitution is exact because
-lower(f | B) >= min_B f (the point lambda = 0, mu = min_B f is feasible),
-and it makes every right-hand side non-negative, so the solve starts at a
-feasible vertex and runs no phase 1.  Queries, the value-first
+Queries go through ``cones._lower_value``.  On a cone within its vertex
+gate (``DesirableCone.vertex_bound`` at most ``cones.VERTEX_CAP``) it reads
+the value off the cone's cached credal vertices, with no LP; the value is
+the same, and so is the meaning of its prices.  Every other query solves
+the gamble side, with mu = min_B f + nu and nu >= 0.  The substitution is
+exact because lower(f | B) >= min_B f (the point lambda = 0,
+mu = min_B f is feasible), and it makes every right-hand side
+non-negative, so the solve starts at a feasible vertex and runs no
+phase 1.  Queries, the value-first
 coherence probes and the dominating pmfs use Dantzig pricing: they read
 the optimal value, and the prices of whichever optimal basis the solve
 reaches, which are checked exactly before use.  Every solve whose vertex
@@ -32,10 +36,11 @@ or ray is published keeps Bland's rule: a probe that fails is re-solved
 with mu free for its certificate, and certificate polishing is a Bland
 solve too.
 
-The dual of a query ranges over dominating pmfs, and its solve hands back
-the dual prices, a vector r on the outcomes; normalised, r is a dominating
-pmf that attains the query value.  ``dominating_previsions`` returns those
-of the queries of f and -f, once each is checked exactly.
+The dual of a query ranges over dominating pmfs, and a query hands back
+the dual prices, a vector r on the outcomes (on the vertex path, the
+minimising vertex); normalised, r is a dominating pmf that attains the
+query value.  ``dominating_previsions`` returns those of the queries of f
+and -f, once each is checked exactly.
 
 A passing coherence probe also hands back its prices r.  When
 ``cones._dominating_expectations`` finds in integers that r is
@@ -106,12 +111,13 @@ def lower_prevision(cone: DesirableCone, f: Gamble, event: Optional[Event] = Non
     the cone.  Raises SureLossError or BeyondSupportError when the supremum
     is infinite.
 
-    There is one formulation for every cone shape: the gamble-side LP
-    (one row per outcome), started at its feasible vertex mu = min_B f and
-    priced by Dantzig's rule (see ``_lower_value``).  By duality its
-    optimum is the lower envelope of the dominating conditional
-    expectations, and it is unbounded exactly when no dominating pmf gives
-    the event positive mass.
+    There is one LP for every cone shape: the gamble-side LP (one row per
+    outcome), started at its feasible vertex mu = min_B f and priced by
+    Dantzig's rule (see ``_lower_value``).  By duality its optimum is the
+    lower envelope of the dominating conditional expectations, and it is
+    unbounded exactly when no dominating pmf gives the event positive mass.
+    A ``DesirableCone`` within the vertex gate takes that envelope over its
+    cached credal vertices instead, with no LP.
 
     Only the cone's ``space`` and ``scaled_rows`` are read, so an
     ``IndependentNaturalExtension`` passes itself: its queries run on the
@@ -361,7 +367,8 @@ class ConditionalLowerPrevision:
         The entries are probed in order, a linear entry's conjugate
         direction right after it.  A probe (f, B, v) passes when
         lower(f | B) <= v, and its generator is [f - v] * I_B.  Each passing
-        probe also yields the prices r of its optimal solve; once
+        probe also yields the prices r of its query (an optimal basis's, or
+        a credal vertex on the vertex path); once
         ``_dominating_expectations`` has checked exactly that r is
         dominating, r settles every later probe whose generator it makes
         tight and whose event it gives positive mass: E_r[(f - v) I_B] = 0
@@ -446,12 +453,13 @@ class ConditionalLowerPrevision:
         """Mass functions from the dominating set attaining the minimum and
         maximum of the conditional expectation of f given the event.
 
-        Each is priced by one query solve, ``_lower_value`` on f and on -f:
-        its row prices r are dominating up to scale and give the event
-        positive mass (see ``_lower_value``), so r / sum(r) is a dominating
-        pmf whose conditional expectation is the query value.  Both facts
-        are checked exactly before the pmf is returned.  Errors are those
-        of ``lower``.
+        Each is priced by one query, ``_lower_value`` on f and on -f: its
+        row prices r are dominating up to scale and give the event positive
+        mass (see ``_lower_value``), so r / sum(r) is a dominating pmf whose
+        conditional expectation is the query value.  Both facts are checked
+        exactly before the pmf is returned.  On a cone within the vertex
+        gate r is a credal vertex, and neither query solves an LP.  Errors
+        are those of ``lower``.
         """
         event = _query_event(self.cone, f, event)
         pmfs = []
@@ -544,14 +552,14 @@ class LinearPrevision:
     def conditional(self, f: Gamble, event: Event) -> Fraction:
         """Renormalised expectation; defined only when the event has
         positive probability."""
+        if f.space != self.space:
+            raise SpaceMismatchError("gamble on a different space")
         event.require_nonempty()
         inside = self._event_indices(event)
         nums = self.nums
         mass = sum(nums[k] for k in inside)
         if mass == 0:
             raise BeyondSupportError(event)
-        if f.space != self.space:
-            raise SpaceMismatchError("gamble on a different space")
         values = f.nums
         return Fraction(sum(nums[k] * values[k] for k in inside), mass * f.den)
 

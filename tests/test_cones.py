@@ -8,9 +8,17 @@ from pathlib import Path
 import pytest
 
 from desirables import cones
-from desirables.cones import DesirableCone, PmfWitness, _dominating_expectations, _lower_value, _outcome_rows
+from desirables.cones import (
+    DesirableCone,
+    PmfWitness,
+    _dominating_expectations,
+    _gamble_side_lp,
+    _lower_value,
+    _outcome_rows,
+    _vertex_bound,
+)
 from desirables.prevision import LinearPrevision
-from desirables.simplex import LinearProgram
+from desirables.simplex import DANTZIG, LinearProgram, LPStatus
 from desirables.spaces import Gamble, Space, SpaceMismatchError
 from desirables.suites import random_gamble, random_nonempty_event
 
@@ -384,10 +392,12 @@ class TestCredalVertices:
 
 class TestStatusSolvesRunNoPhaseOne:
     """Each simplex phase is one ``_iterate`` call, so a status question
-    whose LP starts on its slacks makes exactly one."""
+    whose LP starts on its slacks makes exactly one.  With ``VERTEX_CAP``
+    at 0 no cone takes the vertex path, so every question solves its LP."""
 
     @pytest.fixture
     def iterate_calls(self, monkeypatch):
+        monkeypatch.setattr(cones, "VERTEX_CAP", 0)
         calls = []
         original = LinearProgram._iterate
 
@@ -433,6 +443,168 @@ class TestStatusSolvesRunNoPhaseOne:
             iterate_calls.clear()
             cone.upper_probability_positive(event)
             assert len(iterate_calls) == 1
+
+
+class TestGatedInQuestionsSolveNoLP:
+    """The counterpart of ``TestStatusSolvesRunNoPhaseOne`` at the default
+    cap: every one of those cones has a ``vertex_bound`` within
+    ``VERTEX_CAP``, so its status questions but coherence are answered from
+    its credal vertices and make no ``LinearProgram.solve`` call."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        original = LinearProgram.solve
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(LinearProgram, "solve", spy)
+        return calls
+
+    def test_status_questions(self, solves):
+        rng = random.Random(5400)
+        for cone in TestStatusSolvesRunNoPhaseOne().cones():
+            assert cone.vertex_bound <= cones.VERTEX_CAP
+            f = cone.space.gamble([Fraction(rng.randint(-3, 3)) for _ in range(cone.space.size)])
+            low = f.min_over(cone.space.full_event())
+            if low >= 0:
+                f = f - (low + 1)
+            cone.contains(f)
+            cone.dominating_pmf_exists()
+            cone.upper_probability_positive(random_nonempty_event(rng, cone.space))
+        assert solves == []
+
+
+def lp_lower(cone, f, event):
+    """The reference for the vertex path: the Dantzig solve of the
+    gamble-side LP with mu free (mu+ - mu-), or None when it is unbounded."""
+    result = _gamble_side_lp(cone, (f.den, f.nums), event).solve(DANTZIG)
+    return None if result.status is LPStatus.UNBOUNDED else result.value
+
+
+class TestVertexPath:
+    """``_lower_value`` on a cone within the vertex gate answers from the
+    credal vertices.  Its value must be the LP's, value for value and None
+    for None, and its prices a dominating r that attains the value."""
+
+    ABC = Space("Y", ("a", "b", "c"))
+
+    def check(self, cone, f, event):
+        assert cone.vertex_bound <= cones.VERTEX_CAP
+        value, prices = _lower_value(cone, f, event)
+        assert value == lp_lower(cone, f, event)
+        if value is None:
+            assert prices == ()
+            return None
+        assert _dominating_expectations(cone, prices) is not None
+        inside = [x in event.members for x in cone.space.outcomes]
+        mass = sum(r for r, i in zip(prices, inside) if i)
+        assert mass > 0
+        assert Fraction(sum(r * v for r, v, i in zip(prices, f.nums, inside) if i), mass * f.den) == value
+        return value
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_random_small_cones(self, seed):
+        rng = random.Random(9100 + seed)
+        cone = random_cone(rng, max_size=5, max_gens=6)
+        for _ in range(3):
+            f = random_gamble(rng, cone.space)
+            event = random_nonempty_event(rng, cone.space) if rng.random() < 0.5 else cone.space.full_event()
+            self.check(cone, f, event)
+
+    @pytest.mark.parametrize("gens", [[[-1, 1], [1, -2]], [[-1, -1]], [[1, -1], [-1, 1], [-1, 0]]])
+    def test_sure_loss(self, gens):
+        cone = DesirableCone.from_generators(AB, [AB.gamble(g) for g in gens])
+        assert cone.credal_vertices == ()
+        for event in (AB.full_event(), AB.event(["b"])):
+            assert self.check(cone, AB.gamble([1, 2]), event) is None
+
+    def test_an_event_of_upper_probability_zero(self):
+        # -I_c is desirable, so every dominating pmf gives c no mass.
+        abc = self.ABC
+        cone = DesirableCone.from_generators(abc, [abc.gamble([0, 0, -1]), abc.gamble([1, -2, 0])])
+        assert self.check(cone, abc.gamble([1, 2, 3]), abc.event(["c"])) is None
+        assert self.check(cone, abc.gamble([1, 2, 3]), abc.event(["b", "c"])) == 2
+        assert self.check(cone, abc.gamble([4, 2, 3]), abc.full_event()) == Fraction(10, 3)
+
+    def test_vacuous_cone(self):
+        rng = random.Random(9300)
+        for size in range(1, 6):
+            space = Space("V", tuple(f"v{i}" for i in range(size)))
+            cone = DesirableCone.vacuous(space)
+            for _ in range(5):
+                f, event = random_gamble(rng, space), random_nonempty_event(rng, space)
+                assert self.check(cone, f, event) == f.min_over(event)
+
+    def test_linear_prevision_generator_pairs(self):
+        """Gated in up to four outcomes (at five the bound is 90)."""
+        rng = random.Random(9400)
+        for _ in range(20):
+            space = Space("L", tuple(f"l{i}" for i in range(rng.randint(1, 4))))
+            masses = [rng.randint(0, 3) for _ in space.outcomes]
+            masses[0] += 1
+            pmf = LinearPrevision(space, tuple(Fraction(m, sum(masses)) for m in masses))
+            cone = pmf.as_lower_prevision().cone
+            f, event = random_gamble(rng, space), random_nonempty_event(rng, space)
+            want = pmf.conditional(f, event) if pmf.probability(event) else None
+            assert self.check(cone, f, event) == want
+
+
+class TestVertexBound:
+    """``_vertex_bound`` is the upper bound theorem's vertex count, and it
+    bounds every step of ``_credal_vertices`` on the cones it gates in."""
+
+    def test_a_polygon_has_as_many_vertices_as_edges(self):
+        assert [_vertex_bound(3, m) for m in range(12)] == [3 + m for m in range(12)]
+
+    def test_at_least_the_simplex(self):
+        assert _vertex_bound(1, 0) == 1
+        assert all(_vertex_bound(n, 0) >= n for n in range(1, 16))
+
+    def test_twelve_generators_on_six_outcomes_are_gated_out(self):
+        assert _vertex_bound(6, 12) == 210 > cones.VERTEX_CAP
+
+    @staticmethod
+    def within_its_bound(monkeypatch):
+        """Run ``_credal_vertices`` with the cap at the bound of its input,
+        which makes it give up if any step keeps more rays than that."""
+        real, cap = cones._credal_vertices, cones.VERTEX_CAP
+        results = []
+
+        def spy(n, rows):
+            bound = _vertex_bound(n, len(rows))
+            monkeypatch.setattr(cones, "VERTEX_CAP", bound)
+            try:
+                vertices = real(n, rows)
+            finally:
+                monkeypatch.setattr(cones, "VERTEX_CAP", cap)
+            results.append((bound, vertices))
+            return vertices
+
+        monkeypatch.setattr(cones, "_credal_vertices", spy)
+        return results
+
+    def test_queries_never_see_more_rays_than_the_bound(self, monkeypatch):
+        results = self.within_its_bound(monkeypatch)
+        rng = random.Random(9500)
+        for _ in range(150):
+            cone = random_cone(rng, max_size=6, max_gens=7)
+            if cone.vertex_bound <= cones.VERTEX_CAP:
+                _lower_value(cone, random_gamble(rng, cone.space), random_nonempty_event(rng, cone.space))
+        assert len(results) > 100
+        assert all(vertices is not None and len(vertices) <= bound for bound, vertices in results)
+
+    def test_golden_cones_within_the_gate_keep_their_vertices(self, monkeypatch):
+        results = self.within_its_bound(monkeypatch)
+        gated = [
+            case for case in CONE_GOLDEN if _vertex_bound(case["outcomes"], len(case["generators"])) <= cones.VERTEX_CAP
+        ]
+        for case in gated:
+            assert golden_cone(case).credal_vertices is not None
+        assert len(results) == len(gated) > 100
+        assert all(vertices is not None and len(vertices) <= bound for bound, vertices in results)
 
 
 class TestDominatingExpectations:

@@ -69,10 +69,11 @@ class TestConeQueries:
 
 
 class TestQueryFormulations:
-    """``lower_prevision`` solves one LP for every cone shape: the gamble
+    """``lower_prevision`` has one LP for every cone shape: the gamble
     side with mu shifted by min_B f, which starts on its slack basis.  Cones
     with fewer and with more generators than outcomes must give the sympy
-    values and the same errors, and a query must run no phase 1."""
+    values and the same errors on it and on the vertex path, and an LP
+    query must run no phase 1."""
 
     # (space size range, generator count as a function of the size)
     SHAPES = {
@@ -96,9 +97,18 @@ class TestQueryFormulations:
             assert lower_prevision(cone, f, event) == expected
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lower_on_the_lp_matches_sympy(self, shape, seed, monkeypatch):
+        """The same queries with ``VERTEX_CAP`` at 0, so each solves its LP."""
+        monkeypatch.setattr(cones, "VERTEX_CAP", 0)
+        self.test_lower_matches_sympy(shape, seed)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_query_runs_no_phase_one(self, shape, monkeypatch):
         """Each simplex phase is one ``_iterate`` call, so a query that
-        starts at a feasible vertex makes exactly one."""
+        starts at a feasible vertex makes exactly one.  With ``VERTEX_CAP``
+        at 0 every query solves its LP."""
+        monkeypatch.setattr(cones, "VERTEX_CAP", 0)
         calls = []
         original = LinearProgram._iterate
 
@@ -112,6 +122,24 @@ class TestQueryFormulations:
                 calls.clear()
                 lower_prevision(cone, f, event)
                 assert len(calls) == 1
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_gated_in_query_solves_no_lp(self, shape, monkeypatch):
+        """At the default cap these cones are within the vertex gate, so a
+        query is answered from the credal vertices, with no solve."""
+        calls = []
+        original = LinearProgram.solve
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(LinearProgram, "solve", spy)
+        for seed in range(4):
+            for cone, f, event in self.random_queries(shape, seed):
+                assert cone.vertex_bound <= cones.VERTEX_CAP
+                lower_prevision(cone, f, event)
+        assert calls == []
 
     SURE_LOSS = {
         "fewer-generators": [ABC.gamble([-1, -1, -1])],
@@ -171,6 +199,14 @@ class TestIntegerRows:
             assert lower_prevision(cone, f, event) == expected
             upper = -sympy_lower_prevision(space, cone.generators, -f, event)
             assert upper_prevision(cone, f, event) == upper
+
+    @pytest.mark.parametrize("conditional", [False, True], ids=["unconditional", "conditional"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sevenths_queries_on_the_lp_match_sympy(self, seed, conditional, monkeypatch):
+        """The same queries with ``VERTEX_CAP`` at 0, so each solves its LP
+        and some right-hand side raises its row's scale."""
+        monkeypatch.setattr(cones, "VERTEX_CAP", 0)
+        self.test_sevenths_queries_match_sympy(seed, conditional)
 
     @pytest.mark.parametrize("conditional", [False, True], ids=["unconditional", "conditional"])
     @pytest.mark.parametrize("seed", range(6))
@@ -673,6 +709,7 @@ class TestDominatingPmfsFromTheDual:
             model.dominating_previsions(f, event)
 
     def test_two_dantzig_solves(self, monkeypatch):
+        monkeypatch.setattr(cones, "VERTEX_CAP", 0)
         rules = []
         original = LinearProgram.solve
 
@@ -686,6 +723,26 @@ class TestDominatingPmfsFromTheDual:
         model, _ = random_envelope_model(rng, space)
         model.dominating_previsions(random_gamble(rng, space))
         assert rules == [simplex.DANTZIG, simplex.DANTZIG]
+
+    def test_no_solve_within_the_vertex_gate(self, monkeypatch):
+        """The same model at the default cap: both pmfs are credal vertices."""
+        rng = random.Random(7600)
+        space = random_space(rng, "E", 3, 5)
+        model, _ = random_envelope_model(rng, space)
+        f = random_gamble(rng, space)
+        assert model.cone.vertex_bound <= cones.VERTEX_CAP
+        solves = []
+        original = LinearProgram.solve
+
+        def spy(*args, **kwargs):
+            solves.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(LinearProgram, "solve", spy)
+        argmin, argmax = model.dominating_previsions(f)
+        assert solves == []
+        vertices = {tuple(Fraction(v, sum(vertex)) for v in vertex) for vertex in model.cone.credal_vertices}
+        assert {argmin.masses, argmax.masses} <= vertices
 
 
 class TestAxioms:
@@ -767,6 +824,13 @@ class TestLinearPrevisions:
         prev = LinearPrevision.from_masses(AB, ["1", "0"])
         with pytest.raises(BeyondSupportError):
             prev.conditional(AB.gamble([1, 0]), AB.event(["b"]))
+
+    def test_gamble_on_another_space_refused_before_the_mass_is_read(self):
+        prev = LinearPrevision.from_masses(AB, ["1", "0"])
+        other = Space("Z", ("a", "b", "c")).gamble([1, 2, 3])
+        for members in (["a"], ["b"]):
+            with pytest.raises(SpaceMismatchError):
+                prev.conditional(other, AB.event(members))
 
     def test_masses_validated(self):
         with pytest.raises(ValueError):
