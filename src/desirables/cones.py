@@ -22,14 +22,14 @@ vertex as r, off its cached credal vertices (below).
 Three status questions are one such query each: f with a negative value is a
 member iff lower(f) >= 0 or it diverges, a dominating pmf exists iff
 lower(0) is finite, and one gives B positive mass iff lower(-I_B) is
-finite and negative.  Coherence (no non-positive element) is lost exactly
-when max sum lambda subject to sum lambda_i f_i <= 0 is unbounded.  None
-of these runs phase 1, and as they answer with a status or a value they
-use Dantzig pricing.  The strictly-positive-pmf witness publishes a
-vertex, so it has its own LP on Bland's rule.  Every ``LinearProgram``
-variable is non-negative, so the LPs here that need a signed unknown (mu
-left free for a certificate, the witness margin t) write it as the
-difference of their last two columns.
+finite and negative.  None of these runs phase 1, and as they answer with
+a status or a value they use Dantzig pricing.  Coherence (no non-positive
+element) holds iff a strictly positive pmf witness exists; the witness
+publishes a vertex, so its LP runs on Bland's rule, once per cone, and
+both questions read the cached answer.  Every ``LinearProgram`` variable
+is non-negative, so the LPs here that need a signed unknown (mu left free
+for a certificate, the witness margin t) write it as the difference of
+their last two columns.
 
 Every LP here has an ``int`` objective and integer rows.  Those over a
 cone's outcome rows take the generator entries as ``scaled_rows``: per
@@ -197,29 +197,22 @@ class DesirableCone:
         return value is None or value >= 0
 
     def is_coherent(self) -> bool:
-        """True iff the cone contains no gamble f <= 0.
-
-        Only generator combinations can produce a non-positive element, and
-        such a lambda scales without bound, so the cone is incoherent iff
-        max sum lambda subject to sum lambda_i f_i <= 0 is unbounded.
-        """
-        n = len(self.generators)
-        if n == 0:
-            return True
-        lp = LinearProgram(n, [1] * n)
-        for row in self.scaled_rows:
-            lp.add_scaled(row, LESS_EQUAL, (0, 1))
-        return lp.solve(DANTZIG).status is not LPStatus.UNBOUNDED
+        """True iff the cone contains no gamble f <= 0.  By Gordan's theorem
+        of the alternative (the generators stacked on the identity), that
+        holds iff a strictly positive pmf gives every generator a positive
+        expectation, so this reads the cached witness."""
+        return self._witness is not None
 
     def positive_pmf_witness(self) -> Optional[PmfWitness]:
         """A strictly positive pmf with positive expectation for every
-        generator, or None if there is none.
+        generator, or None (exactly when the cone is incoherent)."""
+        return self._witness
 
-        Such a witness exists iff the zero gamble lies outside the cone,
-        which on finite spaces is equivalent to coherence.
-        """
+    @cached_property
+    def _witness(self) -> Optional[PmfWitness]:
+        """The witness LP, solved once per cone on Bland's rule, as its
+        vertex is published."""
         n = self.space.size
-        m = len(self.generators)
         # Variables: p_1..p_n >= 0 and the margin t = t+ - t-.  Maximize t
         # subject to p_k >= t, sum p = 1, p.f_i >= t.
         lp = LinearProgram(n + 2, [0] * n + [1, -1])

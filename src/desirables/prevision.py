@@ -478,7 +478,7 @@ class ConditionalLowerPrevision:
         """Whether the pmf gives every boundary generator non-negative expectation."""
         if pmf.space != self.space:
             raise SpaceMismatchError("pmf on a different space")
-        return all(sum(map(mul, pmf.nums, g.nums)) >= 0 for g in self.cone.generators)
+        return _dominating_expectations(self.cone, pmf.nums) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ unchanged the phase finishes on Bland's rule, which still guarantees
 termination.  Solves whose answer is the optimal value or the status
 alone use it, because those are the same whichever optimal vertex the
 pivots reach: lower-prevision queries, the value-first coherence probes,
-cone membership, the strict cone check and the credal-set questions.
+cone membership and the credal-set questions.
 Dominating pmfs are read off the prices of two such query solves, so
 they may change with the basis reached, but every one is checked to be
 dominating and to attain the query value.

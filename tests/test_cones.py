@@ -424,12 +424,6 @@ class TestStatusSolvesRunNoPhaseOne:
             cone.contains(f)
             assert len(iterate_calls) == 1
 
-    def test_is_coherent(self, iterate_calls):
-        for cone in self.cones():
-            iterate_calls.clear()
-            cone.is_coherent()
-            assert len(iterate_calls) == 1
-
     def test_dominating_pmf_exists(self, iterate_calls):
         for cone in self.cones():
             iterate_calls.clear()
@@ -443,6 +437,40 @@ class TestStatusSolvesRunNoPhaseOne:
             iterate_calls.clear()
             cone.upper_probability_positive(event)
             assert len(iterate_calls) == 1
+
+
+class TestCoherenceSharesTheWitnessSolve:
+    """``is_coherent`` and ``positive_pmf_witness`` read one cached witness,
+    so on any cone the two solve one LP between them, in either order, and
+    none when asked again.  ``VERTEX_CAP`` is 0, as in
+    ``TestStatusSolvesRunNoPhaseOne``, so no cone is answered from its
+    credal vertices."""
+
+    def test_one_solve_between_the_two_questions(self, monkeypatch):
+        monkeypatch.setattr(cones, "VERTEX_CAP", 0)
+        solves = []
+        original = LinearProgram.solve
+
+        def spy(*args, **kwargs):
+            solves.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(LinearProgram, "solve", spy)
+        for coherence_first in (True, False):
+            for cone in TestStatusSolvesRunNoPhaseOne().cones():
+                solves.clear()
+                if coherence_first:
+                    coherent = cone.is_coherent()
+                    witness = cone.positive_pmf_witness()
+                else:
+                    witness = cone.positive_pmf_witness()
+                    coherent = cone.is_coherent()
+                assert len(solves) == 1
+                assert coherent == (witness is not None)
+                solves.clear()
+                assert cone.is_coherent() is coherent
+                assert cone.positive_pmf_witness() is witness
+                assert solves == []
 
 
 class TestGatedInQuestionsSolveNoLP:

@@ -10,7 +10,8 @@ checks strong duality of the query LP explicitly: the primal
 supremum-of-acceptable-prices program and the dual
 envelope-over-dominating-mass program must agree to the rational.  A
 third compares independent natural extensions at sizes the sympy oracle
-cannot reach with SciPy's HiGHS, in floating point.
+cannot reach with SciPy's HiGHS, in floating point, and a fourth checks
+cone coherence and its strictly positive pmf witness against HiGHS.
 """
 
 import random
@@ -19,6 +20,7 @@ from fractions import Fraction
 import pytest
 
 from desirables import independence
+from desirables.cones import DesirableCone
 from desirables.independence import EventFamily, IndependentNaturalExtension
 from desirables.prevision import (
     Assessment,
@@ -29,7 +31,7 @@ from desirables.prevision import (
     lower_prevision,
 )
 from desirables.simplex import EQUAL, GREATER_EQUAL, LinearProgram, LPStatus, scaled_row
-from desirables.spaces import Space, indicator
+from desirables.spaces import Gamble, Space, indicator
 from desirables.suites import (
     random_envelope_model,
     random_gamble,
@@ -297,3 +299,69 @@ class TestIndependentNaturalExtensionAgainstHighs:
             (ine.lower(f, event), highs_lower(optimize, generators, f, event)),
         ):
             assert abs(float(exact) - approx) <= 1e-6 * max(1.0, abs(float(exact)))
+
+
+def highs_coherent(optimize, cone):
+    """No convex combination of the generators is pointwise <= 0: HiGHS
+    finds {lambda >= 0, sum lambda = 1, sum_i lambda_i g_i <= 0}
+    infeasible."""
+    m = len(cone.generators)
+    if m == 0:
+        return True
+    rows = [[float(g.values[k]) for g in cone.generators] for k in range(cone.space.size)]
+    result = optimize.linprog(
+        [0.0] * m, A_ub=rows, b_ub=[0.0] * cone.space.size, A_eq=[[1.0] * m], b_eq=[1.0],
+        bounds=[(0, None)] * m, method="highs",
+    )
+    assert result.status in (0, 2), result.message
+    return result.status == 2
+
+
+def random_coherence_cone(rng, kind):
+    """A cone of 0-8 generators on 1-8 outcomes, values in [-2, 4] over 1 or
+    2; ``kind`` adds a zero generator or an opposite pair, or takes one
+    outcome."""
+    size = 1 if kind == "one-outcome" else rng.randint(1, 8)
+    space = Space("H", tuple(f"h{i}" for i in range(size)))
+
+    def gamble():
+        return Gamble(space, tuple(Fraction(rng.randint(-2, 4), rng.randint(1, 2)) for _ in range(size)))
+
+    gens = [gamble() for _ in range(rng.randint(0, 8))]
+    if kind == "zero":
+        gens.insert(rng.randint(0, len(gens)), space.zero())
+    elif kind == "opposite":
+        g = gamble()
+        gens[rng.randint(0, len(gens)):0] = [g, -g]
+    return DesirableCone(space, tuple(gens))
+
+
+class TestConeCoherenceAgainstHighs:
+    """``is_coherent`` against HiGHS on the convex-combination form of the
+    strict check, and every witness checked exactly: strictly positive,
+    summing to one, and giving each generator a positive expectation."""
+
+    KINDS = ("plain", "zero", "opposite", "one-outcome")
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_verdict_and_witness(self, kind, seed):
+        optimize = pytest.importorskip("scipy.optimize")
+        cone = random_coherence_cone(random.Random(f"highs-coherent:{kind}:{seed}"), kind)
+        coherent = cone.is_coherent()
+        assert coherent == highs_coherent(optimize, cone)
+        witness = cone.positive_pmf_witness()
+        assert (witness is not None) == coherent
+        if witness is not None:
+            assert all(p > 0 for p in witness.masses) and sum(witness.masses) == 1
+            assert all(witness.expectation(g) > 0 for g in cone.generators)
+
+    def test_both_verdicts_occur(self):
+        verdicts = {
+            kind: {
+                random_coherence_cone(random.Random(f"highs-coherent:{kind}:{seed}"), kind).is_coherent()
+                for seed in range(30)
+            }
+            for kind in self.KINDS
+        }
+        assert verdicts == {"plain": {True, False}, "zero": {False}, "opposite": {False}, "one-outcome": {True, False}}
