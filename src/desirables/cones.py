@@ -341,12 +341,19 @@ def _vertex_bound(n: int, m: int) -> int:
     return max(comb(f - (d + 1) // 2, d // 2) + comb(f - d // 2 - 1, (d + 1) // 2 - 1) for d in range(1, n))
 
 
+def _vertex_gated(cone: DesirableCone) -> bool:
+    """Whether the cone's ``vertex_bound`` is within ``VERTEX_CAP``, so that
+    reading its ``credal_vertices`` costs a bounded enumeration."""
+    return cone.vertex_bound <= VERTEX_CAP
+
+
 def _least_ratio(
     vertices: Sequence[Sequence[int]], values: Sequence[int], area: Optional[Sequence[int]] = None
-) -> Optional[tuple[int, int, Sequence[int]]]:
+) -> Optional[tuple[int, int, list[Sequence[int]]]]:
     """The least sum(v * values * area) / sum(v * area) over the vertices v
-    that give ``area`` positive mass, as (numerator, mass, the first v
-    attaining it), or None when none does.
+    that give ``area`` positive mass, as (numerator, mass, every v
+    attaining it), or None when none does.  The numerator and mass are
+    those of the first minimiser, and the minimisers are in vertex order.
 
     ``area`` is a 0/1 int per outcome, or None for every outcome, where
     each vertex's mass is the vertices' common denominator.  The ratios are
@@ -356,14 +363,21 @@ def _least_ratio(
         total = sum(vertices[0]) if vertices else 0
     else:
         values = list(map(mul, values, area))
-    best = mass = first = None
+    best = mass = None
+    minimisers: list[Sequence[int]] = []
     for v in vertices:
         m = total if area is None else sum(map(mul, v, area))
         if m:
             e = sum(map(mul, v, values))
-            if first is None or e * mass < best * m:
-                best, mass, first = e, m, v
-    return None if first is None else (best, mass, first)
+            if not minimisers:
+                best, mass, minimisers = e, m, [v]
+            else:
+                gap = e * mass - best * m
+                if gap < 0:
+                    best, mass, minimisers = e, m, [v]
+                elif not gap:
+                    minimisers.append(v)
+    return (best, mass, minimisers) if minimisers else None
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +468,13 @@ def _lower_value(
     """
     den, nums = f.den, f.nums
     members = event.members
-    if isinstance(cone, DesirableCone) and cone.vertex_bound <= VERTEX_CAP:
+    if isinstance(cone, DesirableCone) and _vertex_gated(cone):
         area = None if event.is_full else [x in members for x in cone.space.outcomes]
         least = _least_ratio(cone.credal_vertices, nums, area)
         if least is None:
             return None, ()
-        e, mass, vertex = least
-        return Fraction(e, mass * den), vertex
+        e, mass, minimisers = least
+        return Fraction(e, mass * den), minimisers[0]
     floor = min(v for x, v in zip(cone.space.outcomes, nums) if x in members)
     result = _gamble_side_lp(cone, (den, nums), event, floor).solve(DANTZIG)
     if result.status is LPStatus.UNBOUNDED:

@@ -55,20 +55,33 @@ A x Y (A = X for an unconditional query)
 the marginal extension (Miranda & De Cooman 2007); a ratio of linear
 maps is least over K1 at a vertex.  The ``lower`` method of
 :class:`IndependentNaturalExtension` computes LB from the marginal cones'
-cached integer ``credal_vertices``, taking p1 and each p2^{x1} as the
-first vertex that attains its minimum.  The product pmf p1(x1) p2^{x1}(x2) gives f the
-conditional expectation LB.  It gives every generator g2 * I_{B1} a
-non-negative expectation, because each p2^{x1} is in K2, and g1 on the
-full right event too, because p1 is in K1.  What is left is checked in
-ints: for every left generator g1 and every other right generator event
-B2, sum_x1 p1(x1) g1(x1) p2^{x1}(B2) >= 0.  When all hold, the product
-pmf dominates and attains LB, so by weak duality the query's value is LB
-exactly, and the query runs no LP and builds no joint row.  When a check
-fails, when the event is no such cylinder, when no outer vertex gives A
-positive mass, or when a marginal has no vertices (past
+cached integer ``credal_vertices``, and keeps every vertex that attains
+each minimum: the candidates for p1, and for each p2^{x1}.  For any such
+choice the product pmf p1(x1) p2^{x1}(x2) gives f the conditional
+expectation LB.  It gives every generator g2 * I_{B1} a non-negative
+expectation, because each p2^{x1} is in K2, and g1 on the full right
+event too, because p1 is in K1.  What is left is checked in ints: for
+every left generator g1 and every other right generator event B2,
+sum_x1 p1(x1) g1(x1) p2^{x1}(B2) >= 0.  When some choice of tied
+minimisers passes them all (at most ``TIE_COMBINATIONS`` choices are
+tried), the product pmf dominates and attains LB, so by weak duality the
+query's value is LB exactly, and the query runs no LP and builds no
+joint row.
+
+A second certificate holds for any families and any event B.  A product
+v1 (x) v2 of marginal credal vertices dominates every joint generator
+(the INE contains the product of its marginals), so when it gives B
+positive mass and none to the outcomes of B where f exceeds min_B f, its
+conditional expectation min_B f is the query's value: no value is below
+min_B f.  It is tried after the marginal extension, unless LB already
+exceeds min_B f, and only on an INE with a marginal-extension route,
+which reads the marginals' vertices anyway, or whose marginals are both
+within the vertex gate (``cones.VERTEX_CAP``).
+
+When neither certificate holds, or a marginal has no vertices (past
 ``cones.VERTEX_CAP``), the query runs the joint LP through
 ``lower_prevision``, which stays the reference the tests compare with.
-The certified path runs after the same argument checks, so every error
+The certified paths run after the same argument checks, so every error
 is the LP's.
 """
 
@@ -82,8 +95,8 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .cones import DesirableCone, _least_ratio
-from .measurability import require_measurable
+from .cones import DesirableCone, _least_ratio, _vertex_gated
+from .measurability import FamilyTooLargeError, require_measurable
 from .prevision import (
     ConditionalLowerPrevision,
     LinearPrevision,
@@ -114,11 +127,6 @@ class IncoherentMarginalError(ValueError):
 #: The most outcomes on which ``EventFamily.events`` materialises the
 #: all-events family: 2^16 - 1 events.
 MAX_ALL_EVENTS_OUTCOMES = 16
-
-
-class FamilyTooLargeError(ValueError):
-    """Materialising the all-events family would exceed
-    ``MAX_ALL_EVENTS_OUTCOMES`` outcomes."""
 
 
 @dataclass(frozen=True)
@@ -294,6 +302,11 @@ def _cylinder_base(event: Event, sections: list[slice]) -> Optional[list[int]]:
     return area
 
 
+#: The most combinations of tied minimisers that ``_coupled`` tries against
+#: the coupling rows for one query.
+TIE_COMBINATIONS = 64
+
+
 def _marginal_extension(
     outer: DesirableCone,
     inner: DesirableCone,
@@ -301,40 +314,117 @@ def _marginal_extension(
     sections: list[slice],
     area: list[int],
     f: Gamble,
-) -> Optional[Fraction]:
-    """lower(f | A x Y) from the marginals' credal vertices, when the
-    product pmf of the first minimisers certifies it; None otherwise.
+) -> Optional[tuple[Fraction, bool]]:
+    """The marginal-extension bound LB on lower(f | A x Y) from the
+    marginals' credal vertices, and whether a product pmf of tied
+    minimisers certifies it as the value; None when a marginal has no
+    vertices or no outer vertex gives A positive mass.
 
-    H(x1) is the least inner-vertex expectation of f(x1, .), attained
-    first by p2^{x1}, and LB the least E_v[H | A] over the outer vertices v
-    with v(A) > 0, attained first by p1.  The value is LB when, for every
-    outer generator g1 and every ``inner_events`` member B2 (the inner
-    generator events but the full one), sum_x1 p1(x1) g1(x1) p2^{x1}(B2)
-    >= 0.  Both minima are ``cones._least_ratio`` scans, in ints: the
-    vertices of each marginal share one denominator, so H is an int row
-    over the inner one and each E_v[H | A] a ratio of ints.
+    H(x1) is the least inner-vertex expectation of f(x1, .), and LB the
+    least E_v[H | A] over the outer vertices v with v(A) > 0.  Both minima
+    are ``cones._least_ratio`` scans, in ints: the vertices of each
+    marginal share one denominator, so H is an int row over the inner one
+    and each E_v[H | A] a ratio of ints.  The scans return every
+    minimiser, and ``_coupled`` looks among them for p1 and the p2^{x1}.
     """
     outer_vertices, inner_vertices = outer.credal_vertices, inner.credal_vertices
     if not outer_vertices or not inner_vertices:
         return None
     nums = f.nums
-    lows, minimisers = [], []
+    lows, tied = [], []
     for s in sections:
-        low, _, w = _least_ratio(inner_vertices, nums[s])
+        low, _, ws = _least_ratio(inner_vertices, nums[s])
         lows.append(low)
-        minimisers.append(w)
+        tied.append(ws)
     least = _least_ratio(outer_vertices, lows, area)
     if least is None:
         return None
-    best, mass, p1 = least
-    support = [i for i, w in enumerate(p1) if w]
-    for b in inner_events:
-        weights = [(i, p1[i] * sum(minimisers[i][j] for j in b)) for i in support]
-        for g in outer.generators:
-            g_nums = g.nums
-            if sum(w * g_nums[i] for i, w in weights) < 0:
-                return None
-    return Fraction(best, mass * sum(inner_vertices[0]) * f.den)
+    best, mass, outer_tied = least
+    bound = Fraction(best, mass * sum(inner_vertices[0]) * f.den)
+    return bound, _coupled([g.nums for g in outer.generators], inner_events, outer_tied, tied)
+
+
+def _coupled(
+    outer_rows: list[tuple[int, ...]],
+    inner_events: list[list[int]],
+    outer_tied: list[Sequence[int]],
+    inner_tied: list[list[Sequence[int]]],
+) -> bool:
+    """Whether a tied outer minimiser p1 and, at each x1 in its support, a
+    tied inner minimiser p2^{x1} pass every coupling row: for every outer
+    generator g1 (its ``nums`` in ``outer_rows``) and every
+    ``inner_events`` member B2, sum_x1 p1(x1) g1(x1) p2^{x1}(B2) >= 0.
+
+    Any such choice gives a product pmf p1(x1) p2^{x1}(x2) that attains LB
+    and dominates every joint generator.  Each x1 contributes a column of
+    terms p1(x1) g1(x1) p2^{x1}(B2), one per row, and inner minimisers
+    with equal columns are one choice.  The first minimisers are tried
+    first, then the other combinations in order, at most
+    ``TIE_COMBINATIONS`` in all.
+    """
+    masses: dict[Sequence[int], list[int]] = {}
+    budget = TIE_COMBINATIONS
+    for p1 in outer_tied:
+        choices = []
+        for i, w in enumerate(p1):
+            if w:
+                terms = [w * g[i] for g in outer_rows]
+                columns = {}
+                for p2 in inner_tied[i]:
+                    if p2 not in masses:
+                        masses[p2] = [sum(p2[j] for j in b) for b in inner_events]
+                    columns[tuple(t * m for m in masses[p2] for t in terms)] = None
+                choices.append(columns)
+        for combination in itertools.product(*choices):
+            if all(sum(row) >= 0 for row in zip(*combination)):
+                return True
+            budget -= 1
+            if not budget:
+                return False
+    return False
+
+
+def _min_attained(
+    left_vertices: Sequence[Sequence[int]],
+    right_vertices: Sequence[Sequence[int]],
+    event: Event,
+    f: Gamble,
+    minimum: Fraction,
+) -> bool:
+    """Whether a product v1 (x) v2 of a left and a right credal vertex gives
+    the event B positive mass, all of it where f is ``minimum``, min_B f.
+
+    Such a product gives every joint generator a non-negative expectation,
+    whatever the families: v1(B1) E_v2[g2] for g2 * I_{B1}, and
+    v2(B2) E_v1[g1] for g1 * I_{B2}.  So it is a dominating pmf whose
+    conditional expectation of f given B is min_B f, and lower(f | B),
+    which is never below min_B f, equals it.  Only supports matter: per
+    left outcome x1, bit masks over the right outcomes mark where B holds
+    with f = min_B f and with f > min_B f, and a pair of supports S1 x S2
+    qualifies when S2 meets the first mask of some x1 in S1 and no second
+    one.
+    """
+    low = int(minimum * f.den)
+    n2 = len(right_vertices[0])
+    at_low, above = [0] * len(left_vertices[0]), [0] * len(left_vertices[0])
+    members = event.members
+    for k, (x, v) in enumerate(zip(event.space.outcomes, f.nums)):
+        if x in members:
+            i, j = divmod(k, n2)
+            if v == low:
+                at_low[i] |= 1 << j
+            else:
+                above[i] |= 1 << j
+    right_supports = dict.fromkeys(sum(1 << j for j, w in enumerate(v) if w) for v in right_vertices)
+    for v in left_vertices:
+        reach = barred = 0
+        for i, w in enumerate(v):
+            if w:
+                reach |= at_low[i]
+                barred |= above[i]
+        if reach and any(s & reach and not s & barred for s in right_supports):
+            return True
+    return False
 
 
 def _other_side(side: str) -> str:
@@ -449,16 +539,26 @@ class IndependentNaturalExtension:
 
     def lower(self, f: Gamble, event: Optional[Event] = None) -> Fraction:
         """The joint lower prevision of f given the event: the certified
-        marginal extension when it applies (see the module docstring),
-        otherwise the joint LP, ``lower_prevision(self, f, event)``."""
+        marginal extension or the certified minimum when one applies (see
+        the module docstring), otherwise the joint LP,
+        ``lower_prevision(self, f, event)``."""
         event = _query_event(self, f, event)
+        bound = None
         for outer, inner, inner_events, sections in self._routes:
             area = _cylinder_base(event, sections)
             if area is not None:
-                value = _marginal_extension(outer, inner, inner_events, sections, area, f)
-                if value is not None:
-                    return value
+                found = _marginal_extension(outer, inner, inner_events, sections, area, f)
+                if found is not None:
+                    bound, coupled = found
+                    if coupled:
+                        return bound
                 break
+        if self._routes or all(map(_vertex_gated, self._marginals)):
+            minimum = f.min_over(event)
+            if bound is None or bound <= minimum:
+                left_vertices, right_vertices = (cone.credal_vertices for cone in self._marginals)
+                if left_vertices and right_vertices and _min_attained(left_vertices, right_vertices, event, f, minimum):
+                    return minimum
         return lower_prevision(self, f, event)
 
     def upper(self, f: Gamble, event: Optional[Event] = None) -> Fraction:

@@ -27,7 +27,6 @@ when the family is on another space than its gamble or event.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
@@ -37,6 +36,17 @@ from .spaces import Event, Gamble, Space, SpaceMismatchError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .independence import EventFamily
+
+
+#: The most atoms a generated field may have for ``generated_field`` to list
+#: it: 2^16 sets.
+MAX_FIELD_ATOMS = 16
+
+
+class FamilyTooLargeError(ValueError):
+    """Materialising a family's sets would pass a size limit: the all-events
+    family past ``independence.MAX_ALL_EVENTS_OUTCOMES`` outcomes, or a
+    generated field past ``MAX_FIELD_ATOMS`` atoms."""
 
 
 class MeasurabilityError(ValueError):
@@ -226,24 +236,24 @@ def level_set_approximation(g: Gamble, family: "EventFamily", n: int) -> LevelAp
 
 def generated_field(family: "EventFamily") -> frozenset[frozenset[str]]:
     """The smallest family of subsets containing the family members and
-    closed under complement and intersection (hence union)."""
+    closed under complement and intersection (hence union): every union of
+    the field's atoms, the classes of outcomes that lie in the same
+    members.  The atoms are counted first, and past ``MAX_FIELD_ATOMS`` of
+    them this raises ``FamilyTooLargeError`` instead of listing 2^k sets."""
     space = family.space
-    full = frozenset(space.outcomes)
-    current: set[frozenset[str]] = {frozenset(), full}
-    current.update(e.members for e in family.events())
-    while True:
-        additions: set[frozenset[str]] = set()
-        for a in current:
-            comp = full - a
-            if comp not in current:
-                additions.add(comp)
-        for a, b in itertools.combinations(current, 2):
-            inter = a & b
-            if inter not in current:
-                additions.add(inter)
-        if not additions:
-            return frozenset(current)
-        current |= additions
+    members = [e.members for e in family.events()]
+    classes: dict[tuple[bool, ...], list[str]] = {}
+    for x in space.outcomes:
+        classes.setdefault(tuple(x in m for m in members), []).append(x)
+    if len(classes) > MAX_FIELD_ATOMS:
+        raise FamilyTooLargeError(
+            f"the field generated on {space.name!r} has {len(classes)} atoms, so 2^{len(classes)} sets; "
+            f"it is listed for at most {MAX_FIELD_ATOMS} atoms"
+        )
+    field = [frozenset()]
+    for atom in classes.values():
+        field += [s.union(atom) for s in field]
+    return frozenset(field)
 
 
 def family_is_field(family: "EventFamily") -> bool:

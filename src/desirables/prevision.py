@@ -457,7 +457,8 @@ class ConditionalLowerPrevision:
         row prices r are dominating up to scale and give the event positive
         mass (see ``_lower_value``), so r / sum(r) is a dominating pmf whose
         conditional expectation is the query value.  Both facts are checked
-        exactly before the pmf is returned.  On a cone within the vertex
+        exactly before the pmf is returned, and a failed check raises
+        ``RuntimeError``, under ``python -O`` too.  On a cone within the vertex
         gate r is a credal vertex, and neither query solves an LP.  Errors
         are those of ``lower``.
         """
@@ -467,10 +468,12 @@ class ConditionalLowerPrevision:
             value, prices = _lower_value(self.cone, h, event)
             if value is None:
                 raise _divergence(self.cone, event)
-            assert _dominating_expectations(self.cone, prices) is not None
+            if _dominating_expectations(self.cone, prices) is None:
+                raise RuntimeError(f"the query's prices {prices} are not a dominating pmf up to scale")
             total = sum(prices)
             pmf = LinearPrevision(self.space, tuple(Fraction(r, total) for r in prices))
-            assert pmf.conditional(f, event) == sign * value
+            if pmf.conditional(f, event) != sign * value:
+                raise RuntimeError(f"the priced pmf does not attain the query value {sign * value}")
             pmfs.append(pmf)
         return pmfs[0], pmfs[1]
 

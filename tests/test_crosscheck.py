@@ -278,10 +278,29 @@ class TestIndependentNaturalExtensionAgainstHighs:
         monkeypatch.setattr(independence, "_marginal_extension", spy)
         for seed in range(3):
             self.assert_queries_match_highs(random.Random(f"highs-certified:{n}:{seed}"), n, 3)
-        assert any(value is not None for value in certified)
+        assert any(found is not None and found[1] for found in certified)
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_min_certified_values_match_highs(self, n, monkeypatch):
+        """On indicator gambles a product of marginal credal vertices often
+        puts all its event mass where f is least, and then the value is
+        min_B f with no LP; those values must match HiGHS too, and some
+        query here takes that path."""
+        attained = []
+        original = independence._min_attained
+
+        def spy(*args):
+            attained.append(original(*args))
+            return attained[-1]
+
+        monkeypatch.setattr(independence, "_min_attained", spy)
+        for seed in range(4):
+            rng = random.Random(f"highs-min:{n}:{seed}")
+            self.assert_queries_match_highs(rng, n, 3, lambda space: indicator(random_nonempty_event(rng, space)))
+        assert True in attained
 
     @staticmethod
-    def assert_queries_match_highs(rng, n, n_entries):
+    def assert_queries_match_highs(rng, n, n_entries, gamble=None):
         optimize = pytest.importorskip("scipy.optimize")
         x = Space("X", tuple(f"x{i}" for i in range(n)))
         y = Space("Y", tuple(f"y{i}" for i in range(n)))
@@ -291,7 +310,7 @@ class TestIndependentNaturalExtensionAgainstHighs:
         ine = IndependentNaturalExtension(left, right, EventFamily.atoms(x), right_family)
         generators = ine.joint_cone.generators
         full = ine.space.full_event()
-        f = random_gamble(rng, ine.space, span=3)
+        f = random_gamble(rng, ine.space, span=3) if gamble is None else gamble(ine.space)
         event = ine.lift_event(random_nonempty_event(rng, rng.choice([x, y])))
         for exact, approx in (
             (ine.lower(f), highs_lower(optimize, generators, f, full)),

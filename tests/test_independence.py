@@ -892,24 +892,62 @@ def outcome(query):
 
 @pytest.fixture
 def certified(monkeypatch):
-    """The values ``_marginal_extension`` returns, None when it certifies
-    nothing."""
+    """The values ``_marginal_extension`` certifies, None when it
+    certifies nothing."""
     values = []
     original = independence._marginal_extension
 
     def spy(*args):
-        values.append(original(*args))
-        return values[-1]
+        found = original(*args)
+        values.append(found[0] if found is not None and found[1] else None)
+        return found
 
     monkeypatch.setattr(independence, "_marginal_extension", spy)
     return values
 
 
+@pytest.fixture
+def attained(monkeypatch):
+    """What ``_min_attained`` returns, one entry per call."""
+    results = []
+    original = independence._min_attained
+
+    def spy(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(independence, "_min_attained", spy)
+    return results
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every ``LinearProgram`` solved."""
+    programs = []
+    original = LinearProgram.solve
+
+    def spy(self, *args, **kwargs):
+        programs.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearProgram, "solve", spy)
+    return programs
+
+
+#: Gambles for the certified-path tests: 0/1 gambles tie their minima
+#: often, so tied minimisers and attained minima are drawn.
+PATH_GAMBLES = {
+    "span": lambda rng, prod: random_gamble(rng, prod, span=4),
+    "zero-one": lambda rng, prod: prod.gamble([rng.randint(0, 1) for _ in prod.outcomes]),
+}
+
+
 class TestMarginalExtensionPath:
     """``IndependentNaturalExtension.lower`` answers from the marginals'
-    credal vertices when the product of the first minimisers certifies
-    the marginal-extension bound, and from the joint LP otherwise; every
-    value and error equals the joint LP's."""
+    credal vertices when a product of tied minimisers certifies the
+    marginal-extension bound, or a product of vertices attains min_B f,
+    and from the joint LP otherwise; every value and error equals the
+    joint LP's."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -917,15 +955,16 @@ class TestMarginalExtensionPath:
         left_kind=st.sampled_from(sorted(PATH_FAMILIES)),
         right_kind=st.sampled_from(sorted(PATH_FAMILIES)),
         event_kind=st.sampled_from(sorted(PATH_EVENTS)),
+        gamble_kind=st.sampled_from(sorted(PATH_GAMBLES)),
     )
-    def test_values_and_errors_equal_the_joint_lp(self, seed, left_kind, right_kind, event_kind):
+    def test_values_and_errors_equal_the_joint_lp(self, seed, left_kind, right_kind, event_kind, gamble_kind):
         rng = random.Random(seed)
         spaces = random_space(rng, "L", 1, 4), random_space(rng, "R", 1, 4)
         left, right = (sparse_envelope_model(rng, space) for space in spaces)
         ine = IndependentNaturalExtension(
             left, right, PATH_FAMILIES[left_kind](rng, spaces[0]), PATH_FAMILIES[right_kind](rng, spaces[1])
         )
-        f = random_gamble(rng, ine.space, span=4)
+        f = PATH_GAMBLES[gamble_kind](rng, ine.space)
         event = PATH_EVENTS[event_kind](rng, ine.space)
         assert outcome(lambda: ine.lower(f, event)) == outcome(lambda: lower_prevision(ine, f, event))
         assert outcome(lambda: ine.upper(f, event)) == outcome(lambda: -lower_prevision(ine, -f, event))
@@ -977,6 +1016,54 @@ class TestMarginalExtensionPath:
         plain = IndependentNaturalExtension(left, right, EventFamily.atoms(x), EventFamily.empty(y))
         assert plain.lower(f) == lower_prevision(plain, f) == Fraction(1, 2)
         assert certified == [None, Fraction(1, 2)]
+
+    def test_a_tied_inner_minimiser_certifies_where_the_first_fails(self, monkeypatch, certified):
+        """The instance above with f = (2, 1, 0, 0): at b every right vertex
+        attains H(b) = 0, and the first, the point mass on c, fails the
+        column (I_a - 1/2) * I_{c} as before.  The tied point mass on d
+        passes it, so the product pmf certifies LB = 1/2, which exceeds
+        min f = 0; with one combination allowed, nothing is certified."""
+        x, y = Space("X", ("a", "b")), Space("Y", ("c", "d"))
+        left = ConditionalLowerPrevision.from_entries(x, [(indicator(x.event(["a"])), None, Fraction(1, 2))])
+        right = ConditionalLowerPrevision.from_entries(y, [])
+        ine = IndependentNaturalExtension(left, right, EventFamily.atoms(x), EventFamily.custom(y, [y.event(["c"])]))
+        f = ine.space.gamble([2, 1, 0, 0])
+        assert right.cone.credal_vertices == ((1, 0), (0, 1))
+        assert ine.lower(f) == lower_prevision(ine, f) == Fraction(1, 2)
+        assert certified == [Fraction(1, 2)]
+        monkeypatch.setattr(independence, "TIE_COMBINATIONS", 1)
+        assert ine.lower(f) == Fraction(1, 2)
+        assert certified == [Fraction(1, 2), None]
+
+    def test_a_vertex_product_certifies_a_non_cylinder_minimum(self, attained, solves):
+        """Left P(a) >= 1/2 on {a, b}, right vacuous on {c, d}, both
+        families empty, so no marginal-extension route applies.  On the
+        diagonal event {(a, c), (b, d)} f is least at (a, c), and the
+        product of the point masses on a and on c puts all its mass there,
+        so the value is min_B f = 0 with no LP."""
+        x, y = Space("X", ("a", "b")), Space("Y", ("c", "d"))
+        left = ConditionalLowerPrevision.from_entries(x, [(indicator(x.event(["a"])), None, Fraction(1, 2))])
+        right = ConditionalLowerPrevision.from_entries(y, [])
+        ine = IndependentNaturalExtension(left, right, EventFamily.empty(x), EventFamily.empty(y))
+        f = ine.space.gamble([0, 5, 3, 1])
+        diagonal = ine.space.event(["a|c", "b|d"])
+        assert ine.lower(f, diagonal) == 0
+        assert attained == [True] and solves == []
+        assert "scaled_rows" not in vars(ine)
+        assert lower_prevision(ine, f, diagonal) == 0
+
+    def test_a_product_with_mass_above_the_minimum_certifies_nothing(self, attained, solves):
+        """A linear left marginal (1/2, 1/2), a vacuous right one and empty
+        families.  Every vertex product spreads half its mass over each
+        left outcome, and f = (0, 1, 1, 1) is 1 on all of row b, so no
+        product puts its mass where f is 0: the LP answers 1/2."""
+        x, y = Space("X", ("a", "b")), Space("Y", ("c", "d"))
+        left = LinearPrevision.from_masses(x, [Fraction(1, 2), Fraction(1, 2)]).as_lower_prevision()
+        right = ConditionalLowerPrevision.from_entries(y, [])
+        ine = IndependentNaturalExtension(left, right, EventFamily.empty(x), EventFamily.empty(y))
+        f = ine.space.gamble([0, 1, 1, 1])
+        assert ine.lower(f) == lower_prevision(ine, f) == Fraction(1, 2)
+        assert attained == [False] and solves != []
 
     @pytest.mark.parametrize("seed", range(20))
     def test_without_vertices_every_query_takes_the_lp(self, seed, monkeypatch, certified):

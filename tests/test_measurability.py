@@ -9,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from desirables import independence
 from desirables.independence import EventFamily
 from desirables.measurability import (
+    MAX_FIELD_ATOMS,
+    FamilyTooLargeError,
     LevelApproximation,
     SimpleGambleCone,
     family_is_field,
@@ -251,6 +254,34 @@ class TestGeneratedField:
             assert is_measurable(g, field_family) == measurable_by_field_criterion(
                 g, field_family
             )
+
+
+class TestFieldSizeGuard:
+    """A field is listed only up to ``MAX_FIELD_ATOMS`` atoms; past that the
+    audits raise ``FamilyTooLargeError``, a ``ValueError`` (CLI exit 3),
+    before any closure runs."""
+
+    BIG = Space("B", tuple(f"b{i}" for i in range(MAX_FIELD_ATOMS + 1)))
+
+    def test_seventeen_disjoint_events_are_refused(self):
+        family = EventFamily.custom(self.BIG, self.BIG.atoms())
+        g = indicator(self.BIG.event(["b0"]))
+        for audit in (
+            lambda: generated_field(family),
+            lambda: family_is_field(family),
+            lambda: measurable_by_field_criterion(g, family),
+        ):
+            with pytest.raises(FamilyTooLargeError, match=f"{MAX_FIELD_ATOMS + 1} atoms"):
+                audit()
+        assert issubclass(FamilyTooLargeError, ValueError)
+        assert independence.FamilyTooLargeError is FamilyTooLargeError
+
+    def test_atoms_not_events_are_counted(self):
+        """Seventeen events whose field has two atoms: every event is the
+        same half of the space."""
+        half = self.BIG.event(self.BIG.outcomes[:8])
+        field = generated_field(EventFamily.custom(self.BIG, [half] * (MAX_FIELD_ATOMS + 1)))
+        assert field == {frozenset(), half.members, frozenset(self.BIG.outcomes[8:]), frozenset(self.BIG.outcomes)}
 
 
 PROBE_SCRIPT = """

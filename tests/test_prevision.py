@@ -1,7 +1,10 @@
 """Conditional lower previsions: natural extension, coherence, envelopes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -628,6 +631,24 @@ class TestEnvelopeAgainstVertexOracle:
         assert half.expectation(f) == Fraction(1, 2)
 
 
+FAILED_CHECKS_SCRIPT = """
+from fractions import Fraction
+from desirables import prevision
+from desirables.prevision import ConditionalLowerPrevision
+from desirables.spaces import Space
+
+print("debug", __debug__)
+space = Space("X", ("x1", "x2", "x3"))
+model = ConditionalLowerPrevision.from_entries(space, [])
+for prices in ((1, -1, 1), (1, 0, 0)):
+    prevision._lower_value = lambda cone, f, event, prices=prices: (Fraction(min(f.nums), f.den), prices)
+    try:
+        model.dominating_previsions(space.gamble([3, 1, 2]))
+    except RuntimeError as exc:
+        print("RuntimeError:", exc)
+"""
+
+
 class TestDominatingPmfsFromTheDual:
     """``dominating_previsions`` normalises the prices of the queries of f
     and -f: each is a dominating pmf that attains the query value."""
@@ -687,6 +708,24 @@ class TestDominatingPmfsFromTheDual:
         )
         with pytest.raises(SureLossError):
             model.dominating_previsions(AB.gamble([1, 2]))
+
+    def test_failed_checks_raise_under_optimisation(self):
+        """Both checks are explicit raises, so ``python -O``, which strips
+        ``assert``, keeps them.  The query is made to return prices that
+        fail each check in turn: a negative price, then the point mass on
+        x1, which dominates the vacuous model but does not attain the
+        value 1 of f = (3, 1, 2)."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", FAILED_CHECKS_SCRIPT], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split("\n")[:3] == [
+            "debug False",
+            "RuntimeError: the query's prices (1, -1, 1) are not a dominating pmf up to scale",
+            "RuntimeError: the priced pmf does not attain the query value 1",
+        ]
 
     def test_conditioning_beyond_support_diverges(self):
         model = ConditionalLowerPrevision.from_entries(
