@@ -53,32 +53,33 @@ A x Y (A = X for an unconditional query)
     H(x1) = min { E_w[f(x1, .)] : w a vertex of K2 },
 
 the marginal extension (Miranda & De Cooman 2007); a ratio of linear
-maps is least over K1 at a vertex.  The ``lower`` method of
-:class:`IndependentNaturalExtension` computes LB from the marginal cones'
-cached integer ``credal_vertices``, and keeps every vertex that attains
-each minimum: the candidates for p1, and for each p2^{x1}.  For any such
-choice the product pmf p1(x1) p2^{x1}(x2) gives f the conditional
-expectation LB.  It gives every generator g2 * I_{B1} a non-negative
-expectation, because each p2^{x1} is in K2, and g1 on the full right
-event too, because p1 is in K1.  What is left is checked in ints: for
-every left generator g1 and every other right generator event B2,
-sum_x1 p1(x1) g1(x1) p2^{x1}(B2) >= 0.  When some choice of tied
-minimisers passes them all (at most ``TIE_COMBINATIONS`` choices are
-tried), the product pmf dominates and attains LB, so by weak duality the
-query's value is LB exactly, and the query runs no LP and builds no
-joint row.
+maps is least over K1 at a vertex.  Such a side is a *route*.  The
+``lower`` method of :class:`IndependentNaturalExtension` computes LB from
+the marginal cones' cached integer ``credal_vertices``, and keeps every
+vertex that attains each minimum: the candidates for p1, and for each
+p2^{x1}.  For any such choice the product pmf p1(x1) p2^{x1}(x2) gives f
+the conditional expectation LB.  It gives every generator g2 * I_{B1} a
+non-negative expectation, because each p2^{x1} is in K2, and g1 on the
+full right event too, because p1 is in K1.  What is left is checked in
+ints: for every left generator g1 and every other right generator event
+B2, sum_x1 p1(x1) g1(x1) p2^{x1}(B2) >= 0.  An inner vertex q tied
+wherever p1 has mass in A, taken at every x1, passes them all (each sum
+is q(B2) E_p1[g1]), so it is looked for first; then combinations of tied
+minimisers, at most ``TIE_COMBINATIONS``.  When a choice passes, the
+product pmf dominates and attains LB, so by weak duality the query's
+value is LB exactly, and the query runs no LP and builds no joint row.
 
-A second certificate holds for any families and any event B.  A product
+Only an event that no route makes its cylinder tries a second
+certificate, which holds for any families and any event B.  A product
 v1 (x) v2 of marginal credal vertices dominates every joint generator
 (the INE contains the product of its marginals), so when it gives B
 positive mass and none to the outcomes of B where f exceeds min_B f, its
 conditional expectation min_B f is the query's value: no value is below
-min_B f.  It is tried after the marginal extension, unless LB already
-exceeds min_B f, and only on an INE with a marginal-extension route,
+min_B f.  (On a route's cylinder LB >= min_B f, and such a product is a
+tied p1 with a common q.)  It is tried only on an INE with a route,
 which reads the marginals' vertices anyway, or whose marginals are both
-within the vertex gate (``cones.VERTEX_CAP``).
-
-When neither certificate holds, or a marginal has no vertices (past
+within the vertex gate (``cones.VERTEX_CAP``).  When the one certificate
+fails, or a marginal has no vertices (past
 ``cones.VERTEX_CAP``), the query runs the joint LP through
 ``lower_prevision``, which stays the reference the tests compare with.
 The certified paths run after the same argument checks, so every error
@@ -281,7 +282,7 @@ def independent_product_cone(
     return DesirableCone.from_scaled_rows(prod, _joint_rows(left, right, *events))
 
 
-def _cylinder_base(event: Event, sections: list[slice]) -> Optional[list[int]]:
+def _cylinder_base(event: Event, sections: Sequence[slice]) -> Optional[list[int]]:
     """The indicator of the base A, as 0/1 per outer outcome, when the
     product event is the cylinder A x Y over the outer factor whose
     outcomes have these ``sections`` of the product's outcome indices;
@@ -311,13 +312,13 @@ def _marginal_extension(
     outer: DesirableCone,
     inner: DesirableCone,
     inner_events: list[list[int]],
-    sections: list[slice],
+    sections: Sequence[slice],
     area: list[int],
     f: Gamble,
-) -> Optional[tuple[Fraction, bool]]:
+) -> Optional[Fraction]:
     """The marginal-extension bound LB on lower(f | A x Y) from the
-    marginals' credal vertices, and whether a product pmf of tied
-    minimisers certifies it as the value; None when a marginal has no
+    marginals' credal vertices when a product pmf of tied minimisers
+    certifies it as the value; None when none does, a marginal has no
     vertices or no outer vertex gives A positive mass.
 
     H(x1) is the least inner-vertex expectation of f(x1, .), and LB the
@@ -330,38 +331,42 @@ def _marginal_extension(
     outer_vertices, inner_vertices = outer.credal_vertices, inner.credal_vertices
     if not outer_vertices or not inner_vertices:
         return None
-    nums = f.nums
-    lows, tied = [], []
-    for s in sections:
-        low, _, ws = _least_ratio(inner_vertices, nums[s])
-        lows.append(low)
-        tied.append(ws)
-    least = _least_ratio(outer_vertices, lows, area)
+    scans = [_least_ratio(inner_vertices, f.nums[s]) for s in sections]
+    least = _least_ratio(outer_vertices, [low for low, _, _ in scans], area)
     if least is None:
         return None
     best, mass, outer_tied = least
-    bound = Fraction(best, mass * sum(inner_vertices[0]) * f.den)
-    return bound, _coupled([g.nums for g in outer.generators], inner_events, outer_tied, tied)
+    tied = [ws for _, _, ws in scans]
+    if not _coupled([g.nums for g in outer.generators], inner_events, area, outer_tied, tied):
+        return None
+    return Fraction(best, mass * sum(inner_vertices[0]) * f.den)
 
 
 def _coupled(
     outer_rows: list[tuple[int, ...]],
     inner_events: list[list[int]],
+    area: list[int],
     outer_tied: list[Sequence[int]],
     inner_tied: list[list[Sequence[int]]],
 ) -> bool:
-    """Whether a tied outer minimiser p1 and, at each x1 in its support, a
-    tied inner minimiser p2^{x1} pass every coupling row: for every outer
-    generator g1 (its ``nums`` in ``outer_rows``) and every
+    """Whether a tied outer minimiser p1 and, at each x1 in its support, an
+    inner vertex p2^{x1} tied at x1 in ``area`` pass every coupling row:
+    for every outer generator g1 (its ``nums`` in ``outer_rows``) and every
     ``inner_events`` member B2, sum_x1 p1(x1) g1(x1) p2^{x1}(B2) >= 0.
 
     Any such choice gives a product pmf p1(x1) p2^{x1}(x2) that attains LB
-    and dominates every joint generator.  Each x1 contributes a column of
-    terms p1(x1) g1(x1) p2^{x1}(B2), one per row, and inner minimisers
-    with equal columns are one choice.  The first minimisers are tried
-    first, then the other combinations in order, at most
-    ``TIE_COMBINATIONS`` in all.
+    and dominates every joint generator.  A vertex q tied wherever p1 has
+    mass in the area, taken at every x1, passes (each row is
+    q(B2) E_p1[g1] >= 0), so it is looked for first, with no column built.
+    Otherwise each x1 contributes a column of terms p1(x1) g1(x1)
+    p2^{x1}(B2), one per row, and inner minimisers with equal columns are
+    one choice.  The first minimisers are tried first, then the other
+    combinations in order, at most ``TIE_COMBINATIONS`` in all.
     """
+    for p1 in outer_tied:
+        first, *rest = (inner_tied[i] for i, w in enumerate(p1) if w and area[i])
+        if set(first).intersection(*rest):
+            return True
     masses: dict[Sequence[int], list[int]] = {}
     budget = TIE_COMBINATIONS
     for p1 in outer_tied:
@@ -405,23 +410,21 @@ def _min_attained(
     one.
     """
     low = int(minimum * f.den)
-    n2 = len(right_vertices[0])
-    at_low, above = [0] * len(left_vertices[0]), [0] * len(left_vertices[0])
-    members = event.members
-    for k, (x, v) in enumerate(zip(event.space.outcomes, f.nums)):
-        if x in members:
-            i, j = divmod(k, n2)
-            if v == low:
-                at_low[i] |= 1 << j
-            else:
-                above[i] |= 1 << j
+    members, outcomes, nums = event.members, event.space.outcomes, f.nums
+    masks = []
+    for s in event.space.sections("left"):
+        row = [0, 0]
+        for j, (x, v) in enumerate(zip(outcomes[s], nums[s])):
+            if x in members:
+                row[v != low] |= 1 << j
+        masks.append(row)
     right_supports = dict.fromkeys(sum(1 << j for j, w in enumerate(v) if w) for v in right_vertices)
     for v in left_vertices:
         reach = barred = 0
-        for i, w in enumerate(v):
+        for w, (at_low, above) in zip(v, masks):
             if w:
-                reach |= at_low[i]
-                barred |= above[i]
+                reach |= at_low
+                barred |= above
         if reach and any(s & reach and not s & barred for s in right_supports):
             return True
     return False
@@ -512,14 +515,12 @@ class IndependentNaturalExtension:
         # side's events but the full one, and each outer outcome's section
         # of the product's outcome indices.
         sizes = left.space.size, right.space.size
-        n2 = sizes[1]
-        sections = [slice(i * n2, (i + 1) * n2) for i in range(sizes[0])], [slice(j, None, n2) for j in range(n2)]
         self._routes = [
             (
                 self._marginals[outer],
                 self._marginals[1 - outer],
                 [b for b in self._events[1 - outer] if len(b) < sizes[1 - outer]],
-                sections[outer],
+                self.space.sections(("left", "right")[outer]),
             )
             for outer in (0, 1)
             if sum(len(b) == 1 for b in self._events[outer]) == sizes[outer]
@@ -538,27 +539,22 @@ class IndependentNaturalExtension:
         return DesirableCone.from_scaled_rows(self.space, self.scaled_rows)
 
     def lower(self, f: Gamble, event: Optional[Event] = None) -> Fraction:
-        """The joint lower prevision of f given the event: the certified
-        marginal extension or the certified minimum when one applies (see
-        the module docstring), otherwise the joint LP,
-        ``lower_prevision(self, f, event)``."""
+        """The joint lower prevision of f given the event, by one vertex
+        certificate chosen by the event's shape (see the module docstring):
+        the certified marginal extension when a route makes the event its
+        cylinder, otherwise the certified minimum; when it fails, the joint
+        LP, ``lower_prevision(self, f, event)``."""
         event = _query_event(self, f, event)
-        bound = None
         for outer, inner, inner_events, sections in self._routes:
             area = _cylinder_base(event, sections)
             if area is not None:
-                found = _marginal_extension(outer, inner, inner_events, sections, area, f)
-                if found is not None:
-                    bound, coupled = found
-                    if coupled:
-                        return bound
-                break
+                value = _marginal_extension(outer, inner, inner_events, sections, area, f)
+                return lower_prevision(self, f, event) if value is None else value
         if self._routes or all(map(_vertex_gated, self._marginals)):
             minimum = f.min_over(event)
-            if bound is None or bound <= minimum:
-                left_vertices, right_vertices = (cone.credal_vertices for cone in self._marginals)
-                if left_vertices and right_vertices and _min_attained(left_vertices, right_vertices, event, f, minimum):
-                    return minimum
+            left_vertices, right_vertices = (cone.credal_vertices for cone in self._marginals)
+            if left_vertices and right_vertices and _min_attained(left_vertices, right_vertices, event, f, minimum):
+                return minimum
         return lower_prevision(self, f, event)
 
     def upper(self, f: Gamble, event: Optional[Event] = None) -> Fraction:
@@ -721,23 +717,16 @@ def nested_evaluation(
 ) -> Gamble:
     """Integrate out one factor with the pmf ``inner`` on it: for
     inner_side='right', the gamble x1 -> inner(f(x1, .)) on the left
-    factor, and symmetrically.  In the left-major product order f(x1, .)
-    is a block of ``f.nums`` and f(., x2) a stride, so both are slices,
-    each summed against the pmf's ints over one denominator."""
+    factor, and symmetrically.  Each outer outcome's values of f are its
+    ``ProductSpace.sections`` slice of ``f.nums``, summed against the pmf's
+    ints over one denominator."""
     if f.space != prod:
         raise SpaceMismatchError("gamble is not on the product space")
     if inner.space != prod.factor(inner_side):
         raise SpaceMismatchError(f"the inner pmf is not on the {inner_side} factor")
-    n2 = prod.right.size
-    nums = f.nums
-    if inner_side == "right":
-        outer = prod.left
-        sections = (nums[i * n2 : (i + 1) * n2] for i in range(outer.size))
-    else:
-        outer = prod.right
-        sections = (nums[j::n2] for j in range(n2))
-    weights = inner.nums
-    return Gamble.from_ints(outer, inner.den * f.den, [sum(map(mul, weights, row)) for row in sections])
+    outer = _other_side(inner_side)
+    rows = (f.nums[s] for s in prod.sections(outer))
+    return Gamble.from_ints(prod.factor(outer), inner.den * f.den, [sum(map(mul, inner.nums, row)) for row in rows])
 
 
 @dataclass(frozen=True)

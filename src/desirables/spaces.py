@@ -16,9 +16,9 @@ every linear program built downstream.
 A :class:`ProductSpace` is built from its two factors alone,
 ``ProductSpace(name, left, right)``, and derives its outcomes: the compound
 labels "x1|x2" in left-major order, so product outcome k is the pair of
-left outcome k // n2 and right outcome k % n2.  This module is the only
-one that formats those labels; the lifts here and the nested evaluation
-in ``independence`` work on outcome indices.
+left outcome k // n2 and right outcome k % n2.  This module alone formats
+those labels and knows that order: the lifts here work on outcome indices,
+and ``ProductSpace.sections`` gives each factor outcome's slice of them.
 """
 
 from __future__ import annotations
@@ -396,6 +396,14 @@ class ProductSpace(Space):
         if side == "right":
             return self.right
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+    def sections(self, side: str) -> tuple[slice, ...]:
+        """Each ``side`` factor outcome's slice of the outcome indices: a
+        block of the left-major order on the left, a stride on the right."""
+        factor, n2 = self.factor(side), self.right.size
+        if side == "left":
+            return tuple(slice(i * n2, (i + 1) * n2) for i in range(factor.size))
+        return tuple(slice(j, None, n2) for j in range(n2))
 
 
 def product_space(left: Space, right: Space) -> ProductSpace:

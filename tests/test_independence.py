@@ -892,15 +892,14 @@ def outcome(query):
 
 @pytest.fixture
 def certified(monkeypatch):
-    """The values ``_marginal_extension`` certifies, None when it
-    certifies nothing."""
+    """What ``_marginal_extension`` returns, one entry per call: the
+    certified value, or None when it certifies nothing."""
     values = []
     original = independence._marginal_extension
 
     def spy(*args):
-        found = original(*args)
-        values.append(found[0] if found is not None and found[1] else None)
-        return found
+        values.append(original(*args))
+        return values[-1]
 
     monkeypatch.setattr(independence, "_marginal_extension", spy)
     return values
@@ -942,12 +941,28 @@ PATH_GAMBLES = {
 }
 
 
+def _routes_cover(prod, families, event):
+    """Whether a side whose family holds every atom makes the event its
+    cylinder.  The full factor event always counts as a family member, as
+    it does for the joint generators."""
+    for side, family in zip(("left", "right"), families):
+        factor = prod.factor(side)
+        members = {e.members for e in family.generator_events()} | {factor.full_event().members}
+        cylinders = [cylinder_event(factor.event([x]), prod, side) for x in factor.outcomes]
+        if all(frozenset([x]) in members for x in factor.outcomes) and all(
+            c.intersect(event).members in (frozenset(), c.members) for c in cylinders
+        ):
+            return True
+    return False
+
+
 class TestMarginalExtensionPath:
     """``IndependentNaturalExtension.lower`` answers from the marginals'
-    credal vertices when a product of tied minimisers certifies the
-    marginal-extension bound, or a product of vertices attains min_B f,
-    and from the joint LP otherwise; every value and error equals the
-    joint LP's."""
+    credal vertices by one certificate chosen by the event's shape: on a
+    route's cylinder, a product of tied minimisers that certifies the
+    marginal-extension bound; on any other event, a product of vertices
+    that attains min_B f.  Otherwise it takes the joint LP; every value
+    and error equals the joint LP's."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -961,13 +976,23 @@ class TestMarginalExtensionPath:
         rng = random.Random(seed)
         spaces = random_space(rng, "L", 1, 4), random_space(rng, "R", 1, 4)
         left, right = (sparse_envelope_model(rng, space) for space in spaces)
-        ine = IndependentNaturalExtension(
-            left, right, PATH_FAMILIES[left_kind](rng, spaces[0]), PATH_FAMILIES[right_kind](rng, spaces[1])
-        )
+        families = PATH_FAMILIES[left_kind](rng, spaces[0]), PATH_FAMILIES[right_kind](rng, spaces[1])
+        ine = IndependentNaturalExtension(left, right, *families)
         f = PATH_GAMBLES[gamble_kind](rng, ine.space)
         event = PATH_EVENTS[event_kind](rng, ine.space)
-        assert outcome(lambda: ine.lower(f, event)) == outcome(lambda: lower_prevision(ine, f, event))
-        assert outcome(lambda: ine.upper(f, event)) == outcome(lambda: -lower_prevision(ine, -f, event))
+        tested = []
+        original = independence._min_attained
+
+        def spy(*args):
+            tested.append(args[2])
+            return original(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(independence, "_min_attained", spy)
+            assert outcome(lambda: ine.lower(f, event)) == outcome(lambda: lower_prevision(ine, f, event))
+            assert outcome(lambda: ine.upper(f, event)) == outcome(lambda: -lower_prevision(ine, -f, event))
+        # A route's cylinder is decided by the marginal extension alone.
+        assert not any(_routes_cover(ine.space, families, tested_event) for tested_event in tested)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_a_certified_query_solves_no_lp_and_builds_no_joint_rows(self, seed, monkeypatch, certified):
@@ -1017,23 +1042,62 @@ class TestMarginalExtensionPath:
         assert plain.lower(f) == lower_prevision(plain, f) == Fraction(1, 2)
         assert certified == [None, Fraction(1, 2)]
 
-    def test_a_tied_inner_minimiser_certifies_where_the_first_fails(self, monkeypatch, certified):
+    def test_a_common_inner_vertex_certifies_where_the_first_minimisers_fail(self, monkeypatch, certified):
         """The instance above with f = (2, 1, 0, 0): at b every right vertex
         attains H(b) = 0, and the first, the point mass on c, fails the
-        column (I_a - 1/2) * I_{c} as before.  The tied point mass on d
-        passes it, so the product pmf certifies LB = 1/2, which exceeds
-        min f = 0; with one combination allowed, nothing is certified."""
+        column (I_a - 1/2) * I_{c} as before.  The point mass on d is tied
+        at both a and b, so the product pmf certifies LB = 1/2, which
+        exceeds min f = 0, with no combination tried."""
         x, y = Space("X", ("a", "b")), Space("Y", ("c", "d"))
         left = ConditionalLowerPrevision.from_entries(x, [(indicator(x.event(["a"])), None, Fraction(1, 2))])
         right = ConditionalLowerPrevision.from_entries(y, [])
         ine = IndependentNaturalExtension(left, right, EventFamily.atoms(x), EventFamily.custom(y, [y.event(["c"])]))
         f = ine.space.gamble([2, 1, 0, 0])
         assert right.cone.credal_vertices == ((1, 0), (0, 1))
+        monkeypatch.setattr(independence, "TIE_COMBINATIONS", 1)
+        assert ine.lower(f) == lower_prevision(ine, f) == Fraction(1, 2)
+        assert certified == [Fraction(1, 2)]
+
+    def test_a_tied_inner_minimiser_certifies_where_the_first_fails(self, monkeypatch, certified):
+        """Left P(a) >= 1/2 on {a, b} with the atoms family, right vacuous
+        on {c, d, e} with the family {c, e}, and f = (2, 1, 1, 0, 1, 2).
+        H(a) = 1 is attained at the point masses on d and e, H(b) = 0 only
+        at the one on c, so no vertex is tied at both, and LB = 1/2 at
+        p1 = (1/2, 1/2).  The first combination (d at a) fails the column
+        (I_a - 1/2) * I_{c, e} and the second (e at a) passes it; with one
+        combination allowed, the LP answers."""
+        x, y = Space("X", ("a", "b")), Space("Y", ("c", "d", "e"))
+        left = ConditionalLowerPrevision.from_entries(x, [(indicator(x.event(["a"])), None, Fraction(1, 2))])
+        right = ConditionalLowerPrevision.from_entries(y, [])
+        ine = IndependentNaturalExtension(
+            left, right, EventFamily.atoms(x), EventFamily.custom(y, [y.event(["c", "e"])])
+        )
+        f = ine.space.gamble([2, 1, 1, 0, 1, 2])
         assert ine.lower(f) == lower_prevision(ine, f) == Fraction(1, 2)
         assert certified == [Fraction(1, 2)]
         monkeypatch.setattr(independence, "TIE_COMBINATIONS", 1)
         assert ine.lower(f) == Fraction(1, 2)
         assert certified == [Fraction(1, 2), None]
+
+    def test_a_route_cylinder_is_decided_by_the_marginal_extension_alone(self, attained, certified, solves):
+        """Left P(a) >= 1/3 on {a, b} with the atoms family, right vacuous
+        on {u, v} with the family {u}, and f = (1, 0, 0, 2) on the cylinder
+        {b} x Y.  The tied minimisers are the point masses on v at a and on
+        u at b, and with p1 = (1/3, 2/3) they fail the column
+        (I_a - 1/3) * I_{u}; the point mass on u, tied at b, the one
+        outcome of A where p1 has mass, certifies 0.  A vertex product
+        would certify that minimum too, but it is never tried on a
+        route's cylinder."""
+        x, y = Space("X", ("a", "b")), Space("Y", ("u", "v"))
+        left = ConditionalLowerPrevision.from_entries(x, [(indicator(x.event(["a"])), None, Fraction(1, 3))])
+        right = ConditionalLowerPrevision.from_entries(y, [])
+        ine = IndependentNaturalExtension(left, right, EventFamily.atoms(x), EventFamily.custom(y, [y.event(["u"])]))
+        f = ine.space.gamble([1, 0, 0, 2])
+        event = cylinder_event(x.event(["b"]), ine.space, "left")
+        assert ine.lower(f, event) == 0
+        assert certified == [0] and attained == [] and solves == []
+        assert "scaled_rows" not in vars(ine)
+        assert lower_prevision(ine, f, event) == 0
 
     def test_a_vertex_product_certifies_a_non_cylinder_minimum(self, attained, solves):
         """Left P(a) >= 1/2 on {a, b}, right vacuous on {c, d}, both

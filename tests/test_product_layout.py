@@ -105,6 +105,16 @@ class TestAgainstLabels:
                     event = factor.event(members)
                     assert cylinder_event(event, prod, side) == ref_cylinder_event(event, prod, side)
 
+    def test_sections_hold_each_factor_outcomes_pairs(self, left, right):
+        prod = product_space(left, right)
+        for side in ("left", "right"):
+            factor = prod.factor(side)
+            sections = prod.sections(side)
+            assert len(sections) == factor.size
+            for x, s in zip(factor.outcomes, sections):
+                pairs = [label for a, b, label in _labels(prod) if (a if side == "left" else b) == x]
+                assert prod.outcomes[s] == tuple(pairs)
+
     def test_nested_evaluation_both_sides(self, left, right):
         rng = random.Random(100 + left.size * 10 + right.size)
         prod = product_space(left, right)
@@ -121,3 +131,9 @@ def test_nested_evaluation_needs_a_pmf_on_the_integrated_factor():
     prod = product_space(x, y)
     with pytest.raises(SpaceMismatchError):
         nested_evaluation(LinearPrevision.uniform(x), prod.zero(), prod, "right")
+
+
+def test_sections_need_a_side():
+    prod = product_space(_space("L", 2), _space("R", 3))
+    with pytest.raises(ValueError):
+        prod.sections("middle")
