@@ -321,9 +321,10 @@ def _u64(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
+    """A positive int; argparse prefixes the error with the flag's name."""
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("trials must be a positive integer")
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
 
 
@@ -371,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas.add_argument("--model", "-m", required=True)
     p_meas.add_argument("--gamble", required=True)
     p_meas.add_argument("--family", required=True, help="family id or atoms/all/empty")
-    p_meas.add_argument("--levels", type=int, help="also run the n-step staircase approximation")
+    p_meas.add_argument("--levels", type=_positive_int, help="also run the n-step staircase approximation")
     p_meas.set_defaults(func=_cmd_measurable)
 
     p_suite = sub.add_parser("suite", parents=[common], help="run a seeded property suite")

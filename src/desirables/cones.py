@@ -54,11 +54,12 @@ tuples over one common denominator.  ``independence`` answers some INE
 queries from the marginals' vertices alone.  The enumeration gives up
 when more than ``VERTEX_CAP`` rays are kept at some step; the property
 is then None, and callers answer by LP.
-Queries read the vertices only on a cone whose ``vertex_bound`` is within
-``VERTEX_CAP``.  On n outcomes with m generators that bound is the upper
-bound theorem's (McMullen 1970) vertex count for a polytope of dimension
-below n with n + m facets, so no step of the enumeration can pass it, and
-it is computed once per cone.  There lower(f | B) is the least
+Only ``_lower_value`` applies ``vertex_bound``: it reads the vertices
+only on a cone whose bound is within ``VERTEX_CAP``.  On n outcomes with
+m generators that bound is the upper bound theorem's (McMullen 1970)
+vertex count for a polytope of dimension below n with n + m facets, so no
+step of the enumeration can pass it, and it is computed once per cone.
+There lower(f | B) is the least
 E_v[f * I_B] / v(B) over the vertices v with v(B) > 0 (``_least_ratio``,
 the integer scan ``independence`` uses as well), which is exactly the LP's
 value, because the LP's dual is that linear-fractional program over the
@@ -74,6 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -83,8 +85,8 @@ from .spaces import Event, Gamble, Space, SpaceMismatchError, indicator
 
 #: The most extreme rays that ``DesirableCone.credal_vertices`` keeps at any
 #: step of its enumeration; past it the property is None, and callers
-#: answer by LP instead.  Queries take the vertex path only on cones whose
-#: ``vertex_bound`` is within it.
+#: answer by LP instead.  ``_lower_value`` takes the vertex path only on
+#: cones whose ``vertex_bound`` is within it.
 VERTEX_CAP = 64
 
 
@@ -341,12 +343,6 @@ def _vertex_bound(n: int, m: int) -> int:
     return max(comb(f - (d + 1) // 2, d // 2) + comb(f - d // 2 - 1, (d + 1) // 2 - 1) for d in range(1, n))
 
 
-def _vertex_gated(cone: DesirableCone) -> bool:
-    """Whether the cone's ``vertex_bound`` is within ``VERTEX_CAP``, so that
-    reading its ``credal_vertices`` costs a bounded enumeration."""
-    return cone.vertex_bound <= VERTEX_CAP
-
-
 def _least_ratio(
     vertices: Sequence[Sequence[int]], values: Sequence[int], area: Optional[Sequence[int]] = None
 ) -> Optional[tuple[int, int, list[Sequence[int]]]]:
@@ -414,9 +410,8 @@ def _gamble_side_lp(
         objective, on, off = [0] * n + [1], (1,), (0,)
     lp = LinearProgram(len(objective), objective)
     den, nums = f_row
-    members = event.members
-    for x, row, v in zip(cone.space.outcomes, cone.scaled_rows, nums):
-        if x in members:
+    for row, v, inside in zip(cone.scaled_rows, nums, event.mask):
+        if inside:
             lp.add_scaled(row, LESS_EQUAL, (v - floor, den), last=on)
         else:
             lp.add_scaled(row, LESS_EQUAL, (0, 1), last=off)
@@ -467,15 +462,14 @@ def _lower_value(
     checks r exactly before anything relies on it.
     """
     den, nums = f.den, f.nums
-    members = event.members
-    if isinstance(cone, DesirableCone) and _vertex_gated(cone):
-        area = None if event.is_full else [x in members for x in cone.space.outcomes]
+    if isinstance(cone, DesirableCone) and cone.vertex_bound <= VERTEX_CAP:
+        area = None if event.is_full else event.mask
         least = _least_ratio(cone.credal_vertices, nums, area)
         if least is None:
             return None, ()
         e, mass, minimisers = least
         return Fraction(e, mass * den), minimisers[0]
-    floor = min(v for x, v in zip(cone.space.outcomes, nums) if x in members)
+    floor = min(compress(nums, event.mask))
     result = _gamble_side_lp(cone, (den, nums), event, floor).solve(DANTZIG)
     if result.status is LPStatus.UNBOUNDED:
         return None, ()

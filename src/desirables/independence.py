@@ -76,12 +76,10 @@ v1 (x) v2 of marginal credal vertices dominates every joint generator
 positive mass and none to the outcomes of B where f exceeds min_B f, its
 conditional expectation min_B f is the query's value: no value is below
 min_B f.  (On a route's cylinder LB >= min_B f, and such a product is a
-tied p1 with a common q.)  It is tried only on an INE with a route,
-which reads the marginals' vertices anyway, or whose marginals are both
-within the vertex gate (``cones.VERTEX_CAP``).  When the one certificate
-fails, or a marginal has no vertices (past
-``cones.VERTEX_CAP``), the query runs the joint LP through
-``lower_prevision``, which stays the reference the tests compare with.
+tied p1 with a common q.)  When the one certificate fails, or a marginal
+has no vertices (its enumeration passed ``cones.VERTEX_CAP``), the query
+runs the joint LP through ``lower_prevision``, which stays the reference
+the tests compare with.
 The certified paths run after the same argument checks, so every error
 is the LP's.
 """
@@ -96,7 +94,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .cones import DesirableCone, _least_ratio, _vertex_gated
+from .cones import DesirableCone, _least_ratio
 from .measurability import FamilyTooLargeError, require_measurable
 from .prevision import (
     ConditionalLowerPrevision,
@@ -204,9 +202,9 @@ def _event_indices(family: Optional[EventFamily], factor: Space) -> list[list[in
         raise SpaceMismatchError("family space does not match its marginal")
     if family is None or family.kind != CUSTOM:
         return [[k] for k in range(factor.size)]
-    events = dict.fromkeys(e.members for e in family.custom_events)
-    events[frozenset(factor.outcomes)] = None
-    return [[k for k, x in enumerate(factor.outcomes) if x in e] for e in events]
+    events = dict.fromkeys(e.mask for e in family.custom_events)
+    events[(1,) * factor.size] = None
+    return [[k for k, inside in enumerate(mask) if inside] for mask in events]
 
 
 def _joint_rows(
@@ -289,11 +287,9 @@ def _cylinder_base(event: Event, sections: Sequence[slice]) -> Optional[list[int
     None when it is not such a cylinder."""
     if event.is_full:
         return [1] * len(sections)
-    members = event.members
-    inside = [x in members for x in event.space.outcomes]
-    area = []
+    mask, area = event.mask, []
     for s in sections:
-        block = inside[s]
+        block = mask[s]
         if all(block):
             area.append(1)
         elif any(block):
@@ -410,12 +406,12 @@ def _min_attained(
     one.
     """
     low = int(minimum * f.den)
-    members, outcomes, nums = event.members, event.space.outcomes, f.nums
+    mask, nums = event.mask, f.nums
     masks = []
     for s in event.space.sections("left"):
         row = [0, 0]
-        for j, (x, v) in enumerate(zip(outcomes[s], nums[s])):
-            if x in members:
+        for j, (inside, v) in enumerate(zip(mask[s], nums[s])):
+            if inside:
                 row[v != low] |= 1 << j
         masks.append(row)
     right_supports = dict.fromkeys(sum(1 << j for j, w in enumerate(v) if w) for v in right_vertices)
@@ -550,11 +546,10 @@ class IndependentNaturalExtension:
             if area is not None:
                 value = _marginal_extension(outer, inner, inner_events, sections, area, f)
                 return lower_prevision(self, f, event) if value is None else value
-        if self._routes or all(map(_vertex_gated, self._marginals)):
-            minimum = f.min_over(event)
-            left_vertices, right_vertices = (cone.credal_vertices for cone in self._marginals)
-            if left_vertices and right_vertices and _min_attained(left_vertices, right_vertices, event, f, minimum):
-                return minimum
+        minimum = f.min_over(event)
+        left_vertices, right_vertices = (cone.credal_vertices for cone in self._marginals)
+        if left_vertices and right_vertices and _min_attained(left_vertices, right_vertices, event, f, minimum):
+            return minimum
         return lower_prevision(self, f, event)
 
     def upper(self, f: Gamble, event: Optional[Event] = None) -> Fraction:

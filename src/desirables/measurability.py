@@ -93,8 +93,8 @@ class SimpleGambleCone:
         events = self.family.generator_events()
         n = 1 + len(events)
         lp = LinearProgram(n, [0] * n)
-        for x, v in zip(self.space.outcomes, g.nums):
-            lp.add_scaled((1, (1, *(int(x in e.members) for e in events))), EQUAL, (v, g.den))
+        for v, *inside in zip(g.nums, *(e.mask for e in events)):
+            lp.add_scaled((1, (1, *inside)), EQUAL, (v, g.den))
         result = lp.solve()
         if result.status is not LPStatus.OPTIMAL:
             return None
@@ -241,10 +241,10 @@ def generated_field(family: "EventFamily") -> frozenset[frozenset[str]]:
     members.  The atoms are counted first, and past ``MAX_FIELD_ATOMS`` of
     them this raises ``FamilyTooLargeError`` instead of listing 2^k sets."""
     space = family.space
-    members = [e.members for e in family.events()]
-    classes: dict[tuple[bool, ...], list[str]] = {}
-    for x in space.outcomes:
-        classes.setdefault(tuple(x in m for m in members), []).append(x)
+    masks = [e.mask for e in family.events()]
+    classes: dict[tuple[int, ...], list[str]] = {}
+    for k, x in enumerate(space.outcomes):
+        classes.setdefault(tuple(m[k] for m in masks), []).append(x)
     if len(classes) > MAX_FIELD_ATOMS:
         raise FamilyTooLargeError(
             f"the field generated on {space.name!r} has {len(classes)} atoms, so 2^{len(classes)} sets; "

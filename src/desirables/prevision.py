@@ -307,17 +307,25 @@ class ConditionalLowerPrevision:
         """Max over the union of involved conditioning events of
         sum lambda_i [f_i - v_i] I_{B_i}  ( - [f_k - v_k] I_{B_k} )."""
         combo = self.space.zero()
-        region: set[str] = set()
-        for coeff, g, (k, _s) in zip(lambdas_by_gen, self.cone.generators, self._owners):
+        for coeff, g in zip(lambdas_by_gen, self.cone.generators):
             if coeff:
                 combo = combo + g * coeff
-                region |= self.assessment.entries[k].event.members
         if minus_entry is not None:
             combo = combo - self.assessment.entries[minus_entry].boundary_gamble()
-            region |= self.assessment.entries[minus_entry].event.members
-        if not region:
+        region = self._region([gi for gi, coeff in enumerate(lambdas_by_gen) if coeff], minus_entry)
+        if not any(region):
             return None
-        return combo.max_over(Event(self.space, frozenset(region)))
+        return Fraction(max(itertools.compress(combo.nums, region)), combo.den)
+
+    def _region(self, gens: Sequence[int], minus_entry: Optional[int]) -> list[bool]:
+        """The union of the conditioning events of these generators' entries
+        and of the minus entry, as one flag per outcome in outcome order:
+        the OR of their masks."""
+        entries = self.assessment.entries
+        masks = [entries[self._owners[gi][0]].event.mask for gi in gens]
+        if minus_entry is not None:
+            masks.append(entries[minus_entry].event.mask)
+        return [any(bits) for bits in zip(*masks)]
 
     def _polish_certificate(
         self, support: Sequence[int], minus_entry: Optional[int]
@@ -328,13 +336,8 @@ class ConditionalLowerPrevision:
         gens = self.cone.generators
         for size in range(len(support), 0, -1):
             for subset in itertools.combinations(support, size):
-                region: set[str] = set()
-                for gi in subset:
-                    region |= self.assessment.entries[self._owners[gi][0]].event.members
-                if minus_entry is not None:
-                    region |= self.assessment.entries[minus_entry].event.members
-                region_list = [x for x in self.space.outcomes if x in region]
-                if not region_list:
+                region = self._region(subset, minus_entry)
+                if not any(region):
                     continue
                 # Variables: lambda_i for i in subset, then eps; maximize eps.
                 nv = len(subset) + 1
@@ -344,8 +347,7 @@ class ConditionalLowerPrevision:
                     if minus_entry is not None
                     else self.space.zero()
                 )
-                for x in region_list:
-                    xi = self.space.index(x)
+                for xi in itertools.compress(range(self.space.size), region):
                     scale, ints = self.cone.scaled_rows[xi]
                     row = (scale, tuple(ints[gi] for gi in subset))
                     lp.add_scaled(row, LESS_EQUAL, (minus.nums[xi], minus.den), last=(1,))
@@ -379,24 +381,21 @@ class ConditionalLowerPrevision:
         """
         entries = self.assessment.entries
         gens = self.cone.generators
-        # (outcomes where r > 0, E_r[g_i] per generator) of each dominating r.
-        dominating: list[tuple[frozenset[str], tuple[int, ...]]] = []
+        # (the prices r, E_r[g_i] per generator) of each dominating r.
+        dominating: list[tuple[Sequence[int], tuple[int, ...]]] = []
         for gi, (k, sign) in enumerate(self._owners):  # one probe per generator
             event = entries[k].event
             gamble, assessed = entries[k].gamble, entries[k].lower
             if sign < 0:
                 gamble, assessed = -gamble, -assessed
-            if any(
-                expectations[gi] == 0 and not positive.isdisjoint(event.members)
-                for positive, expectations in dominating
-            ):
+            # r >= 0 was checked, so r gives B positive mass iff some r(x) I_B(x) != 0.
+            if any(expectations[gi] == 0 and any(map(mul, r, event.mask)) for r, expectations in dominating):
                 continue
             value, prices = _lower_value(self.cone, gamble, event)
             if value is not None and value <= assessed:
                 expectations = _dominating_expectations(self.cone, prices)
                 if expectations is not None:
-                    positive = frozenset(x for x, r in zip(self.space.outcomes, prices) if r)
-                    dominating.append((positive, expectations))
+                    dominating.append((prices, expectations))
                 continue
             # The probe fails: the value diverges or exceeds the
             # assessment.  Re-solve with mu free on Bland's rule, whose
@@ -538,14 +537,10 @@ class LinearPrevision:
     def mass(self, outcome: str) -> Fraction:
         return self.masses[self.space.index(outcome)]
 
-    def _event_indices(self, event: Event) -> list[int]:
+    def probability(self, event: Event) -> Fraction:
         if event.space != self.space:
             raise SpaceMismatchError("event on a different space")
-        return [self.space.index(x) for x in event.members]
-
-    def probability(self, event: Event) -> Fraction:
-        nums = self.nums
-        return Fraction(sum(nums[k] for k in self._event_indices(event)), self.den)
+        return Fraction(sum(map(mul, self.nums, event.mask)), self.den)
 
     def expectation(self, f: Gamble) -> Fraction:
         if f.space != self.space:
@@ -558,13 +553,13 @@ class LinearPrevision:
         if f.space != self.space:
             raise SpaceMismatchError("gamble on a different space")
         event.require_nonempty()
-        inside = self._event_indices(event)
-        nums = self.nums
-        mass = sum(nums[k] for k in inside)
+        if event.space != self.space:
+            raise SpaceMismatchError("event on a different space")
+        inside = list(map(mul, self.nums, event.mask))
+        mass = sum(inside)
         if mass == 0:
             raise BeyondSupportError(event)
-        values = f.nums
-        return Fraction(sum(nums[k] * values[k] for k in inside), mass * f.den)
+        return Fraction(sum(map(mul, inside, f.nums)), mass * f.den)
 
     def __call__(self, f: Gamble, event: Optional[Event] = None) -> Fraction:
         if event is None or event.is_full:

@@ -11,7 +11,9 @@ can be shared freely between threads.
 
 The outcome order of a :class:`Space` is the declaration order; it fixes
 the coordinate order of every gamble vector and hence the column order of
-every linear program built downstream.
+every linear program built downstream.  An event's ``mask`` is its
+membership in that order, one 0/1 int per outcome: the one place where an
+event's labels become outcome positions, built on first read and kept.
 
 A :class:`ProductSpace` is built from its two factors alone,
 ``ProductSpace(name, left, right)``, and derives its outcomes: the compound
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import add, index, mul, neg, sub
 from typing import Iterable, Mapping, Sequence, TypeVar, Union
@@ -151,9 +154,19 @@ class Event:
             raise SpaceMismatchError("events on different spaces")
         return Event(self.space, self.members & other.members)
 
+    @property
+    def mask(self) -> tuple[int, ...]:
+        """One 0/1 int per outcome, in outcome order.  Built on first read
+        and kept outside the fields, which equality and hashing read."""
+        mask = self.__dict__.get("_mask")
+        if mask is None:
+            members = self.members
+            mask = self.__dict__["_mask"] = tuple(1 if x in members else 0 for x in self.space.outcomes)
+        return mask
+
     def sorted_members(self) -> list[str]:
         """Members in the space's outcome order (deterministic)."""
-        return [x for x in self.space.outcomes if x in self.members]
+        return list(compress(self.space.outcomes, self.mask))
 
 
 class Gamble:
@@ -289,8 +302,7 @@ class Gamble:
             raise SpaceMismatchError("event on a different space")
         if event.is_empty:
             raise EmptyEventError(f"{pick.__name__} over the empty event is undefined")
-        nums, where = self.nums, self.space._index  # type: ignore[attr-defined]
-        return Fraction(pick(nums[where[x]] for x in event.members), self.den)
+        return Fraction(pick(compress(self.nums, event.mask)), self.den)
 
     def min_over(self, event: Event) -> Fraction:
         return self._over(event, min)
@@ -354,8 +366,7 @@ def _ratio(value: RationalLike) -> tuple[int, int]:
 
 def indicator(event: Event) -> Gamble:
     """The 0/1 gamble of an event (the event may be empty)."""
-    members = event.members
-    return _gamble(event.space, 1, tuple(1 if x in members else 0 for x in event.space.outcomes))
+    return _gamble(event.space, 1, event.mask)
 
 
 def compound_label(left_outcome: str, right_outcome: str) -> str:
@@ -434,13 +445,14 @@ def cylinder_event(event: Event, prod: ProductSpace, side: str) -> Event:
         raise SpaceMismatchError(
             f"event lives on {event.space.name!r}, not on the {side} factor {factor.name!r}"
         )
-    inside = [x in event.members for x in factor.outcomes]
-    n2 = prod.right.size
     if side == "left":
-        members = (x for k, x in enumerate(prod.outcomes) if inside[k // n2])
+        n2 = prod.right.size
+        mask = tuple(b for b in event.mask for _ in range(n2))
     else:
-        members = (x for k, x in enumerate(prod.outcomes) if inside[k % n2])
-    return Event(prod, frozenset(members))
+        mask = event.mask * prod.left.size
+    lifted = Event(prod, frozenset(compress(prod.outcomes, mask)))
+    lifted.__dict__["_mask"] = mask
+    return lifted
 
 
 def rectangle_event(left_event: Event, right_event: Event, prod: ProductSpace) -> Event:

@@ -1129,6 +1129,26 @@ class TestMarginalExtensionPath:
         assert ine.lower(f) == lower_prevision(ine, f) == Fraction(1, 2)
         assert attained == [False] and solves != []
 
+    def test_a_marginal_past_the_vertex_bound_still_certifies(self, attained, solves):
+        """A linear left marginal on 5 outcomes has one credal vertex, but
+        its 10 generators give a ``vertex_bound`` of 90, past
+        ``cones.VERTEX_CAP``.  With a vacuous right marginal and empty
+        families there is no route, and f is 0 on column c and 1 on
+        column d.  The product of the uniform pmf and the point mass on c
+        puts all its mass where f is 0, so the value is 0 with no LP: the
+        capped enumeration, not the bound, decides whether vertices are
+        read."""
+        x, y = Space("X", tuple("abcde")), Space("Y", ("c", "d"))
+        left = LinearPrevision.uniform(x).as_lower_prevision()
+        right = ConditionalLowerPrevision.from_entries(y, [])
+        assert left.cone.vertex_bound > cones.VERTEX_CAP
+        ine = IndependentNaturalExtension(left, right, EventFamily.empty(x), EventFamily.empty(y))
+        solves.clear()  # the marginals' coherence checks
+        f = ine.space.gamble([0, 1] * x.size)
+        assert ine.lower(f) == 0
+        assert attained == [True] and solves == []
+        assert lower_prevision(ine, f) == 0
+
     @pytest.mark.parametrize("seed", range(20))
     def test_without_vertices_every_query_takes_the_lp(self, seed, monkeypatch, certified):
         """With the vertex cap at 1 no marginal on two or more outcomes has

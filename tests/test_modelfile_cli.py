@@ -527,7 +527,8 @@ class TestIneCommand:
 
 
 class TestMeasurableCommand:
-    def test_measurable_and_witness(self, tmp_path, capsys):
+    @staticmethod
+    def _write(tmp_path):
         doc = {
             "spaces": [{"id": "S", "outcomes": ["1", "2", "3", "4"]}],
             "gambles": [
@@ -548,15 +549,33 @@ class TestMeasurableCommand:
         }
         path = tmp_path / "meas.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["measurable", "-m", str(path), "--gamble", "odd", "--family", "F"]) == 0
+        return str(path)
+
+    def test_measurable_and_witness(self, tmp_path, capsys):
+        path = self._write(tmp_path)
+        assert main(["measurable", "-m", path, "--gamble", "odd", "--family", "F"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "false"
         assert out[1] == "witness level: 1"
-        assert main(["measurable", "-m", str(path), "--gamble", "odd", "--family", "all"]) == 0
+        assert main(["measurable", "-m", path, "--gamble", "odd", "--family", "all"]) == 0
         assert capsys.readouterr().out == "true\n"
+
+    @pytest.mark.parametrize("levels", ["0", "-2"])
+    def test_levels_below_one_refused_at_parse_time(self, tmp_path, capsys, levels):
+        """``--levels 0`` used to skip the staircase silently and exit 0."""
+        path = self._write(tmp_path)
+        argv = ["measurable", "-m", path, "--gamble", "odd", "--family", "all", "--levels", levels]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--levels" in captured.err
 
 
 class TestSuiteCommand:
+    def test_trials_below_one_refused_naming_the_flag(self, capsys):
+        assert main(["suite", "--suite", "axioms", "--trials", "0"]) == 3
+        err = capsys.readouterr().err
+        assert "--trials" in err and "positive integer" in err
+
     def test_suite_runs_green(self, capsys):
         assert main(["suite", "--suite", "envelope", "--seed", "5", "--trials", "5"]) == 0
         out = capsys.readouterr().out

@@ -105,6 +105,24 @@ class TestAgainstLabels:
                     event = factor.event(members)
                     assert cylinder_event(event, prod, side) == ref_cylinder_event(event, prod, side)
 
+    def test_event_masks_follow_the_labels(self, left, right):
+        """Cylinder events on either side, whose masks are lifted, and the
+        rectangles they intersect to, whose masks are derived on first
+        read, mark exactly the labels of their pairs."""
+        prod = product_space(left, right)
+        events = {
+            side: [factor.event(m) for r in range(factor.size + 1) for m in itertools.combinations(factor.outcomes, r)]
+            for side, factor in (("left", left), ("right", right))
+        }
+        for side in ("left", "right"):
+            for event in events[side]:
+                want = tuple(int((a if side == "left" else b) in event) for a, b, _ in _labels(prod))
+                assert cylinder_event(event, prod, side).mask == want
+        for e1 in events["left"]:
+            for e2 in events["right"]:
+                rectangle = cylinder_event(e1, prod, "left").intersect(cylinder_event(e2, prod, "right"))
+                assert rectangle.mask == tuple(int(a in e1 and b in e2) for a, b, _ in _labels(prod))
+
     def test_sections_hold_each_factor_outcomes_pairs(self, left, right):
         prod = product_space(left, right)
         for side in ("left", "right"):

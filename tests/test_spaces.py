@@ -1,5 +1,6 @@
 """Spaces, events, gambles, and product-space constructions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,51 @@ class TestIndicator:
         e1 = ABC.event(["x1", "x2"])
         e2 = ABC.event(["x2", "x3"])
         assert (indicator(e1) * indicator(e2)).values == indicator(e1.intersect(e2)).values
+
+
+def _subsets(space):
+    return [
+        space.event(members)
+        for r in range(space.size + 1)
+        for members in itertools.combinations(space.outcomes, r)
+    ]
+
+
+class TestEventMask:
+    """``Event.mask``: one 0/1 int per outcome, in outcome order."""
+
+    @pytest.mark.parametrize("space", [AB, ABC], ids=["AB", "ABC"])
+    def test_mask_marks_the_members_in_outcome_order(self, space):
+        for e in _subsets(space):
+            assert e.mask == tuple(int(x in e.members) for x in space.outcomes)
+            assert e.sorted_members() == [x for x in space.outcomes if x in e.members]
+            g = indicator(e)
+            assert g.nums == e.mask and g.den == 1
+
+    def test_empty_and_full_events(self):
+        assert ABC.event([]).mask == (0, 0, 0)
+        assert ABC.full_event().mask == (1, 1, 1)
+
+    def test_intersections(self):
+        for e1 in _subsets(ABC):
+            for e2 in _subsets(ABC):
+                assert e1.intersect(e2).mask == tuple(map(min, e1.mask, e2.mask))
+
+    def test_reading_the_mask_leaves_equality_and_hashing_alone(self):
+        fresh = lambda: ABC.event(["x3", "x1"])  # noqa: E731
+        for read in ((), (0,), (1,), (0, 1)):
+            events = fresh(), fresh()
+            for i in read:
+                assert events[i].mask == (1, 0, 1)
+            assert events[0] == events[1] and hash(events[0]) == hash(events[1])
+            assert len(set(events)) == 1 and events[0] != ABC.event(["x1"])
+
+    def test_a_lifted_mask_leaves_equality_and_hashing_alone(self):
+        prod = product_space(AB, ABC)
+        lifted = cylinder_event(AB.event(["b"]), prod, "left")
+        same = prod.event(["b|x1", "b|x2", "b|x3"])
+        assert lifted == same and hash(lifted) == hash(same)
+        assert lifted.mask == same.mask == (0, 0, 0, 1, 1, 1)
 
 
 class TestPointwiseAlgebra:
