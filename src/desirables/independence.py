@@ -95,7 +95,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .cones import DesirableCone, _least_ratio
-from .measurability import FamilyTooLargeError, require_measurable
+from .measurability import MAX_FIELD_ATOMS, FamilyTooLargeError, require_measurable
 from .prevision import (
     ConditionalLowerPrevision,
     LinearPrevision,
@@ -121,11 +121,6 @@ CUSTOM = "custom"
 
 class IncoherentMarginalError(ValueError):
     """A marginal model failed its coherence check."""
-
-
-#: The most outcomes on which ``EventFamily.events`` materialises the
-#: all-events family: 2^16 - 1 events.
-MAX_ALL_EVENTS_OUTCOMES = 16
 
 
 @dataclass(frozen=True)
@@ -165,15 +160,15 @@ class EventFamily:
     def events(self) -> tuple[Event, ...]:
         """The family members, materialised: 2^n - 1 of them for 'all',
         which raises ``FamilyTooLargeError`` past
-        ``MAX_ALL_EVENTS_OUTCOMES`` outcomes instead."""
+        ``measurability.MAX_FIELD_ATOMS`` outcomes instead."""
         if self.kind == ATOMS:
             return self.space.atoms()
         if self.kind == ALL_NONEMPTY:
             outcomes = self.space.outcomes
-            if len(outcomes) > MAX_ALL_EVENTS_OUTCOMES:
+            if len(outcomes) > MAX_FIELD_ATOMS:
                 raise FamilyTooLargeError(
                     f"the all-events family on {self.space.name!r} has 2^{len(outcomes)} - 1 events; "
-                    f"it is materialised on at most {MAX_ALL_EVENTS_OUTCOMES} outcomes"
+                    f"it is materialised on at most {MAX_FIELD_ATOMS} outcomes"
                 )
             members = []
             for size in range(1, len(outcomes) + 1):

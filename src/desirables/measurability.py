@@ -38,15 +38,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from .independence import EventFamily
 
 
-#: The most atoms a generated field may have for ``generated_field`` to list
-#: it: 2^16 sets.
+#: The most atoms a field may have for its sets to be listed: 2^16 sets.
+#: It bounds both ``generated_field`` and the all-events family on n
+#: outcomes, which is the field of its n atoms less the empty set.
 MAX_FIELD_ATOMS = 16
 
 
 class FamilyTooLargeError(ValueError):
-    """Materialising a family's sets would pass a size limit: the all-events
-    family past ``independence.MAX_ALL_EVENTS_OUTCOMES`` outcomes, or a
-    generated field past ``MAX_FIELD_ATOMS`` atoms."""
+    """Listing a family's sets would pass ``MAX_FIELD_ATOMS``: the
+    all-events family on more outcomes, or a generated field with more
+    atoms."""
 
 
 class MeasurabilityError(ValueError):

@@ -42,12 +42,17 @@ minimising vertex); normalised, r is a dominating pmf that attains the
 query value.  ``dominating_previsions`` returns those of the queries of f
 and -f, once each is checked exactly.
 
-A passing coherence probe also hands back its prices r.  When
+A coherence check probes each entry's assessed direction once, and never
+a linear entry's conjugate: once lower(f | B) = v is finite, some
+dominating pmf reaches B, so lower(-f | B) <= -v.  A passing probe also
+hands back its prices r.  When
 ``cones._dominating_expectations`` finds in integers that r is
 dominating, r proves every later probe passes whose generator has
 expectation 0 under r and whose event r reaches, so those probes run no
 LP.  The prices only ever save a solve: a vector that fails
-the check is dropped, and a verdict never rests on one.
+the check is dropped, and a verdict never rests on one.  The first
+failing probe's violation, whatever its kind, is built on one path: one
+Bland re-solve and one polishing search over its support.
 """
 
 from __future__ import annotations
@@ -334,6 +339,11 @@ class ConditionalLowerPrevision:
         finite combination strictly negative on the union of its
         conditioning events.  Returns (per-generator lambdas, sup value)."""
         gens = self.cone.generators
+        minus = (
+            self.assessment.entries[minus_entry].boundary_gamble()
+            if minus_entry is not None
+            else self.space.zero()
+        )
         for size in range(len(support), 0, -1):
             for subset in itertools.combinations(support, size):
                 region = self._region(subset, minus_entry)
@@ -342,11 +352,6 @@ class ConditionalLowerPrevision:
                 # Variables: lambda_i for i in subset, then eps; maximize eps.
                 nv = len(subset) + 1
                 lp = LinearProgram(nv, [0] * len(subset) + [1])
-                minus = (
-                    self.assessment.entries[minus_entry].boundary_gamble()
-                    if minus_entry is not None
-                    else self.space.zero()
-                )
                 for xi in itertools.compress(range(self.space.size), region):
                     scale, ints = self.cone.scaled_rows[xi]
                     row = (scale, tuple(ints[gi] for gi in subset))
@@ -366,9 +371,11 @@ class ConditionalLowerPrevision:
         """Coherent iff every assessed value is reproduced exactly by its
         own natural-extension query with a finite optimum.
 
-        The entries are probed in order, a linear entry's conjugate
-        direction right after it.  A probe (f, B, v) passes when
-        lower(f | B) <= v, and its generator is [f - v] * I_B.  Each passing
+        Each entry's assessed direction (f, B, v) is probed once, in entry
+        order; it passes when lower(f | B) <= v, and its generator is
+        [f - v] * I_B.  A linear entry's conjugate direction is not probed:
+        once (f, B, v) passes, lower(f | B) = v is finite, so some dominating
+        pmf reaches B and lower(-f | B) = -upper(f | B) <= -v.  Each passing
         probe also yields the prices r of its query (an optimal basis's, or
         a credal vertex on the vertex path); once
         ``_dominating_expectations`` has checked exactly that r is
@@ -377,68 +384,51 @@ class ConditionalLowerPrevision:
         with r(B) > 0 gives lower(f | B) <= E_r[f | B] = v.  Such a probe
         passes without its LP.  Only passing probes are skipped, so the
         first failing probe, and with it the verdict and certificate, is
-        the same as when every probe is solved.
+        the same as when every direction is solved.
+
+        The first failing probe's violation is built on one path: one
+        re-solve with mu free on Bland's rule, whose ray (the value
+        diverges) or point (a gap) gives the generator support, and one
+        polishing search over it, with no minus entry when the value
+        diverges.  A polished divergence is a sure loss; an unpolished one
+        is beyond support at the entry, and publishes the ray.
         """
         entries = self.assessment.entries
-        gens = self.cone.generators
+        n = len(self.cone.generators)
         # (the prices r, E_r[g_i] per generator) of each dominating r.
         dominating: list[tuple[Sequence[int], tuple[int, ...]]] = []
-        for gi, (k, sign) in enumerate(self._owners):  # one probe per generator
-            event = entries[k].event
-            gamble, assessed = entries[k].gamble, entries[k].lower
-            if sign < 0:
-                gamble, assessed = -gamble, -assessed
-            # r >= 0 was checked, so r gives B positive mass iff some r(x) I_B(x) != 0.
-            if any(expectations[gi] == 0 and any(map(mul, r, event.mask)) for r, expectations in dominating):
+        for gi, (k, sign) in enumerate(self._owners):
+            if sign < 0:  # a conjugate direction passes with its entry's
                 continue
-            value, prices = _lower_value(self.cone, gamble, event)
-            if value is not None and value <= assessed:
+            entry = entries[k]
+            # r >= 0 was checked, so r gives B positive mass iff some r(x) I_B(x) != 0.
+            if any(expectations[gi] == 0 and any(map(mul, r, entry.event.mask)) for r, expectations in dominating):
+                continue
+            value, prices = _lower_value(self.cone, entry.gamble, entry.event)
+            if value is not None and value <= entry.lower:
                 expectations = _dominating_expectations(self.cone, prices)
                 if expectations is not None:
                     dominating.append((prices, expectations))
                 continue
             # The probe fails: the value diverges or exceeds the
-            # assessment.  Re-solve with mu free on Bland's rule, whose
-            # point or ray the certificate publishes; the status and
-            # value are the ones just found, so the re-solve is either
-            # unbounded or a gap.
-            result = _raw_lower(self.cone, gamble, event)
-            if result.status is LPStatus.UNBOUNDED:
-                ray = result.ray[: len(gens)]
-                support = [i for i, c in enumerate(ray) if c > 0]
-                polished = self._polish_certificate(support, minus_entry=None)
-                if polished is not None:
-                    lambdas, sup = polished
-                    return CoherenceVerdict(
-                        False,
-                        CoherenceViolation(
-                            kind="sure-loss",
-                            entry_index=None,
-                            lambdas=self._entry_lambdas(lambdas),
-                            sup_value=sup,
-                        ),
-                    )
-                return CoherenceVerdict(
-                    False,
-                    CoherenceViolation(
-                        kind="beyond-support",
-                        entry_index=k,
-                        lambdas=self._entry_lambdas(ray),
-                        sup_value=self._combination_sup(ray, None),
-                    ),
-                )
-            point = result.point[: len(gens)]
-            support = [i for i, c in enumerate(point) if c > 0]
-            polished = self._polish_certificate(support, minus_entry=k)
-            lambdas, sup = polished if polished is not None else (tuple(point), None)
+            # assessment, and the re-solve finds the same status and value.
+            result = _raw_lower(self.cone, entry.gamble, entry.event)
+            gap = result.status is not LPStatus.UNBOUNDED
+            coeffs = (result.point if gap else result.ray)[:n]
+            polished = self._polish_certificate([i for i, c in enumerate(coeffs) if c > 0], k if gap else None)
+            if polished is not None:
+                lambdas, sup = polished
+            else:
+                lambdas, sup = coeffs, None if gap else self._combination_sup(coeffs, None)
+            kind = "gap" if gap else "beyond-support" if polished is None else "sure-loss"
             return CoherenceVerdict(
                 False,
                 CoherenceViolation(
-                    kind="gap",
-                    entry_index=k,
+                    kind=kind,
+                    entry_index=None if kind == "sure-loss" else k,
                     lambdas=self._entry_lambdas(lambdas),
                     sup_value=sup,
-                    assessed=assessed,
+                    assessed=entry.lower if gap else None,
                     extension=result.value,
                 ),
             )
@@ -552,9 +542,9 @@ class LinearPrevision:
         positive probability."""
         if f.space != self.space:
             raise SpaceMismatchError("gamble on a different space")
-        event.require_nonempty()
         if event.space != self.space:
             raise SpaceMismatchError("event on a different space")
+        event.require_nonempty()
         inside = list(map(mul, self.nums, event.mask))
         mass = sum(inside)
         if mass == 0:
@@ -562,9 +552,9 @@ class LinearPrevision:
         return Fraction(sum(map(mul, inside, f.nums)), mass * f.den)
 
     def __call__(self, f: Gamble, event: Optional[Event] = None) -> Fraction:
-        if event is None or event.is_full:
-            return self.expectation(f)
-        return self.conditional(f, event)
+        """The expectation of f, or its conditional expectation on the event
+        (on the full event the two are equal)."""
+        return self.expectation(f) if event is None else self.conditional(f, event)
 
     def as_assessment(self) -> Assessment:
         """Self-conjugate singleton-indicator entries pinning this pmf as the

@@ -87,7 +87,12 @@ class Space:
         return Event(self, frozenset(members))
 
     def full_event(self) -> "Event":
-        return Event(self, frozenset(self.outcomes))
+        """The event of every outcome: built on first call and kept outside
+        the fields, which equality and hashing read."""
+        full = self.__dict__.get("_full")
+        if full is None:
+            full = self.__dict__["_full"] = Event(self, frozenset(self.outcomes))
+        return full
 
     def atoms(self) -> tuple["Event", ...]:
         """The singleton events, in outcome order."""

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from desirables import cones, independence, simplex, spaces
 from desirables.cones import DesirableCone
 from desirables.independence import (
-    MAX_ALL_EVENTS_OUTCOMES,
     EventFamily,
     FamilyTooLargeError,
     IncoherentMarginalError,
@@ -23,7 +22,7 @@ from desirables.independence import (
     nested_evaluation,
     nested_sandwich,
 )
-from desirables.measurability import MeasurabilityError
+from desirables.measurability import MAX_FIELD_ATOMS, MeasurabilityError
 from desirables.prevision import (
     Assessment,
     AssessmentEntry,
@@ -1177,8 +1176,8 @@ class TestMarginalExtensionPath:
 
 class TestAllEventsSizeGuard:
     def test_seventeen_outcomes_are_refused(self):
-        big = Space("B", tuple(f"b{i}" for i in range(MAX_ALL_EVENTS_OUTCOMES + 1)))
-        with pytest.raises(FamilyTooLargeError, match=str(MAX_ALL_EVENTS_OUTCOMES)):
+        big = Space("B", tuple(f"b{i}" for i in range(MAX_FIELD_ATOMS + 1)))
+        with pytest.raises(FamilyTooLargeError, match=str(MAX_FIELD_ATOMS)):
             EventFamily.all_nonempty(big).events()
         assert issubclass(FamilyTooLargeError, ValueError)
         # Construction and the generator events ride on the atoms.

@@ -528,7 +528,7 @@ class TestProbeSkipping:
 
         def probe(cone, f, event):
             value, real_prices = real(cone, f, event)
-            calls.append(event)
+            calls.append((f, event))
             return value, real_prices if prices is None else prices
 
         monkeypatch.setattr(prevision, "_lower_value", probe)
@@ -572,6 +572,15 @@ class TestProbeSkipping:
         assert self.two_entries(second_event=["b", "c"]).coherence.coherent
         assert len(calls) == 2
 
+    def test_linear_entries_probe_each_direction_once(self, monkeypatch):
+        # Prices that fail the check skip nothing, so every passing entry
+        # runs its probe, and only its own direction is probed.
+        calls = self.count_probes(monkeypatch, prices=(3, 1, -1))
+        pmf = LinearPrevision.from_masses(self.ABC, ["1/2", "1/3", "1/6"])
+        model = pmf.as_lower_prevision()
+        assert model.coherence.coherent
+        assert calls == [(e.gamble, e.event) for e in model.assessment.entries]
+
     def test_twelve_entry_envelope_solves_fewer_probes(self, monkeypatch):
         rng = random.Random(1210)
         space = random_space(rng, "S", 6, 6)
@@ -585,6 +594,55 @@ class TestProbeSkipping:
         calls = self.count_probes(monkeypatch)
         assert model.coherence.coherent
         assert len(calls) < 12
+
+
+class TestPolishSearchSize:
+    """Certificate polishing tries every non-empty subset of the failing
+    probe's support, largest first, so a support of k generators on which
+    no subset certifies costs 2^k - 1 LPs.  The chain below on outcomes
+    a, b, c1 ... c(k-1) has such a support: lower(I_c1 - I_b) >= 0, ...,
+    lower(I_c(k-1) - I_c(k-2)) >= 0 and lower(-I_c(k-1)) >= 0 give every
+    dominating pmf no mass on b, so the last entry, lower(I_a | {b}) >= 0,
+    is beyond support, and its ray needs all k of the others."""
+
+    @staticmethod
+    def chain(k):
+        chain = [f"c{i}" for i in range(1, k)]
+        space = Space("P", ("a", "b", *chain))
+
+        def row(plus=None, minus=None):
+            return space.gamble([(x == plus) - (x == minus) for x in space.outcomes])
+
+        entries = [(row(plus=hi, minus=lo), None, 0) for lo, hi in zip(["b", *chain], chain)]
+        entries.append((row(minus=chain[-1]), None, 0))
+        entries.append((row(plus="a"), space.event(["b"]), 0))
+        return ConditionalLowerPrevision.from_entries(space, entries)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_polishing_solves_every_subset(self, k, monkeypatch):
+        solves = []
+        polishing = []
+        solve, polish = LinearProgram.solve, ConditionalLowerPrevision._polish_certificate
+
+        def counted_solve(lp, *args, **kwargs):
+            if polishing:
+                solves.append(lp)
+            return solve(lp, *args, **kwargs)
+
+        def counted_polish(model, *args, **kwargs):
+            polishing.append(True)
+            try:
+                return polish(model, *args, **kwargs)
+            finally:
+                polishing.pop()
+
+        monkeypatch.setattr(LinearProgram, "solve", counted_solve)
+        monkeypatch.setattr(ConditionalLowerPrevision, "_polish_certificate", counted_polish)
+        violation = self.chain(k).coherence.violation
+        assert violation.kind == "beyond-support"
+        assert violation.entry_index == k
+        assert [index for index, _, _ in violation.lambdas] == list(range(k))
+        assert len(solves) == 2**k - 1
 
 
 class TestEnvelopeAgainstVertexOracle:
@@ -870,6 +928,16 @@ class TestLinearPrevisions:
         for members in (["a"], ["b"]):
             with pytest.raises(SpaceMismatchError):
                 prev.conditional(other, AB.event(members))
+
+    def test_event_on_another_space_refused_first(self):
+        # Z has X's labels: the space check must come before the event is
+        # read as full or as empty.
+        other = Space("Z", AB.outcomes)
+        prev, f = LinearPrevision.uniform(AB), AB.gamble([1, 2])
+        with pytest.raises(SpaceMismatchError):
+            prev(f, other.full_event())
+        with pytest.raises(SpaceMismatchError):
+            prev.conditional(f, other.event([]))
 
     def test_masses_validated(self):
         with pytest.raises(ValueError):
