@@ -187,26 +187,27 @@ class EventFamily:
         return self.events()
 
 
-def _event_indices(family: Optional[EventFamily], factor: Space) -> list[list[int]]:
-    """The outcome indices of each generator event of a factor's family.
-    A missing family, the atoms and the all-events family give the atoms,
-    in outcome order.  A custom family gives its events without repeats, in
-    first-seen order, then its full event when it does not list it, so no
-    generator column is repeated."""
+def _event_masks(family: Optional[EventFamily], factor: Space) -> list[tuple[int, ...]]:
+    """The ``mask`` of each generator event of a factor's family.  A missing
+    family, the atoms and the all-events family give the atoms' unit masks,
+    in outcome order, with no ``Event`` built.  A custom family gives its
+    events' masks without repeats, in first-seen order, then the full
+    event's when it does not list it, so no generator column is repeated."""
     if family is not None and family.space != factor:
         raise SpaceMismatchError("family space does not match its marginal")
+    n = factor.size
     if family is None or family.kind != CUSTOM:
-        return [[k] for k in range(factor.size)]
+        return [(0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n)]
     events = dict.fromkeys(e.mask for e in family.custom_events)
-    events[(1,) * factor.size] = None
-    return [[k for k, inside in enumerate(mask) if inside] for mask in events]
+    events[(1,) * n] = None
+    return list(events)
 
 
 def _joint_rows(
     left: DesirableCone,
     right: DesirableCone,
-    left_events: list[list[int]],
-    right_events: list[list[int]],
+    left_events: list[tuple[int, ...]],
+    right_events: list[tuple[int, ...]],
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The ``scaled_rows`` of the INE joint cone, taken from the marginal
     cones' rows.
@@ -229,14 +230,9 @@ def _joint_rows(
     m1, m2 = len(left_events), len(right_events)
     r_block = len(right.generators) * m1
     width = r_block + len(left.generators) * m2
-    left_in: list[list[int]] = [[] for _ in range(left.space.size)]
-    for e, b in enumerate(left_events):
-        for i in b:
-            left_in[i].append(e)
-    right_in: list[list[int]] = [[] for _ in range(right.space.size)]
-    for e, b in enumerate(right_events):
-        for j in b:
-            right_in[j].append(e)
+    # The events holding each outcome, read down the masks' columns.
+    left_in = [list(itertools.compress(range(m1), column)) for column in zip(*left_events)]
+    right_in = [list(itertools.compress(range(m2), column)) for column in zip(*right_events)]
     rows = []
     for (s1, ints1), in1 in zip(left.scaled_rows, left_in):
         for (s2, ints2), in2 in zip(right.scaled_rows, right_in):
@@ -270,7 +266,7 @@ def independent_product_cone(
     for name, cone in (("left", left), ("right", right)):
         if not cone.is_coherent():
             raise IncoherentMarginalError(f"{name} marginal cone is incoherent")
-    events = _event_indices(left_family, left.space), _event_indices(right_family, right.space)
+    events = _event_masks(left_family, left.space), _event_masks(right_family, right.space)
     prod = product_space(left.space, right.space)
     return DesirableCone.from_scaled_rows(prod, _joint_rows(left, right, *events))
 
@@ -302,7 +298,7 @@ TIE_COMBINATIONS = 64
 def _marginal_extension(
     outer: DesirableCone,
     inner: DesirableCone,
-    inner_events: list[list[int]],
+    inner_events: list[tuple[int, ...]],
     sections: Sequence[slice],
     area: list[int],
     f: Gamble,
@@ -335,7 +331,7 @@ def _marginal_extension(
 
 def _coupled(
     outer_rows: list[tuple[int, ...]],
-    inner_events: list[list[int]],
+    inner_events: list[tuple[int, ...]],
     area: list[int],
     outer_tied: list[Sequence[int]],
     inner_tied: list[list[Sequence[int]]],
@@ -368,7 +364,7 @@ def _coupled(
                 columns = {}
                 for p2 in inner_tied[i]:
                     if p2 not in masses:
-                        masses[p2] = [sum(p2[j] for j in b) for b in inner_events]
+                        masses[p2] = [sum(map(mul, p2, b)) for b in inner_events]
                     columns[tuple(t * m for m in masses[p2] for t in terms)] = None
                 choices.append(columns)
         for combination in itertools.product(*choices):
@@ -499,22 +495,21 @@ class IndependentNaturalExtension:
                     f"{model.coherence.violation.kind}"
                 )
         self._marginals = left.cone, right.cone
-        self._events = _event_indices(left_family, left.space), _event_indices(right_family, right.space)
+        self._events = _event_masks(left_family, left.space), _event_masks(right_family, right.space)
         self.space = product_space(left.space, right.space)
         # The marginal-extension routes, left outer first: a side whose
         # generator events hold every atom is the outer one, with the other
         # side's events but the full one, and each outer outcome's section
         # of the product's outcome indices.
-        sizes = left.space.size, right.space.size
         self._routes = [
             (
                 self._marginals[outer],
                 self._marginals[1 - outer],
-                [b for b in self._events[1 - outer] if len(b) < sizes[1 - outer]],
+                [b for b in self._events[1 - outer] if not all(b)],
                 self.space.sections(("left", "right")[outer]),
             )
             for outer in (0, 1)
-            if sum(len(b) == 1 for b in self._events[outer]) == sizes[outer]
+            if sum(sum(b) == 1 for b in self._events[outer]) == (left.space.size, right.space.size)[outer]
         ]
 
     @cached_property

@@ -40,14 +40,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: The most atoms a field may have for its sets to be listed: 2^16 sets.
 #: It bounds both ``generated_field`` and the all-events family on n
-#: outcomes, which is the field of its n atoms less the empty set.
+#: outcomes, which is the field of its n atoms less the empty set, and
+#: ``split_into_disjoint`` stops after ruling out 2^16 remainders.
 MAX_FIELD_ATOMS = 16
 
 
 class FamilyTooLargeError(ValueError):
-    """Listing a family's sets would pass ``MAX_FIELD_ATOMS``: the
-    all-events family on more outcomes, or a generated field with more
-    atoms."""
+    """A family's sets would pass ``MAX_FIELD_ATOMS``: the all-events family
+    on more outcomes, a generated field with more atoms, or a disjoint split
+    ruling out more than 2^``MAX_FIELD_ATOMS`` remainders."""
 
 
 class MeasurabilityError(ValueError):
@@ -127,27 +128,43 @@ def split_into_disjoint(event: Event, family: "EventFamily") -> Optional[tuple[E
     space counts; the empty event is the empty union), or None.  The
     search runs over the family's generator events: every union of atoms
     is a disjoint union of atoms, so the all-events family needs no
-    other candidate."""
+    other candidate.  It runs on bit masks (bit k is outcome k), in
+    generator order from the lowest outcome left, and remembers each
+    remainder with no cover: past 2^``MAX_FIELD_ATOMS`` of them it raises
+    ``FamilyTooLargeError``."""
     _require_family_on(event.space, family)
     if event.is_empty:
         return ()
     if event.is_full:
         return (event,)
-    space = event.space
-    candidates = [e for e in family.generator_events() if e.members <= event.members]
 
-    def cover(remaining: frozenset[str]) -> Optional[tuple[Event, ...]]:
+    def bits(e: Event) -> int:
+        return int("".join(map(str, reversed(e.mask))), 2)
+
+    target = bits(event)
+    candidates = [(b, e) for e in family.generator_events() if not (b := bits(e)) & ~target]
+    failed: set[int] = set()
+
+    def cover(remaining: int) -> Optional[tuple[Event, ...]]:
         if not remaining:
             return ()
-        first = next(x for x in space.outcomes if x in remaining)
-        for e in candidates:
-            if first in e.members and e.members <= remaining:
-                rest = cover(remaining - e.members)
+        if remaining in failed:
+            return None
+        first = remaining & -remaining
+        for b, e in candidates:
+            if b & first and not b & ~remaining:
+                rest = cover(remaining ^ b)
                 if rest is not None:
                     return (e,) + rest
+        failed.add(remaining)
+        if len(failed) > 2**MAX_FIELD_ATOMS:
+            raise FamilyTooLargeError(
+                f"splitting {len(event.members)} outcomes of {event.space.name!r} into disjoint family "
+                f"events ruled out more than 2^{MAX_FIELD_ATOMS} remainders"
+            )
         return None
 
-    return cover(event.members)
+    return cover(target)
 
 
 def non_measurability_witness(
@@ -175,7 +192,7 @@ def require_measurable(g: Gamble, family: "EventFamily") -> None:
     level, ls = witness
     raise MeasurabilityError(
         f"gamble is not measurable for the conditioning family: level set at "
-        f"{level} is {sorted(ls.members)}",
+        f"{level} is {ls.sorted_members()}",
         level=level,
         level_set=ls,
     )

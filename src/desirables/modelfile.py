@@ -220,6 +220,8 @@ def parse_model(text: str) -> Model:
         where = "events entry"
         _check_keys(item, {"id", "space", "members"}, where)
         eid = _expect(item, "id", str, where)
+        if eid == ALL_EVENT:
+            raise ModelFormatError(f"event id {eid!r} is reserved for the whole space")
         if eid in model.events:
             raise ModelFormatError(f"duplicate event id {eid!r}")
         space = space_of(item, f"event {eid!r}")
@@ -260,6 +262,8 @@ def parse_model(text: str) -> Model:
         where = "families entry"
         _check_keys(item, {"id", "space", "kind", "events"}, where)
         fid = _expect(item, "id", str, where)
+        if fid in (ATOMS, ALL_NONEMPTY, "empty"):
+            raise ModelFormatError(f"family id {fid!r} is reserved for the builtin family")
         if fid in model.families:
             raise ModelFormatError(f"duplicate family id {fid!r}")
         space = space_of(item, f"family {fid!r}")

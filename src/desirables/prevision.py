@@ -91,7 +91,7 @@ class BeyondSupportError(ValueError):
     def __init__(self, event: Event):
         self.event = event
         super().__init__(
-            f"conditioning beyond support: event {sorted(event.members)} has upper probability zero"
+            f"conditioning beyond support: event {event.sorted_members()} has upper probability zero"
         )
 
 

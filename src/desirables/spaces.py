@@ -6,14 +6,15 @@ whole, the ``simplex.scaled_row`` form of its values.  Every pointwise
 operation, sign test and lift runs on those ints, and a scalar result
 (a minimum, a maximum, a value) is the one ``fractions.Fraction`` it
 makes.  ``Gamble.values``, the values as ``Fraction``s, is derived from
-the row on first read.  Gambles are immutable after construction, so they
+the row on each read.  Gambles are immutable after construction, so they
 can be shared freely between threads.
 
 The outcome order of a :class:`Space` is the declaration order; it fixes
 the coordinate order of every gamble vector and hence the column order of
 every linear program built downstream.  An event's ``mask`` is its
 membership in that order, one 0/1 int per outcome: the one place where an
-event's labels become outcome positions, built on first read and kept.
+event's labels become outcome positions, built with the event by the pass
+that checks its members.
 
 A :class:`ProductSpace` is built from its two factors alone,
 ``ProductSpace(name, left, right)``, and derives its outcomes: the compound
@@ -87,12 +88,7 @@ class Space:
         return Event(self, frozenset(members))
 
     def full_event(self) -> "Event":
-        """The event of every outcome: built on first call and kept outside
-        the fields, which equality and hashing read."""
-        full = self.__dict__.get("_full")
-        if full is None:
-            full = self.__dict__["_full"] = Event(self, frozenset(self.outcomes))
-        return full
+        return Event(self, frozenset(self.outcomes))
 
     def atoms(self) -> tuple["Event", ...]:
         """The singleton events, in outcome order."""
@@ -128,15 +124,20 @@ class Space:
 
 @dataclass(frozen=True)
 class Event:
-    """A subset of a space's outcomes.  May be empty, except where used to condition."""
+    """A subset of a space's outcomes.  May be empty, except where used to
+    condition.  ``mask``, one 0/1 int per outcome in outcome order, is set
+    outside the fields, so equality, hashing and repr read only those."""
 
     space: Space
     members: frozenset[str]
 
     def __post_init__(self) -> None:
-        unknown = self.members - set(self.space.outcomes)
-        if unknown:
+        members = self.members
+        mask = tuple(1 if x in members else 0 for x in self.space.outcomes)
+        if sum(mask) != len(members):
+            unknown = members.difference(self.space.outcomes)
             raise ValueError(f"event members {sorted(unknown)} not in space {self.space.name!r}")
+        object.__setattr__(self, "mask", mask)
 
     def __contains__(self, outcome: str) -> bool:
         return outcome in self.members
@@ -159,16 +160,6 @@ class Event:
             raise SpaceMismatchError("events on different spaces")
         return Event(self.space, self.members & other.members)
 
-    @property
-    def mask(self) -> tuple[int, ...]:
-        """One 0/1 int per outcome, in outcome order.  Built on first read
-        and kept outside the fields, which equality and hashing read."""
-        mask = self.__dict__.get("_mask")
-        if mask is None:
-            members = self.members
-            mask = self.__dict__["_mask"] = tuple(1 if x in members else 0 for x in self.space.outcomes)
-        return mask
-
     def sorted_members(self) -> list[str]:
         """Members in the space's outcome order (deterministic)."""
         return list(compress(self.space.outcomes, self.mask))
@@ -186,7 +177,7 @@ class Gamble:
     immutable.
     """
 
-    __slots__ = ("space", "den", "nums", "_values")
+    __slots__ = ("space", "den", "nums")
 
     def __new__(cls, space: Space, values: Sequence[Union[Fraction, int]]) -> "Gamble":
         values = tuple(values)
@@ -221,13 +212,8 @@ class Gamble:
 
     @property
     def values(self) -> tuple[Fraction, ...]:
-        """The values as ``Fraction``s, built on first read and kept."""
-        values = self._values
-        if values is None:
-            den = self.den
-            values = tuple(Fraction(n, den) for n in self.nums)
-            _set_values(self, values)
-        return values
+        """The values as ``Fraction``s, built on each read."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Gamble:
@@ -333,7 +319,7 @@ class Gamble:
         return Event(self.space, frozenset(x for x, v in zip(self.space.outcomes, self.nums) if v))
 
 
-_set_space, _set_den, _set_nums, _set_values = (
+_set_space, _set_den, _set_nums = (
     vars(Gamble)[name].__set__ for name in Gamble.__slots__
 )
 _new = object.__new__
@@ -346,7 +332,6 @@ def _gamble(space: Space, den: int, nums: tuple[int, ...]) -> Gamble:
     _set_space(g, space)
     _set_den(g, den)
     _set_nums(g, nums)
-    _set_values(g, None)
     return g
 
 
@@ -455,9 +440,7 @@ def cylinder_event(event: Event, prod: ProductSpace, side: str) -> Event:
         mask = tuple(b for b in event.mask for _ in range(n2))
     else:
         mask = event.mask * prod.left.size
-    lifted = Event(prod, frozenset(compress(prod.outcomes, mask)))
-    lifted.__dict__["_mask"] = mask
-    return lifted
+    return Event(prod, frozenset(compress(prod.outcomes, mask)))
 
 
 def rectangle_event(left_event: Event, right_event: Event, prod: ProductSpace) -> Event:

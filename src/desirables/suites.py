@@ -321,7 +321,7 @@ def _independence_suite(seed: int, trials: int) -> tuple[PropertyOutcome, ...]:
                 "independence-extra-conditioning",
                 ine.lower(lifted, joint_event) == left.lower(f_left, local_event),
                 lambda t=t, b=b_other: (
-                    f"trial {t}: conditioning on {sorted(b.members)} changed a local value"
+                    f"trial {t}: conditioning on {b.sorted_members()} changed a local value"
                 ),
             )
 

@@ -8,13 +8,14 @@ formulation.  Both routes work entirely in rational arithmetic, so every
 comparison with engine output is an equality check.  The coherence
 reference solves the engine's own query LP for every probe, skipping
 none, so a verdict that differs from it comes from a skipped probe.
+The disjoint-split reference searches label sets, with no memo.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from sympy import Eq
 from sympy import Rational as SymRational
@@ -25,6 +26,9 @@ from desirables.cones import _lower_value, _raw_lower
 from desirables.prevision import CoherenceVerdict, CoherenceViolation, ConditionalLowerPrevision
 from desirables.simplex import LPStatus
 from desirables.spaces import Event, Gamble, Space
+
+if TYPE_CHECKING:  # pragma: no cover
+    from desirables.independence import EventFamily
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -254,3 +258,34 @@ def coherence_probing_every_entry(model: ConditionalLowerPrevision) -> Coherence
                 CoherenceViolation("gap", k, model._entry_lambdas(lambdas), sup, assessed, result.value),
             )
     return CoherenceVerdict(True)
+
+
+# ---------------------------------------------------------------------------
+# Disjoint splits, over label sets
+# ---------------------------------------------------------------------------
+
+
+def split_into_disjoint_by_labels(event: Event, family: "EventFamily") -> Optional[tuple[Event, ...]]:
+    """``measurability.split_into_disjoint`` as a plain search over label
+    sets: the first outcome left, in outcome order, picks the next
+    generator event inside the remainder, tried in generator order, and
+    nothing is remembered between branches."""
+    if event.is_empty:
+        return ()
+    if event.is_full:
+        return (event,)
+    space = event.space
+    candidates = [e for e in family.generator_events() if e.members <= event.members]
+
+    def cover(remaining: frozenset[str]) -> Optional[tuple[Event, ...]]:
+        if not remaining:
+            return ()
+        first = next(x for x in space.outcomes if x in remaining)
+        for e in candidates:
+            if first in e.members and e.members <= remaining:
+                rest = cover(remaining - e.members)
+                if rest is not None:
+                    return (e,) + rest
+        return None
+
+    return cover(event.members)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from desirables import cones, independence, simplex, spaces
+from desirables import cones, independence, simplex, spaces, suites
 from desirables.cones import DesirableCone
 from desirables.independence import (
     EventFamily,
@@ -1182,3 +1182,22 @@ class TestAllEventsSizeGuard:
         assert issubclass(FamilyTooLargeError, ValueError)
         # Construction and the generator events ride on the atoms.
         assert len(EventFamily.all_nonempty(big).generator_events()) == big.size
+
+
+def test_the_suite_counterexample_lists_members_in_outcome_order(monkeypatch):
+    """A failed extra-conditioning check names the conditioning event's
+    members in outcome order, as the CLI prints events, not as sorted
+    strings ("x10" before "x2")."""
+
+    class Shifted(IndependentNaturalExtension):
+        def lower(self, f, event=None):
+            value = super().lower(f, event)
+            return value if event is None else value + 1
+
+    monkeypatch.setattr(suites, "random_space", lambda rng, name, *sizes: Space(name, ("x2", "x10")))
+    monkeypatch.setattr(suites, "random_family", lambda rng, space: EventFamily.custom(space, [space.full_event()]))
+    monkeypatch.setattr(suites, "IndependentNaturalExtension", Shifted)
+    outcomes = {o.name: o for o in suites.run_suite("independence", seed=0, trials=1).outcomes}
+    assert outcomes["independence-extra-conditioning"].counterexample == (
+        "trial 0: conditioning on ['x2', 'x10'] changed a local value"
+    )

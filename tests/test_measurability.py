@@ -1,13 +1,16 @@
 """Family-measurability: the simple cone, staircases, and field audits."""
 
+import itertools
 import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from desirables import independence
 from desirables.independence import EventFamily
@@ -29,6 +32,7 @@ from desirables.measurability import (
 )
 from desirables.spaces import Event, Space, SpaceMismatchError, indicator
 from desirables.suites import random_family, random_measurable_gamble, random_nonneg_gamble, random_space
+from oracles import split_into_disjoint_by_labels
 
 X4 = Space("X", ("1", "2", "3", "4"))
 X6 = Space("S", tuple(str(i) for i in range(1, 7)))
@@ -282,6 +286,61 @@ class TestFieldSizeGuard:
         half = self.BIG.event(self.BIG.outcomes[:8])
         field = generated_field(EventFamily.custom(self.BIG, [half] * (MAX_FIELD_ATOMS + 1)))
         assert field == {frozenset(), half.members, frozenset(self.BIG.outcomes[8:]), frozenset(self.BIG.outcomes)}
+
+
+
+@st.composite
+def split_cases(draw):
+    """An event and a custom, atoms, all-events or empty family on 1-7
+    outcomes."""
+    space = Space("S", tuple(f"s{i}" for i in range(draw(st.integers(1, 7)))))
+    labels = st.sampled_from(space.outcomes)
+    kind = draw(st.sampled_from(["custom", "atoms", "all", "empty"]))
+    if kind == "custom":
+        members = draw(st.lists(st.frozensets(labels, min_size=1), max_size=8))
+        family = EventFamily.custom(space, [Event(space, m) for m in members])
+    else:
+        family = {"atoms": EventFamily.atoms, "all": EventFamily.all_nonempty, "empty": EventFamily.empty}[kind](space)
+    return Event(space, draw(st.frozensets(labels))), family
+
+
+def pairs_case(n):
+    """The first n of n + 1 outcomes under the family of every pair: no
+    cover for odd n, and the search's remainders grow like Fibonacci
+    numbers."""
+    space = Space("P", tuple(f"p{i}" for i in range(n + 1)))
+    family = EventFamily.custom(space, [space.event(p) for p in itertools.combinations(space.outcomes, 2)])
+    return space.event(space.outcomes[:n]), family
+
+
+class TestDisjointSplitSearch:
+    """``split_into_disjoint`` searches bit masks and remembers the
+    remainders it ruled out; it finds the cover that the label-set search
+    of ``oracles.split_into_disjoint_by_labels`` finds."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(split_cases())
+    def test_same_cover_as_the_label_search(self, case):
+        event, family = case
+        assert split_into_disjoint(event, family) == split_into_disjoint_by_labels(event, family)
+
+    def test_pairs_on_fifteen_outcomes_answer_fast(self):
+        """Fewer than 1024 remainders are ruled out, each once."""
+        event, family = pairs_case(15)
+        start = time.process_time()
+        assert split_into_disjoint(event, family) is None
+        assert time.process_time() - start < 0.1
+
+    def test_pairs_on_twenty_five_outcomes_are_refused(self):
+        event, family = pairs_case(25)
+        with pytest.raises(FamilyTooLargeError, match=f"more than 2\\^{MAX_FIELD_ATOMS} remainders"):
+            split_into_disjoint(event, family)
+
+
+def test_require_measurable_lists_the_level_set_in_outcome_order():
+    space = Space("Z", ("x2", "x10", "y"))
+    with pytest.raises(MeasurabilityError, match=r"\['x2', 'x10'\]"):
+        require_measurable(space.gamble([1, 1, 0]), EventFamily.empty(space))
 
 
 PROBE_SCRIPT = """

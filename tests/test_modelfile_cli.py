@@ -1,5 +1,6 @@
 """Model files and the command-line surface."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -177,6 +178,30 @@ class TestParsing:
         doc["extra"] = 1
         with pytest.raises(ModelFormatError):
             parse_model(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "section, entry",
+        [
+            ("events", {"id": "ALL", "space": "X", "members": ["a"]}),
+            ("families", {"id": "atoms", "space": "X", "kind": "custom", "events": ["just_a"]}),
+            ("families", {"id": "all", "space": "X", "kind": "custom", "events": ["just_a"]}),
+            ("families", {"id": "empty", "space": "X", "kind": "atoms"}),
+        ],
+        ids=["ALL", "atoms", "all", "empty"],
+    )
+    def test_reserved_ids_rejected(self, section, entry, tmp_path, capsys):
+        """"ALL" names the whole space and "atoms", "all" and "empty" the
+        builtin families, so a declaration under those ids would be
+        ignored wherever it is referenced."""
+        doc = json.loads(CREDAL)
+        doc[section].append(entry)
+        text = json.dumps(doc)
+        with pytest.raises(ModelFormatError, match=f"id '{entry['id']}' is reserved"):
+            parse_model(text)
+        path = tmp_path / "reserved.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", "-m", str(path)]) == 3
+        assert f"'{entry['id']}'" in capsys.readouterr().err
 
 
 # Keys and scalars of the model-file schema, so that fuzzed documents reach
@@ -559,6 +584,26 @@ class TestMeasurableCommand:
         assert out[1] == "witness level: 1"
         assert main(["measurable", "-m", path, "--gamble", "odd", "--family", "all"]) == 0
         assert capsys.readouterr().out == "true\n"
+
+    def test_a_split_search_past_the_bound_exits_3(self, tmp_path, capsys):
+        """The staircase's level set is 25 of 26 outcomes under the family
+        of every pair: no cover, and more remainders than the search
+        keeps."""
+        outcomes = [f"s{i}" for i in range(26)]
+        pairs = list(itertools.combinations(outcomes, 2))
+        doc = {
+            "spaces": [{"id": "S", "outcomes": outcomes}],
+            "gambles": [{"id": "g", "space": "S", "values": {x: str(int(x != "s25")) for x in outcomes}}],
+            "events": [{"id": f"p{k}", "space": "S", "members": list(p)} for k, p in enumerate(pairs)],
+            "assessments": [],
+            "families": [
+                {"id": "P", "space": "S", "kind": "custom", "events": [f"p{k}" for k in range(len(pairs))]}
+            ],
+        }
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["measurable", "-m", str(path), "--gamble", "g", "--family", "P", "--levels", "2"]) == 3
+        assert "2^16 remainders" in capsys.readouterr().err
 
     @pytest.mark.parametrize("levels", ["0", "-2"])
     def test_levels_below_one_refused_at_parse_time(self, tmp_path, capsys, levels):

@@ -70,6 +70,12 @@ class TestConeQueries:
         with pytest.raises(BeyondSupportError):
             lower_prevision(cone, AB.gamble([0, 1]), AB.event(["b"]))
 
+    def test_beyond_support_lists_the_event_in_outcome_order(self):
+        space = Space("Z", ("x2", "x10", "y"))
+        cone = DesirableCone.from_generators(space, [space.gamble([-1, -1, 0])])
+        with pytest.raises(BeyondSupportError, match=r"event \['x2', 'x10'\] has upper probability zero"):
+            lower_prevision(cone, space.gamble([0, 1, 0]), space.event(["x10", "x2"]))
+
 
 class TestQueryFormulations:
     """``lower_prevision`` has one LP for every cone shape: the gamble

@@ -1,6 +1,9 @@
 """Spaces, events, gambles, and product-space constructions."""
 
+import dataclasses
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -99,6 +102,30 @@ class TestEventMask:
                 assert events[i].mask == (1, 0, 1)
             assert events[0] == events[1] and hash(events[0]) == hash(events[1])
             assert len(set(events)) == 1 and events[0] != ABC.event(["x1"])
+
+    def test_the_mask_stays_out_of_the_fields(self):
+        e = ABC.event(["x3", "x1"])
+        assert [f.name for f in dataclasses.fields(e)] == ["space", "members"]
+        assert "mask" not in repr(e)
+
+    def test_unknown_members_are_named(self):
+        with pytest.raises(ValueError, match=r"\['zz'\] not in space 'Y'"):
+            ABC.event(["x1", "zz"])
+
+    def test_a_space_read_for_its_full_event_is_freed_without_the_collector(self):
+        """The full event is made per call, so the space holds no event
+        that refers back to it, and reference counting frees it."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            space = Space("F", ("a", "b", "c"))
+            assert space.full_event() == space.full_event()
+            ref = weakref.ref(space)
+            del space
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_a_lifted_mask_leaves_equality_and_hashing_alone(self):
         prod = product_space(AB, ABC)
