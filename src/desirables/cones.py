@@ -50,8 +50,9 @@ joint generators.
 A cone also caches ``credal_vertices``: the vertices of its dominating
 credal set {p >= 0, sum p = 1, E_p[g_i] >= 0}, enumerated once by double
 description in ints over the generators' integer rows and held as int
-tuples over one common denominator.  ``independence`` answers some INE
-queries from the marginals' vertices alone.  The enumeration gives up
+tuples over one common denominator, and their supports as bit masks,
+``vertex_supports``.  ``independence`` answers some INE queries from the
+marginals' vertices alone.  The enumeration gives up
 when more than ``VERTEX_CAP`` rays are kept at some step; the property
 is then None, and callers answer by LP.
 Only ``_lower_value`` applies ``vertex_bound``: it reads the vertices
@@ -167,6 +168,15 @@ class DesirableCone:
         Built on first use from the generators' ``nums`` and kept, like
         ``scaled_rows``; see ``_credal_vertices``."""
         return _credal_vertices(self.space.size, [g.nums for g in self.generators])
+
+    @cached_property
+    def vertex_supports(self) -> Optional[tuple[int, ...]]:
+        """The distinct supports of ``credal_vertices`` as bit masks (bit k
+        for outcome k), in first-seen order; None when those are None."""
+        vertices = self.credal_vertices
+        if vertices is None:
+            return None
+        return tuple(dict.fromkeys(sum(1 << k for k, w in enumerate(v) if w) for v in vertices))
 
     @cached_property
     def vertex_bound(self) -> int:

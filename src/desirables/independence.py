@@ -76,12 +76,37 @@ v1 (x) v2 of marginal credal vertices dominates every joint generator
 positive mass and none to the outcomes of B where f exceeds min_B f, its
 conditional expectation min_B f is the query's value: no value is below
 min_B f.  (On a route's cylinder LB >= min_B f, and such a product is a
-tied p1 with a common q.)  When the one certificate fails, or a marginal
-has no vertices (its enumeration passed ``cones.VERTEX_CAP``), the query
+tied p1 with a common q.)
+
+When the one certificate fails, or a marginal has no vertices (its
+enumeration passed ``cones.VERTEX_CAP``), a query on an INE with a route
+whose inner cone is within the vertex gate (``vertex_bound`` at most
+``cones.VERTEX_CAP``, the gate of ``cones._lower_value``) is answered by
+a master LP, ``_master_lower``: the decomposition of De Cooman, Miranda &
+Zaffalon (2011), solved by row generation as Dantzig & Wolfe (1960) do.
+With mu = min_B f + nu, the joint LP asks for lambda >= 0 on the joint
+generators with (f - mu) I_B - sum lambda g >= 0.  A route's generators
+g2 * I_{x1} act on the section at x1 alone, and by Farkas' lemma a
+section h is a non-negative combination of the inner generators plus a
+non-negative gamble exactly when E_w[h] >= 0 at every inner credal vertex
+w.  So the joint LP is the master over the columns lambda_{g1, B2} (an
+outer generator g1 on an inner generator event B2) and nu, with one row
+per outer outcome x1 and inner vertex w:
+
+    sum lambda g1(x1) w(B2) + nu w(B_x1) <= E_w[(f - min_B f) I_B(x1, .)].
+
+It starts from a few rows, and at each round's optimum adds, at each x1,
+the vertex with the least negative slack; a round that adds none leaves
+every row satisfied, so min_B f + nu is the value.  It is a relaxation
+with at most n1 |V2| rows, so it terminates.  The gate bounds the vertex
+ints in the rows: without it, a 6x6 INE of 12-entry marginals built a
+master whose tableau integers passed 300 bits.  With no such route, no
+inner vertex reaching a section of B, or an unbounded master (a
+relaxation can be unbounded where the full problem is not), the query
 runs the joint LP through ``lower_prevision``, which stays the reference
-the tests compare with.
-The certified paths run after the same argument checks, so every error
-is the LP's.
+the tests compare with and raises ``SureLossError`` or
+``BeyondSupportError``.  The certified and master paths run after the
+same argument checks, so every error is the LP's.
 """
 
 from __future__ import annotations
@@ -90,10 +115,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
+from . import cones
 from .cones import DesirableCone, _least_ratio
 from .measurability import MAX_FIELD_ATOMS, FamilyTooLargeError, require_measurable
 from .prevision import (
@@ -102,6 +128,7 @@ from .prevision import (
     _query_event,
     lower_prevision,
 )
+from .simplex import DANTZIG, LESS_EQUAL, LinearProgram, LPStatus
 from .spaces import (
     Event,
     Gamble,
@@ -377,8 +404,8 @@ def _coupled(
 
 
 def _min_attained(
-    left_vertices: Sequence[Sequence[int]],
-    right_vertices: Sequence[Sequence[int]],
+    left_supports: Sequence[int],
+    right_supports: Sequence[int],
     event: Event,
     f: Gamble,
     minimum: Fraction,
@@ -390,9 +417,10 @@ def _min_attained(
     whatever the families: v1(B1) E_v2[g2] for g2 * I_{B1}, and
     v2(B2) E_v1[g1] for g1 * I_{B2}.  So it is a dominating pmf whose
     conditional expectation of f given B is min_B f, and lower(f | B),
-    which is never below min_B f, equals it.  Only supports matter: per
-    left outcome x1, bit masks over the right outcomes mark where B holds
-    with f = min_B f and with f > min_B f, and a pair of supports S1 x S2
+    which is never below min_B f, equals it.  Only supports matter, so the
+    marginals' cached ``vertex_supports`` are passed: per left outcome x1,
+    bit masks over the right outcomes mark where B holds with
+    f = min_B f and with f > min_B f, and a pair of supports S1 x S2
     qualifies when S2 meets the first mask of some x1 in S1 and no second
     one.
     """
@@ -405,16 +433,113 @@ def _min_attained(
             if inside:
                 row[v != low] |= 1 << j
         masks.append(row)
-    right_supports = dict.fromkeys(sum(1 << j for j, w in enumerate(v) if w) for v in right_vertices)
-    for v in left_vertices:
+    for support in left_supports:
         reach = barred = 0
-        for w, (at_low, above) in zip(v, masks):
-            if w:
+        for k, (at_low, above) in enumerate(masks):
+            if support >> k & 1:
                 reach |= at_low
                 barred |= above
         if reach and any(s & reach and not s & barred for s in right_supports):
             return True
     return False
+
+
+def _master_lower(
+    outer: DesirableCone,
+    inner_vertices: Sequence[Sequence[int]],
+    masses: Sequence[Sequence[int]],
+    sections: Sequence[slice],
+    event: Event,
+    f: Gamble,
+) -> Optional[Fraction]:
+    """lower(f | B) by the vertex-priced master LP over a route (see the
+    module docstring), or None when no inner vertex reaches a section of B
+    or the master is unbounded.
+
+    Column i * len(masses) + e is lambda for outer generator i on inner
+    event e, whose mass at vertex k is ``masses[e][k]``, and the last
+    column is nu.  Row (x1, w) is taken times s * den * D
+    (``outer.scaled_rows[x1]`` has scale s, f has ``den``, the vertices sum
+    to D), so it is ints; it is divided by its gcd, and dropped when every
+    coefficient is 0.  Every right-hand side is non-negative, so each solve
+    starts on its slacks, with Dantzig pricing and no phase 1.  The first
+    rows are, at each x1, a vertex w with w(B_x1) > 0 that minimises
+    E_w[(f - min_B f) I_B(x1, .)] / w(B_x1), and the first of those at
+    every x1.  Each round reads lambda and nu off the optimum in ints, over
+    one scale, and adds at each x1 the first vertex with the least slack
+    E_w[h_x1] when that is negative, h_x1 the section of
+    (f - min_B f - nu) I_B minus sum lambda g1(x1) I_B2.
+    """
+    mask, nums, den = event.mask, f.nums, f.den
+    low = min(itertools.compress(nums, mask))
+    # Per x1, the right-hand side and the nu coefficient of each row
+    # (x1, w): E_w[(f - low) I_B(x1, .)] * s * den * D and w(B_x1) * s * D.
+    rhs, reach = [], []
+    zeros, total = [0] * len(inner_vertices), sum(inner_vertices[0])
+    for (s, _), section in zip(outer.scaled_rows, sections):
+        inside = mask[section]
+        if not any(inside):
+            rhs.append(zeros)
+            reach.append(zeros)
+            continue
+        gaps = [v - low if b else 0 for v, b in zip(nums[section], inside)]
+        rhs.append([s * sum(map(mul, w, gaps)) for w in inner_vertices])
+        if all(inside):
+            reach.append([s * total] * len(inner_vertices))
+        else:
+            reach.append([s * sum(map(mul, w, inside)) for w in inner_vertices])
+    # Start from the least conditional expectation at each x1, and the
+    # first of those vertices at every x1.
+    start = []
+    for x1, (rs, ms) in enumerate(zip(rhs, reach)):
+        best = None
+        for k, (r, m) in enumerate(zip(rs, ms)):
+            if m and (best is None or r * ms[best] < rs[best] * m):
+                best = k
+        if best is not None:
+            start.append((x1, best))
+    if not start:
+        return None
+    width = len(masses)
+    lp = LinearProgram(len(outer.generators) * width + 1, [0] * len(outer.generators) * width + [1])
+    added: set[tuple[int, int]] = set()
+
+    def add(x1: int, k: int) -> None:
+        added.add((x1, k))
+        row = [a * column[k] * den for a in outer.scaled_rows[x1][1] for column in masses]
+        row.append(reach[x1][k] * den)
+        if any(row):
+            g = gcd(*row, rhs[x1][k])
+            lp.add_scaled((1, [a // g for a in row]), LESS_EQUAL, (rhs[x1][k] // g, 1))
+
+    for x1, k in [*start, *((x1, start[0][1]) for x1 in range(len(sections)))]:
+        if (x1, k) not in added:
+            add(x1, k)
+    while True:
+        result = lp.solve(DANTZIG)
+        if result.status is LPStatus.UNBOUNDED:
+            return None
+        scale, point = result.scaled_point()
+        nu = den * point.pop()
+        lambdas = [(column, ls) for e, column in enumerate(masses) if any(ls := point[e::width])]
+        violated = []
+        for x1, ((_, ints), rs, ms) in enumerate(zip(outer.scaled_rows, rhs, reach)):
+            # The slack of each row (x1, w) times s * den * D * scale.
+            slacks = [r * scale - nu * m for r, m in zip(rs, ms)]
+            for column, ls in lambdas:
+                c = den * sum(map(mul, ints, ls))
+                if c:
+                    slacks = [v - c * a for v, a in zip(slacks, column)]
+            least = min(slacks)
+            k = slacks.index(least)
+            if least < 0 and (x1, k) not in added:
+                violated.append((x1, k))
+        if not violated:
+            value = result.value
+            q = value.denominator
+            return Fraction(low * q + value.numerator * den, den * q)
+        for x1, k in violated:
+            add(x1, k)
 
 
 def _other_side(side: str) -> str:
@@ -499,13 +624,13 @@ class IndependentNaturalExtension:
         self.space = product_space(left.space, right.space)
         # The marginal-extension routes, left outer first: a side whose
         # generator events hold every atom is the outer one, with the other
-        # side's events but the full one, and each outer outcome's section
-        # of the product's outcome indices.
+        # side's generator events and each outer outcome's section of the
+        # product's outcome indices.
         self._routes = [
             (
                 self._marginals[outer],
                 self._marginals[1 - outer],
-                [b for b in self._events[1 - outer] if not all(b)],
+                self._events[1 - outer],
                 self.space.sections(("left", "right")[outer]),
             )
             for outer in (0, 1)
@@ -524,23 +649,39 @@ class IndependentNaturalExtension:
         first read."""
         return DesirableCone.from_scaled_rows(self.space, self.scaled_rows)
 
+    @cached_property
+    def _master(self) -> Optional[tuple]:
+        """The first route whose inner cone is within the vertex gate, as
+        ``_master_lower``'s first four arguments: the outer cone, the inner
+        credal vertices, each vertex's masses on the inner generator events
+        and the outer sections; None when there is no such route."""
+        for outer, inner, events, sections in self._routes:
+            if inner.vertex_bound <= cones.VERTEX_CAP:
+                vertices = inner.credal_vertices
+                return outer, vertices, [[sum(map(mul, w, b)) for w in vertices] for b in events], sections
+        return None
+
     def lower(self, f: Gamble, event: Optional[Event] = None) -> Fraction:
         """The joint lower prevision of f given the event, by one vertex
         certificate chosen by the event's shape (see the module docstring):
         the certified marginal extension when a route makes the event its
-        cylinder, otherwise the certified minimum; when it fails, the joint
-        LP, ``lower_prevision(self, f, event)``."""
+        cylinder, otherwise the certified minimum.  When it fails, the
+        master LP over a route whose inner cone is within the vertex gate,
+        and otherwise, or when the master gives up, the joint LP,
+        ``lower_prevision(self, f, event)``."""
         event = _query_event(self, f, event)
-        for outer, inner, inner_events, sections in self._routes:
+        for outer, inner, events, sections in self._routes:
             area = _cylinder_base(event, sections)
             if area is not None:
-                value = _marginal_extension(outer, inner, inner_events, sections, area, f)
-                return lower_prevision(self, f, event) if value is None else value
-        minimum = f.min_over(event)
-        left_vertices, right_vertices = (cone.credal_vertices for cone in self._marginals)
-        if left_vertices and right_vertices and _min_attained(left_vertices, right_vertices, event, f, minimum):
-            return minimum
-        return lower_prevision(self, f, event)
+                value = _marginal_extension(outer, inner, [b for b in events if not all(b)], sections, area, f)
+                break
+        else:
+            minimum = f.min_over(event)
+            left, right = (cone.vertex_supports for cone in self._marginals)
+            value = minimum if left and right and _min_attained(left, right, event, f, minimum) else None
+        if value is None and self._master is not None:
+            value = _master_lower(*self._master, event, f)
+        return lower_prevision(self, f, event) if value is None else value
 
     def upper(self, f: Gamble, event: Optional[Event] = None) -> Fraction:
         return -self.lower(-f, event)

@@ -129,9 +129,10 @@ def split_into_disjoint(event: Event, family: "EventFamily") -> Optional[tuple[E
     search runs over the family's generator events: every union of atoms
     is a disjoint union of atoms, so the all-events family needs no
     other candidate.  It runs on bit masks (bit k is outcome k), in
-    generator order from the lowest outcome left, and remembers each
-    remainder with no cover: past 2^``MAX_FIELD_ATOMS`` of them it raises
-    ``FamilyTooLargeError``."""
+    generator order from the lowest outcome left, looking only at the
+    candidates whose lowest outcome that is, and remembers each
+    remainder with no cover, so that none is searched twice: past
+    2^``MAX_FIELD_ATOMS`` of them it raises ``FamilyTooLargeError``."""
     _require_family_on(event.space, family)
     if event.is_empty:
         return ()
@@ -142,17 +143,20 @@ def split_into_disjoint(event: Event, family: "EventFamily") -> Optional[tuple[E
         return int("".join(map(str, reversed(e.mask))), 2)
 
     target = bits(event)
-    candidates = [(b, e) for e in family.generator_events() if not (b := bits(e)) & ~target]
+    # The candidates inside the event, bucketed by their lowest bit in
+    # generator order: one that holds the remainder's lowest outcome and
+    # lies inside the remainder has that outcome as its own lowest.
+    candidates: dict[int, list[tuple[int, Event]]] = {}
+    for e in family.generator_events():
+        if not (b := bits(e)) & ~target:
+            candidates.setdefault(b & -b, []).append((b, e))
     failed: set[int] = set()
 
     def cover(remaining: int) -> Optional[tuple[Event, ...]]:
         if not remaining:
             return ()
-        if remaining in failed:
-            return None
-        first = remaining & -remaining
-        for b, e in candidates:
-            if b & first and not b & ~remaining:
+        for b, e in candidates.get(remaining & -remaining, ()):
+            if not b & ~remaining and remaining ^ b not in failed:
                 rest = cover(remaining ^ b)
                 if rest is not None:
                     return (e,) + rest

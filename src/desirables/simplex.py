@@ -110,7 +110,9 @@ unboundedness together with an improving ray.  An optimum keeps the
 basic rows' ``(label, rhs, scale)`` ints, and its value is summed from
 them in ints and made one ``Fraction``; ``LPResult.point`` is built from
 them the first time it is read, so a solve read for its value or prices
-alone (``cones._lower_value``) makes no point.  An optimum also carries one
+alone (``cones._lower_value``) makes no point, and ``LPResult.scaled_point``
+gives the point as ints over one scale (the INE master LP of
+``independence`` prices its rows so).  An optimum also carries one
 integer price per row, read in one pass over the final non-basic labels:
 minus the cost-row entry of the row's slack when that slack is non-basic,
 and 0 when it is basic or the row is an equality.  A slack's reduced cost
@@ -202,6 +204,17 @@ class LPResult:
                 point[label] = Fraction(rhs, scale)
             object.__setattr__(self, "_point", tuple(point))
         return self._point
+
+    def scaled_point(self) -> tuple[int, list[int]]:
+        """A solve's optimal vertex as ``(scale, ints)``: entry k is
+        ``ints[k] / scale``, over the lcm of the basic rows' scales, with no
+        ``Fraction`` made."""
+        nstruct, basic = self._basic
+        scale = lcm(*(d for _, _, d in basic))
+        ints = [0] * nstruct
+        for label, rhs, d in basic:
+            ints[label] = rhs * (scale // d)
+        return scale, ints
 
     def _fields(self) -> tuple:
         return self.status, self.value, self.point, self.ray, self.prices

@@ -363,6 +363,24 @@ class TestCredalVertices:
         cone = random_cone(random.Random(5600 + seed), max_size=4, max_gens=5)
         assert normalised(cone.credal_vertices) == credal_vertices(cone.space, cone.generators)
 
+    @pytest.mark.parametrize(
+        "case", CONE_GOLDEN[:60], ids=[f"c{k:03d}" for k in range(60)]
+    )
+    def test_vertex_supports_are_the_distinct_vertex_supports(self, case):
+        """Bit k of a support is outcome k; repeats are dropped and the
+        first-seen order kept.  The tuple is cached with the vertices."""
+        cone = golden_cone(case)
+        vertices, supports = cone.credal_vertices, cone.vertex_supports
+        if vertices is None:
+            assert supports is None
+            return
+        want = []
+        for v in vertices:
+            bits = sum(1 << k for k, w in enumerate(v) if w)
+            if bits not in want:
+                want.append(bits)
+        assert supports == tuple(want) and cone.vertex_supports is supports
+
     def test_a_linear_marginal_has_one_vertex(self):
         """A self-conjugate assessment of every atom pins one pmf."""
         space = Space("L", ("a", "b", "c"))

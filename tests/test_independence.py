@@ -55,6 +55,7 @@ from desirables.suites import (
 )
 
 from oracles import sympy_lower_prevision
+from test_simplex import rich_ine_query
 
 AB = Space("A", ("a", "b"))
 UV = Space("U", ("u", "v"))
@@ -940,6 +941,18 @@ PATH_GAMBLES = {
 }
 
 
+def path_query(seed, left_kind, right_kind, event_kind, gamble_kind, size=4):
+    """The families, an INE of two sparse envelope models on 1 to ``size``
+    outcomes a side, a gamble and an event (None for an unconditional
+    query), drawn from the seed and the named generators."""
+    rng = random.Random(seed)
+    spaces = random_space(rng, "L", 1, size), random_space(rng, "R", 1, size)
+    left, right = (sparse_envelope_model(rng, space) for space in spaces)
+    families = PATH_FAMILIES[left_kind](rng, spaces[0]), PATH_FAMILIES[right_kind](rng, spaces[1])
+    ine = IndependentNaturalExtension(left, right, *families)
+    return families, ine, PATH_GAMBLES[gamble_kind](rng, ine.space), PATH_EVENTS[event_kind](rng, ine.space)
+
+
 def _routes_cover(prod, families, event):
     """Whether a side whose family holds every atom makes the event its
     cylinder.  The full factor event always counts as a family member, as
@@ -960,8 +973,8 @@ class TestMarginalExtensionPath:
     credal vertices by one certificate chosen by the event's shape: on a
     route's cylinder, a product of tied minimisers that certifies the
     marginal-extension bound; on any other event, a product of vertices
-    that attains min_B f.  Otherwise it takes the joint LP; every value
-    and error equals the joint LP's."""
+    that attains min_B f.  Otherwise the master LP (``TestMasterLP``) or
+    the joint LP answers; every value and error equals the joint LP's."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -972,13 +985,7 @@ class TestMarginalExtensionPath:
         gamble_kind=st.sampled_from(sorted(PATH_GAMBLES)),
     )
     def test_values_and_errors_equal_the_joint_lp(self, seed, left_kind, right_kind, event_kind, gamble_kind):
-        rng = random.Random(seed)
-        spaces = random_space(rng, "L", 1, 4), random_space(rng, "R", 1, 4)
-        left, right = (sparse_envelope_model(rng, space) for space in spaces)
-        families = PATH_FAMILIES[left_kind](rng, spaces[0]), PATH_FAMILIES[right_kind](rng, spaces[1])
-        ine = IndependentNaturalExtension(left, right, *families)
-        f = PATH_GAMBLES[gamble_kind](rng, ine.space)
-        event = PATH_EVENTS[event_kind](rng, ine.space)
+        families, ine, f, event = path_query(seed, left_kind, right_kind, event_kind, gamble_kind)
         tested = []
         original = independence._min_attained
 
@@ -1172,6 +1179,149 @@ class TestMarginalExtensionPath:
             ine.lower(ine.space.zero(), AB.full_event())
         with pytest.raises(spaces.EmptyEventError):
             ine.upper(ine.space.zero(), ine.space.event([]))
+
+
+@pytest.fixture
+def mastered(monkeypatch):
+    """What ``_master_lower`` returns, one entry per call: the value, or
+    None when the joint LP is left to answer."""
+    values = []
+    original = independence._master_lower
+
+    def spy(*args):
+        values.append(original(*args))
+        return values[-1]
+
+    monkeypatch.setattr(independence, "_master_lower", spy)
+    return values
+
+
+def _without_certificates(patch):
+    patch.setattr(independence, "_marginal_extension", lambda *args: None)
+    patch.setattr(independence, "_min_attained", lambda *args: False)
+
+
+class TestMasterLP:
+    """A query that its vertex certificate does not settle, on an INE with
+    a route whose inner cone is within the vertex gate, is answered by the
+    vertex-priced master LP; the joint LP answers only when the master
+    gives up.  Every value and error equals the joint LP's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        left_kind=st.sampled_from(sorted(PATH_FAMILIES)),
+        right_kind=st.sampled_from(sorted(PATH_FAMILIES)),
+        event_kind=st.sampled_from(sorted(PATH_EVENTS)),
+        gamble_kind=st.sampled_from(sorted(PATH_GAMBLES)),
+    )
+    def test_values_and_errors_equal_the_joint_lp(self, seed, left_kind, right_kind, event_kind, gamble_kind):
+        _, ine, f, event = path_query(seed, left_kind, right_kind, event_kind, gamble_kind, size=5)
+        with pytest.MonkeyPatch.context() as patch:
+            _without_certificates(patch)
+            assert outcome(lambda: ine.lower(f, event)) == outcome(lambda: lower_prevision(ine, f, event))
+            assert outcome(lambda: ine.upper(f, event)) == outcome(lambda: -lower_prevision(ine, -f, event))
+
+    def test_the_master_answers_most_queries(self, monkeypatch, mastered):
+        """Over 300 drawn queries with both certificates off, the master
+        answers most of the queries it is given; the rest fall back."""
+        _without_certificates(monkeypatch)
+        rng = random.Random("master-share")
+        for seed in range(300):
+            kinds = [rng.choice(sorted(table)) for table in (PATH_FAMILIES, PATH_FAMILIES, PATH_EVENTS, PATH_GAMBLES)]
+            _, ine, f, event = path_query(seed, *kinds, size=5)
+            assert outcome(lambda: ine.lower(f, event)) == outcome(lambda: lower_prevision(ine, f, event))
+        answered = sum(v is not None for v in mastered)
+        assert len(mastered) > 100 and answered > 3 * len(mastered) // 4
+
+    def test_a_beyond_support_event_falls_back_to_the_joint_lp(self, mastered, solves):
+        """The right marginal gives c lower probability one, so its one
+        vertex is the point mass on c.  No vertex reaches a section of
+        X x {d}, so the master gives up and the joint LP raises."""
+        x, y = Space("X", ("a", "b")), Space("Y", ("c", "d"))
+        left = ConditionalLowerPrevision.from_entries(x, [(indicator(x.event(["a"])), None, Fraction(1, 3))])
+        right = ConditionalLowerPrevision.from_entries(y, [(indicator(y.event(["c"])), None, Fraction(1))])
+        ine = IndependentNaturalExtension(left, right, EventFamily.atoms(x), EventFamily.custom(y, [y.event(["c"])]))
+        event = cylinder_event(y.event(["d"]), ine.space, "right")
+        solves.clear()
+        with pytest.raises(BeyondSupportError):
+            ine.lower(ine.space.gamble([1, 2, 3, 4]), event)
+        assert mastered == [None] and solves != []
+
+    def test_an_inner_cone_past_the_gate_takes_the_joint_lp(self, monkeypatch, mastered):
+        ine, f = rich_ine_query(0)
+        assert ine._marginals[1].vertex_bound > cones.VERTEX_CAP and ine._master is None
+        joint = []
+        monkeypatch.setattr(independence, "lower_prevision", lambda *args: joint.append(args) or lower_prevision(*args))
+        value = ine.lower(f)
+        assert mastered == [] and len(joint) == 1 and value == lower_prevision(ine, f)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_vacuous_outer_marginal(self, seed, monkeypatch, mastered):
+        """With no outer generator the master has the nu column alone."""
+        _without_certificates(monkeypatch)
+        rng = random.Random(f"vacuous-outer:{seed}")
+        x, y = random_space(rng, "L", 2, 4), random_space(rng, "R", 2, 4)
+        left = ConditionalLowerPrevision.from_entries(x, [])
+        right = sevenths_model(rng, y, 2)
+        ine = IndependentNaturalExtension(left, right, EventFamily.atoms(x), EventFamily.custom(y, [random_nonempty_event(rng, y)]))
+        f = random_gamble(rng, ine.space)
+        event = random_nonempty_event(rng, ine.space)
+        assert ine.lower(f) == lower_prevision(ine, f)
+        assert ine.upper(f, event) == -lower_prevision(ine, -f, event)
+        assert len(mastered) == 2 and None not in mastered
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_the_right_side_as_the_outer_one(self, seed, monkeypatch, mastered):
+        """Only the right family holds every atom, so the right side is the
+        outer one and its outcomes' sections are strides of the product's
+        outcome indices."""
+        _without_certificates(monkeypatch)
+        rng = random.Random(f"right-outer:{seed}")
+        x, y = random_space(rng, "L", 2, 4), random_space(rng, "R", 2, 4)
+        left, right = sevenths_model(rng, x, 2), sevenths_model(rng, y, 2)
+        ine = IndependentNaturalExtension(left, right, EventFamily.custom(x, [random_nonempty_event(rng, x)]), None)
+        assert ine._master[0] is right.cone and ine._master[3] == ine.space.sections("right")
+        f = random_gamble(rng, ine.space)
+        event = random_nonempty_event(rng, ine.space)
+        assert ine.lower(f) == lower_prevision(ine, f)
+        assert ine.lower(f, event) == lower_prevision(ine, f, event)
+        assert len(mastered) == 2 and None not in mastered
+
+    def test_no_row_is_added_twice(self, monkeypatch, mastered):
+        """The start rows hold at most one row per outer outcome besides the
+        first vertex's, each later round adds at most one row per outer
+        outcome, and none of those is already in the master: a row of the
+        master holds at its optimum, so it is never the violated one."""
+        _without_certificates(monkeypatch)
+        rounds = []
+        original = LinearProgram.solve
+
+        def spy(self, *args, **kwargs):
+            rounds.append(list(self.rows))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinearProgram, "solve", spy)
+        grown = 0
+        for seed in range(60):
+            rng = random.Random(f"master-rows:{seed}")
+            x, y = random_space(rng, "L", 3, 5), random_space(rng, "R", 3, 5)
+            left, right = sevenths_model(rng, x, 3), sevenths_model(rng, y, 3)
+            family = EventFamily.custom(y, [random_nonempty_event(rng, y) for _ in range(2)])
+            ine = IndependentNaturalExtension(left, right, None, family)
+            f = random_gamble(rng, ine.space, span=3)
+            n1, vertices = len(x.outcomes), ine._master[1]
+            for query in (ine.lower, ine.upper):
+                rounds.clear()
+                query(f)
+                assert len(rounds[0]) <= 2 * n1
+                for before, after in zip(rounds, rounds[1:]):
+                    new = after[len(before) :]
+                    assert after[: len(before)] == before and 0 < len(new) <= n1
+                    assert not set(map(repr, new)) & set(map(repr, before))
+                    grown += 1
+                assert len(rounds[-1]) <= n1 * len(vertices)
+        assert len(mastered) == 120 and None not in mastered and grown > 10
 
 
 class TestAllEventsSizeGuard:

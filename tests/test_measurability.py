@@ -336,6 +336,16 @@ class TestDisjointSplitSearch:
         with pytest.raises(FamilyTooLargeError, match=f"more than 2\\^{MAX_FIELD_ATOMS} remainders"):
             split_into_disjoint(event, family)
 
+    def test_pairs_on_twenty_five_outcomes_are_refused_fast(self):
+        """Each remainder looks only at the pairs whose lowest outcome is
+        its own, and skips the remainders already ruled out, so ruling
+        out about 2^16 remainders takes well under a second."""
+        event, family = pairs_case(25)
+        start = time.process_time()
+        with pytest.raises(FamilyTooLargeError):
+            split_into_disjoint(event, family)
+        assert time.process_time() - start < 0.5
+
 
 def test_require_measurable_lists_the_level_set_in_outcome_order():
     space = Space("Z", ("x2", "x10", "y"))

@@ -619,7 +619,8 @@ def eager_point(tableau, basis, nstruct):
 
 class TestLazyPoint:
     """An optimum keeps its basic rows' ints and builds ``point`` on first
-    read; value-only callers never read it, so they build none."""
+    read, or ``scaled_point`` as ints; value-only callers never read it, so
+    they build none."""
 
     @pytest.mark.parametrize("pricing", [BLAND, DANTZIG])
     @pytest.mark.parametrize("case", GOLDEN, ids=[f"lp{k:03d}" for k in range(len(GOLDEN))])
@@ -643,6 +644,8 @@ class TestLazyPoint:
         point = eager_point(tableau, basis, lp.num_vars)
         assert result.point == point
         assert result.value == sum((c * x for c, x in zip(lp.objective, point)), Fraction(0))
+        scale, ints = result.scaled_point()  # the same point as ints over one scale
+        assert tuple(Fraction(v, scale) for v in ints) == point
 
     def test_value_only_solves_build_no_point(self, monkeypatch):
         results = []
