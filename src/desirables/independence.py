@@ -33,7 +33,11 @@ rows and generators agree by construction.  An
 ``IndependentNaturalExtension`` builds only the rows, on first need; its
 ``joint_cone`` is built on first read, because a query reads nothing but
 the rows.  Its marginal and conditional cones are views of it,
-:class:`MarginalConeView`.
+:class:`MarginalConeView`.  All an INE reads of its families is their
+generator-event masks, ``EventFamily.masks``, built with each family, and
+its product space is ``spaces.product_space``'s live one.  So an INE on
+families and a product that a caller holds builds neither: it reads the
+masks and derives its routes (below) from them.
 
 Joint lower previsions are exact LP optima over this cone.  With coherent
 marginals the joint is coherent, reproduces the marginals, and satisfies
@@ -152,7 +156,15 @@ class IncoherentMarginalError(ValueError):
 
 @dataclass(frozen=True)
 class EventFamily:
-    """A set of non-empty conditioning events on one factor space."""
+    """A set of non-empty conditioning events on one factor space.
+
+    ``masks`` holds the ``Event.mask`` of each event that conditions a
+    joint generator.  The atoms and the all-events family give the atoms'
+    unit masks, in outcome order, with no ``Event`` built.  A custom
+    family gives its events' masks without repeats, in first-seen order,
+    then the full event's when it does not list it, so no generator column
+    is repeated.  It is built with the family and set outside the fields,
+    so equality, hashing and repr read only those."""
 
     space: Space
     kind: str
@@ -167,6 +179,13 @@ class EventFamily:
             e.require_nonempty()
         if self.kind != CUSTOM and self.custom_events:
             raise ValueError("explicit events are only allowed for custom families")
+        n = self.space.size
+        if self.kind == CUSTOM:
+            masks = dict.fromkeys(e.mask for e in self.custom_events)
+            masks[(1,) * n] = None
+        else:
+            masks = ((0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n))
+        object.__setattr__(self, "masks", tuple(masks))
 
     @staticmethod
     def atoms(space: Space) -> "EventFamily":
@@ -214,27 +233,21 @@ class EventFamily:
         return self.events()
 
 
-def _event_masks(family: Optional[EventFamily], factor: Space) -> list[tuple[int, ...]]:
-    """The ``mask`` of each generator event of a factor's family.  A missing
-    family, the atoms and the all-events family give the atoms' unit masks,
-    in outcome order, with no ``Event`` built.  A custom family gives its
-    events' masks without repeats, in first-seen order, then the full
-    event's when it does not list it, so no generator column is repeated."""
-    if family is not None and family.space != factor:
+def _event_masks(family: Optional[EventFamily], factor: Space) -> tuple[tuple[int, ...], ...]:
+    """The ``EventFamily.masks`` of a factor's family; a missing family is
+    the atoms."""
+    if family is None:
+        family = EventFamily.atoms(factor)
+    elif family.space is not factor and family.space != factor:
         raise SpaceMismatchError("family space does not match its marginal")
-    n = factor.size
-    if family is None or family.kind != CUSTOM:
-        return [(0,) * k + (1,) + (0,) * (n - 1 - k) for k in range(n)]
-    events = dict.fromkeys(e.mask for e in family.custom_events)
-    events[(1,) * n] = None
-    return list(events)
+    return family.masks
 
 
 def _joint_rows(
     left: DesirableCone,
     right: DesirableCone,
-    left_events: list[tuple[int, ...]],
-    right_events: list[tuple[int, ...]],
+    left_events: Sequence[tuple[int, ...]],
+    right_events: Sequence[tuple[int, ...]],
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The ``scaled_rows`` of the INE joint cone, taken from the marginal
     cones' rows.
@@ -325,7 +338,7 @@ TIE_COMBINATIONS = 64
 def _marginal_extension(
     outer: DesirableCone,
     inner: DesirableCone,
-    inner_events: list[tuple[int, ...]],
+    inner_events: Sequence[tuple[int, ...]],
     sections: Sequence[slice],
     area: list[int],
     f: Gamble,
@@ -358,7 +371,7 @@ def _marginal_extension(
 
 def _coupled(
     outer_rows: list[tuple[int, ...]],
-    inner_events: list[tuple[int, ...]],
+    inner_events: Sequence[tuple[int, ...]],
     area: list[int],
     outer_tied: list[Sequence[int]],
     inner_tied: list[list[Sequence[int]]],
@@ -600,10 +613,13 @@ class IndependentNaturalExtension:
     factor leaves local values unchanged.  Missing families default to the
     atoms.
 
-    Construction builds the product space.  The joint cone's integer rows,
-    ``scaled_rows``, are built on a query's first LP, and queries read
-    only those.  ``joint_cone``, with its ``Gamble`` generators read off
-    those rows, is built on first read and kept.
+    Construction checks the marginals, reads the families' ``masks`` and
+    derives the routes from them, each with its inner events short of the
+    full event and its outer sections.  The product space is the live one
+    from ``product_space``, built only when no caller holds it.  The joint
+    cone's integer rows, ``scaled_rows``, are built on a query's first LP,
+    and queries read only those.  ``joint_cone``, with its ``Gamble``
+    generators read off those rows, is built on first read and kept.
     """
 
     def __init__(
@@ -624,18 +640,19 @@ class IndependentNaturalExtension:
         self.space = product_space(left.space, right.space)
         # The marginal-extension routes, left outer first: a side whose
         # generator events hold every atom is the outer one, with the other
-        # side's generator events and each outer outcome's section of the
-        # product's outcome indices.
-        self._routes = [
-            (
-                self._marginals[outer],
-                self._marginals[1 - outer],
-                self._events[1 - outer],
-                self.space.sections(("left", "right")[outer]),
-            )
-            for outer in (0, 1)
-            if sum(sum(b) == 1 for b in self._events[outer]) == (left.space.size, right.space.size)[outer]
-        ]
+        # side's generator events, those of them short of the full event,
+        # and each outer outcome's section of the product's outcome indices.
+        self._routes = []
+        for outer, side in enumerate(("left", "right")):
+            if list(map(sum, self._events[outer])).count(1) == self.space.factor(side).size:
+                inner = self._events[1 - outer]
+                self._routes.append((
+                    self._marginals[outer],
+                    self._marginals[1 - outer],
+                    inner,
+                    [b for b in inner if not all(b)],
+                    self.space.sections(side),
+                ))
 
     @cached_property
     def scaled_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -655,7 +672,7 @@ class IndependentNaturalExtension:
         ``_master_lower``'s first four arguments: the outer cone, the inner
         credal vertices, each vertex's masses on the inner generator events
         and the outer sections; None when there is no such route."""
-        for outer, inner, events, sections in self._routes:
+        for outer, inner, events, _, sections in self._routes:
             if inner.vertex_bound <= cones.VERTEX_CAP:
                 vertices = inner.credal_vertices
                 return outer, vertices, [[sum(map(mul, w, b)) for w in vertices] for b in events], sections
@@ -670,10 +687,10 @@ class IndependentNaturalExtension:
         and otherwise, or when the master gives up, the joint LP,
         ``lower_prevision(self, f, event)``."""
         event = _query_event(self, f, event)
-        for outer, inner, events, sections in self._routes:
+        for outer, inner, _, proper, sections in self._routes:
             area = _cylinder_base(event, sections)
             if area is not None:
-                value = _marginal_extension(outer, inner, [b for b in events if not all(b)], sections, area, f)
+                value = _marginal_extension(outer, inner, proper, sections, area, f)
                 break
         else:
             minimum = f.min_over(event)

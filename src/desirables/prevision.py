@@ -139,11 +139,12 @@ def _query_event(cone: DesirableCone, f: Gamble, event: Optional[Event]) -> Even
     """The conditioning event of a query of f on the cone: the full event
     for None.  Raises ``SpaceMismatchError`` when f or the event is on
     another space and ``EmptyEventError`` when the event is empty."""
-    if f.space != cone.space:
+    space = cone.space
+    if f.space is not space and f.space != space:
         raise SpaceMismatchError("gamble on a different space")
     if event is None:
-        return cone.space.full_event()
-    if event.space != cone.space:
+        return space.full_event()
+    if event.space is not space and event.space != space:
         raise SpaceMismatchError("event on a different space")
     return event.require_nonempty()
 

@@ -22,6 +22,9 @@ labels "x1|x2" in left-major order, so product outcome k is the pair of
 left outcome k // n2 and right outcome k % n2.  This module alone formats
 those labels and knows that order: the lifts here work on outcome indices,
 and ``ProductSpace.sections`` gives each factor outcome's slice of them.
+``product_space(left, right)`` returns the one live product of an equal
+pair of factors, so callers that share a product share the object, and a
+space check between them is an identity test.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from itertools import compress
 from math import gcd, lcm
 from operator import add, index, mul, neg, sub
 from typing import Iterable, Mapping, Sequence, TypeVar, Union
+from weakref import WeakValueDictionary
 
 RationalLike = Union[Fraction, int, str]
 T = TypeVar("T")
@@ -407,8 +411,21 @@ class ProductSpace(Space):
         return tuple(slice(j, None, n2) for j in range(n2))
 
 
+#: The live product of each pair of factors, dropped with its last holder.
+_products: "WeakValueDictionary[tuple[Space, Space], ProductSpace]" = WeakValueDictionary()
+
+
 def product_space(left: Space, right: Space) -> ProductSpace:
-    return ProductSpace(f"{left.name}*{right.name}", left, right)
+    """The product of two factors, named "left*right".  While a product of
+    an equal pair of factors is alive, it is returned rather than a new
+    one, so every caller holding it shares one object; a product built
+    directly with ``ProductSpace`` equals it and hashes the same.  Threads
+    that race here may each build a product; those are equal too, so only
+    the sharing is lost."""
+    prod = _products.get((left, right))
+    if prod is None:
+        prod = _products[left, right] = ProductSpace(f"{left.name}*{right.name}", left, right)
+    return prod
 
 
 def cylindrical_extension(g: Gamble, prod: ProductSpace, side: str) -> Gamble:

@@ -1,5 +1,6 @@
 """Independent natural extension, epistemic independence, factorisation."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -98,6 +99,20 @@ class TestEventFamilies:
     def test_empty_member_rejected(self):
         with pytest.raises(ValueError):
             EventFamily.custom(AB, (AB.event([]),))
+
+    def test_masks_are_built_with_the_family_outside_its_fields(self):
+        x = Space("M", ("a", "b", "c"))
+        listed = [x.event(["b"]), x.event(["a", "b"]), x.event(["b"])]
+        fam = EventFamily.custom(x, listed)
+        assert fam.masks == ((0, 1, 0), (1, 1, 0), (1, 1, 1))
+        atoms = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert EventFamily.atoms(x).masks == EventFamily.all_nonempty(x).masks == atoms
+        assert EventFamily.empty(x).masks == ((1, 1, 1),)
+        assert [f.name for f in dataclasses.fields(fam)] == ["space", "kind", "custom_events"]
+        assert "masks" not in repr(fam)
+        twin = EventFamily.custom(x, listed)
+        object.__setattr__(twin, "masks", ())
+        assert twin == fam and hash(twin) == hash(fam)
 
 
 class TestProductCone:
@@ -772,6 +787,22 @@ class TestLazyJointCone:
         assert "joint_cone" not in vars(ine)
         ine.joint_cone
         assert len(built) == 1 + len(ine.joint_cone.generators)
+
+    @pytest.mark.parametrize("setting", sorted(FAMILY_SETTINGS))
+    def test_an_ine_on_a_live_product_builds_none(self, setting, monkeypatch):
+        (left, right, *families), f, event = seeded_query(0, setting)
+        built = []
+        original = spaces.ProductSpace.__post_init__
+
+        def spy(prod):
+            built.append(prod)
+            original(prod)
+
+        monkeypatch.setattr(spaces.ProductSpace, "__post_init__", spy)
+        ine = IndependentNaturalExtension(left, right, *families)
+        assert ine.space is f.space is event.space
+        ine.lower(f), ine.upper(f), ine.lower(f, event)
+        assert built == []
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("setting", sorted(FAMILY_SETTINGS))

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from desirables import spaces
 from desirables.spaces import (
     EmptyEventError,
     Gamble,
@@ -184,6 +185,36 @@ class TestProductSpace:
             ProductSpace("P", prod.outcomes, AB, ABC)
         with pytest.raises(TypeError):
             ProductSpace(name="P", outcomes=prod.outcomes, left=AB, right=ABC)
+
+    def test_equal_factors_share_the_live_product(self):
+        twins = Space("X", ("a", "b")), Space("Y", ("x1", "x2", "x3"))
+        assert twins[0] is not AB and twins[1] is not ABC
+        prod = product_space(AB, ABC)
+        assert product_space(*twins) is prod
+        assert product_space(ABC, AB) is not prod
+
+    def test_a_directly_built_product_equals_the_shared_one(self):
+        prod = product_space(AB, ABC)
+        direct = ProductSpace("X*Y", AB, ABC)
+        assert direct is not prod and direct == prod and hash(direct) == hash(prod)
+
+    def test_a_dropped_product_is_freed_without_the_collector(self):
+        """The table holds its products weakly, so a product that every
+        holder drops is freed by reference counting, and its entry goes
+        with it."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            factors = Space("freed-left", ("a", "b")), Space("freed-right", ("c",))
+            prod = product_space(*factors)
+            assert spaces._products[factors] is prod
+            ref = weakref.ref(prod)
+            del prod
+            assert ref() is None
+            assert factors not in spaces._products
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_cylindrical_extension_left_singleton_right(self):
         single = Space("U", ("u",))
