@@ -43,10 +43,7 @@ Code that already knows these rows builds its cone from them with
 and keeps the rows as the cache, so rows and generators cannot disagree:
 the joint cone of the independent natural extension is built from rows
 assembled from the marginal cones' rows (see ``independence``), so no
-joint entry is converted at all.  The query LP reads a cone's ``space``
-and ``scaled_rows`` only, its width included, so an
-``IndependentNaturalExtension`` is queried on its joint rows without its
-joint generators.
+joint entry is converted at all.
 A cone also caches ``credal_vertices``: the vertices of its dominating
 credal set {p >= 0, sum p = 1, E_p[g_i] >= 0}, enumerated once by double
 description in ints over the generators' integer rows and held as int
@@ -64,8 +61,7 @@ There lower(f | B) is the least
 E_v[f * I_B] / v(B) over the vertices v with v(B) > 0 (``_least_ratio``,
 the integer scan ``independence`` uses as well), which is exactly the LP's
 value, because the LP's dual is that linear-fractional program over the
-credal set; ``_lower_value`` says why.  Larger cones, and the INE joint
-rows, which are no ``DesirableCone``, are solved.
+credal set; ``_lower_value`` says why.  Larger cones are solved.
 Cones are immutable: the caches are not fields, so they take no part in
 equality or hashing, and they never change once built.  Queries are pure
 and safe to run concurrently.
@@ -405,15 +401,14 @@ def _gamble_side_lp(
 
     The generator part of each row is the cone's cached integer row
     (``DesirableCone.scaled_rows``), so no ``Fraction`` is converted per
-    query, and the number of generators is the width of those rows; the
-    mu coefficients are appended to it: (1, -1), or 1 with a
+    query; the mu coefficients are appended to it: (1, -1), or 1 with a
     floor, on B and zeros off it.  f arrives as ``f_row``, the gamble's
     own integer row (``Gamble.den``, ``Gamble.nums``), and the floor as an
     int over the same denominator, so each right-hand side goes to the LP
     as the integer ratio (nums[x] - floor, den), with no ``Fraction``
     arithmetic.
     """
-    n = len(cone.scaled_rows[0][1])
+    n = len(cone.generators)
     if floor is None:
         objective, on, off, floor = [0] * n + [1, -1], (1, -1), (0, 0), 0
     else:
@@ -441,7 +436,7 @@ def _lower_value(
     """sup{mu : [f - mu] * indicator(B) in cone}, or None when it is infinite,
     with row prices r on the outcomes that attain it (empty when infinite).
 
-    A ``DesirableCone`` whose ``vertex_bound`` is within ``VERTEX_CAP`` is
+    A cone whose ``vertex_bound`` is within ``VERTEX_CAP`` is
     answered from its ``credal_vertices``, with no LP: the value is the
     least E_v[f * I_B] / v(B) over the vertices v with v(B) > 0, and r is
     the first vertex attaining it.  That is exact.  The LP's dual is the
@@ -455,8 +450,7 @@ def _lower_value(
     LP's prices are.  The bound covers every step of the enumeration, so a
     gated-in cone always has its vertices.
 
-    Every other cone, and an ``IndependentNaturalExtension`` queried on its
-    joint rows, solves the LP, with mu = min_B f + nu, nu >= 0.  That is
+    Every other cone solves the LP, with mu = min_B f + nu, nu >= 0.  That is
     exact: lambda = 0, mu = min_B f is feasible, because [f - min_B f] * I_B is
     non-negative, so the supremum is at least min_B f and restricting mu to
     that range keeps both the optimum and unboundedness.  Every right-hand
@@ -472,7 +466,7 @@ def _lower_value(
     checks r exactly before anything relies on it.
     """
     den, nums = f.den, f.nums
-    if isinstance(cone, DesirableCone) and cone.vertex_bound <= VERTEX_CAP:
+    if cone.vertex_bound <= VERTEX_CAP:
         area = None if event.is_full else event.mask
         least = _least_ratio(cone.credal_vertices, nums, area)
         if least is None:

@@ -30,9 +30,9 @@ x2, brought to one scale and masked by event membership, and no joint
 ``Fraction`` is converted.  ``DesirableCone.from_scaled_rows`` reads the
 generators off those rows' columns, so there is one builder and the
 rows and generators agree by construction.  An
-``IndependentNaturalExtension`` builds only the rows, on first need; its
-``joint_cone`` is built on first read, because a query reads nothing but
-the rows.  Its marginal and conditional cones are views of it,
+``IndependentNaturalExtension`` builds its ``joint_cone`` on first read
+and keeps it; only a query that falls back on the joint cone reads it.
+Its marginal and conditional cones are views of it,
 :class:`MarginalConeView`.  All an INE reads of its families is their
 generator-event masks, ``EventFamily.masks``, built with each family, and
 its product space is ``spaces.product_space``'s live one.  So an INE on
@@ -107,10 +107,10 @@ ints in the rows: without it, a 6x6 INE of 12-entry marginals built a
 master whose tableau integers passed 300 bits.  With no such route, no
 inner vertex reaching a section of B, or an unbounded master (a
 relaxation can be unbounded where the full problem is not), the query
-runs the joint LP through ``lower_prevision``, which stays the reference
-the tests compare with and raises ``SureLossError`` or
-``BeyondSupportError``.  The certified and master paths run after the
-same argument checks, so every error is the LP's.
+falls back on ``lower_prevision(joint_cone, ...)``, as any cone is
+queried, which raises ``SureLossError`` or ``BeyondSupportError``.  The
+certified and master paths run after the same argument checks, so every
+error is the joint cone's.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def _event_masks(family: Optional[EventFamily], factor: Space) -> tuple[tuple[in
     the atoms."""
     if family is None:
         family = EventFamily.atoms(factor)
-    elif family.space is not factor and family.space != factor:
+    elif family.space != factor:
         raise SpaceMismatchError("family space does not match its marginal")
     return family.masks
 
@@ -616,10 +616,9 @@ class IndependentNaturalExtension:
     Construction checks the marginals, reads the families' ``masks`` and
     derives the routes from them, each with its inner events short of the
     full event and its outer sections.  The product space is the live one
-    from ``product_space``, built only when no caller holds it.  The joint
-    cone's integer rows, ``scaled_rows``, are built on a query's first LP,
-    and queries read only those.  ``joint_cone``, with its ``Gamble``
-    generators read off those rows, is built on first read and kept.
+    from ``product_space``, built only when no caller holds it.
+    ``joint_cone`` is built on first read and kept; of the queries, only a
+    fallback reads it.
     """
 
     def __init__(
@@ -655,16 +654,9 @@ class IndependentNaturalExtension:
                 ))
 
     @cached_property
-    def scaled_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """The joint cone's ``scaled_rows``, which are all that a query LP
-        reads; built on first read and kept."""
-        return _joint_rows(*self._marginals, *self._events)
-
-    @cached_property
     def joint_cone(self) -> DesirableCone:
-        """The joint cone, with its generators read off ``scaled_rows`` on
-        first read."""
-        return DesirableCone.from_scaled_rows(self.space, self.scaled_rows)
+        """The joint cone, built on first read from its integer rows."""
+        return DesirableCone.from_scaled_rows(self.space, _joint_rows(*self._marginals, *self._events))
 
     @cached_property
     def _master(self) -> Optional[tuple]:
@@ -684,9 +676,9 @@ class IndependentNaturalExtension:
         the certified marginal extension when a route makes the event its
         cylinder, otherwise the certified minimum.  When it fails, the
         master LP over a route whose inner cone is within the vertex gate,
-        and otherwise, or when the master gives up, the joint LP,
-        ``lower_prevision(self, f, event)``."""
-        event = _query_event(self, f, event)
+        and otherwise, or when the master gives up, the natural extension
+        of the joint cone, ``lower_prevision(self.joint_cone, f, event)``."""
+        event = _query_event(self.space, f, event)
         for outer, inner, _, proper, sections in self._routes:
             area = _cylinder_base(event, sections)
             if area is not None:
@@ -698,7 +690,7 @@ class IndependentNaturalExtension:
             value = minimum if left and right and _min_attained(left, right, event, f, minimum) else None
         if value is None and self._master is not None:
             value = _master_lower(*self._master, event, f)
-        return lower_prevision(self, f, event) if value is None else value
+        return lower_prevision(self.joint_cone, f, event) if value is None else value
 
     def upper(self, f: Gamble, event: Optional[Event] = None) -> Fraction:
         return -self.lower(-f, event)

@@ -61,12 +61,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .cones import DesirableCone, _dominating_expectations, _lower_value, _raw_lower
-from .simplex import LESS_EQUAL, LinearProgram, LPStatus
+from .simplex import LESS_EQUAL, LinearProgram, LPStatus, scaled_row
 from .spaces import (
     Event,
     Gamble,
@@ -102,11 +101,8 @@ class BeyondSupportError(ValueError):
 
 def _divergence(cone: DesirableCone, event: Event) -> ValueError:
     """The error for a query whose supremum is infinite (equivalently, for
-    which no dominating pmf gives the event positive mass).
-    ``dominating_pmf_exists`` is called through the class because it reads
-    only ``space`` and ``scaled_rows``, which is all that an
-    ``IndependentNaturalExtension`` passes as its cone."""
-    if not DesirableCone.dominating_pmf_exists(cone):
+    which no dominating pmf gives the event positive mass)."""
+    if not cone.dominating_pmf_exists():
         return SureLossError("the cone incurs a sure loss; lower previsions diverge")
     return BeyondSupportError(event)
 
@@ -121,30 +117,25 @@ def lower_prevision(cone: DesirableCone, f: Gamble, event: Optional[Event] = Non
     Dantzig's rule (see ``_lower_value``).  By duality its optimum is the
     lower envelope of the dominating conditional expectations, and it is
     unbounded exactly when no dominating pmf gives the event positive mass.
-    A ``DesirableCone`` within the vertex gate takes that envelope over its
-    cached credal vertices instead, with no LP.
-
-    Only the cone's ``space`` and ``scaled_rows`` are read, so an
-    ``IndependentNaturalExtension`` passes itself: its queries run on the
-    joint integer rows, and its joint generators are never built for them.
+    A cone within the vertex gate takes that envelope over its cached
+    credal vertices instead, with no LP.
     """
-    event = _query_event(cone, f, event)
+    event = _query_event(cone.space, f, event)
     value, _ = _lower_value(cone, f, event)
     if value is None:
         raise _divergence(cone, event)
     return value
 
 
-def _query_event(cone: DesirableCone, f: Gamble, event: Optional[Event]) -> Event:
-    """The conditioning event of a query of f on the cone: the full event
+def _query_event(space: Space, f: Gamble, event: Optional[Event]) -> Event:
+    """The conditioning event of a query of f on ``space``: the full event
     for None.  Raises ``SpaceMismatchError`` when f or the event is on
     another space and ``EmptyEventError`` when the event is empty."""
-    space = cone.space
-    if f.space is not space and f.space != space:
+    if f.space != space:
         raise SpaceMismatchError("gamble on a different space")
     if event is None:
         return space.full_event()
-    if event.space is not space and event.space != space:
+    if event.space != space:
         raise SpaceMismatchError("event on a different space")
     return event.require_nonempty()
 
@@ -452,7 +443,7 @@ class ConditionalLowerPrevision:
         gate r is a credal vertex, and neither query solves an LP.  Errors
         are those of ``lower``.
         """
-        event = _query_event(self.cone, f, event)
+        event = _query_event(self.space, f, event)
         pmfs = []
         for h, sign in ((f, 1), (-f, -1)):  # minimize first, then maximize
             value, prices = _lower_value(self.cone, h, event)
@@ -484,10 +475,10 @@ class LinearPrevision:
     """A pmf-induced expectation operator; conditioning follows Bayes rule
     and is refused on events of probability zero.
 
-    ``masses`` are the public field.  Construction derives their integer
-    row, ``den`` and ``nums`` with mass ``nums[k] / den`` at outcome k, as
-    a gamble holds its values (``den`` is the lcm of the masses'
-    denominators), and validates it: every num non-negative and their sum
+    ``masses`` are the public field, ints or ``Fraction``s.  Construction
+    derives their ``scaled_row``, ``den`` and ``nums`` with mass
+    ``nums[k] / den`` at outcome k, as a gamble holds its values, and
+    validates it: every num non-negative and their sum
     ``den``.  Expectations, probabilities and conditional expectations are
     integer sums over the two rows, each made into one ``Fraction``.
     """
@@ -498,8 +489,7 @@ class LinearPrevision:
     def __post_init__(self) -> None:
         if len(self.masses) != self.space.size:
             raise ValueError("mass vector length does not match its space")
-        den = lcm(*[p.denominator for p in self.masses])
-        nums = tuple(p.numerator * (den // p.denominator) for p in self.masses)
+        den, nums = scaled_row(self.masses)
         if any(n < 0 for n in nums):
             raise ValueError("masses must be non-negative")
         if sum(nums) != den:

@@ -238,11 +238,15 @@ class LPResult:
 
 
 def scaled_row(values: Sequence[Fraction | int]) -> tuple[int, tuple[int, ...]]:
-    """The rationals ``values`` as ``(scale, ints)``: ``scale`` is the lcm
-    of their denominators and ``ints`` are the values times ``scale``.  This
-    is the integer row form that ``LinearProgram.add_scaled`` takes; a
-    caller with rational coefficients converts them here."""
-    ratios = [a.as_integer_ratio() for a in values]
+    """The ints and ``Fraction``s ``values`` as ``(scale, ints)``: ``scale``
+    is the lcm of their denominators and ``ints`` are the values times
+    ``scale``.  This is the integer row form that ``LinearProgram.add_scaled``
+    takes, and every value that becomes one is converted here; anything else,
+    a float or a ``Decimal`` too, raises ``TypeError``."""
+    try:
+        ratios = [(a.numerator, a.denominator) for a in values]
+    except AttributeError:
+        raise TypeError(f"values must be ints or Fractions, got {values!r}") from None
     scale = lcm(*{d for _, d in ratios})
     return scale, tuple(n * (scale // d) for n, d in ratios)
 

@@ -37,6 +37,8 @@ from operator import add, index, mul, neg, sub
 from typing import Iterable, Mapping, Sequence, TypeVar, Union
 from weakref import WeakValueDictionary
 
+from .simplex import scaled_row
+
 RationalLike = Union[Fraction, int, str]
 T = TypeVar("T")
 
@@ -64,9 +66,12 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"not a rational value: {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Space:
-    """A finite possibility space: an ordered tuple of distinct outcome labels."""
+    """A finite possibility space: an ordered tuple of distinct outcome labels.
+
+    A space equals itself with no field read; other spaces of its class
+    compare and hash field by field (``_fields``), as a dataclass does."""
 
     name: str
     outcomes: tuple[str, ...]
@@ -77,6 +82,17 @@ class Space:
         if len(set(self.outcomes)) != len(self.outcomes):
             raise ValueError(f"duplicate outcomes in space {self.name!r}")
         object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.outcomes)})
+
+    def _fields(self) -> tuple:
+        return self.name, self.outcomes
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @property
     def size(self) -> int:
@@ -160,7 +176,7 @@ class Event:
         return self
 
     def intersect(self, other: "Event") -> "Event":
-        if other.space is not self.space and other.space != self.space:
+        if other.space != self.space:
             raise SpaceMismatchError("events on different spaces")
         return Event(self.space, self.members & other.members)
 
@@ -187,12 +203,7 @@ class Gamble:
         values = tuple(values)
         if len(values) != space.size:
             raise ValueError("gamble vector length does not match its space")
-        try:
-            den = lcm(*[v.denominator for v in values])
-            nums = tuple(v.numerator * (den // v.denominator) for v in values)
-        except AttributeError:
-            raise TypeError(f"gamble values must be ints or Fractions, got {values!r}") from None
-        return _gamble(space, den, nums)
+        return _gamble(space, *scaled_row(values))
 
     @staticmethod
     def from_ints(space: Space, den: int, nums: Sequence[int]) -> "Gamble":
@@ -234,7 +245,7 @@ class Gamble:
         return Fraction(self.nums[self.space.index(outcome)], self.den)
 
     def _check_space(self, other: "Gamble") -> None:
-        if other.space is not self.space and other.space != self.space:
+        if other.space != self.space:
             raise SpaceMismatchError(
                 f"gambles on different spaces: {self.space.name!r} vs {other.space.name!r}"
             )
@@ -367,7 +378,7 @@ def compound_label(left_outcome: str, right_outcome: str) -> str:
     return f"{left_outcome}{PRODUCT_SEPARATOR}{right_outcome}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductSpace(Space):
     """The binary product of two spaces, with compound outcome labels "x1|x2".
 
@@ -394,6 +405,9 @@ class ProductSpace(Space):
         )
         object.__setattr__(self, "outcomes", outcomes)
         super().__post_init__()
+
+    def _fields(self) -> tuple:
+        return self.name, self.outcomes, self.left, self.right
 
     def factor(self, side: str) -> Space:
         if side == "left":

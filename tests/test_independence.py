@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -759,15 +760,19 @@ def seeded_query(seed, setting):
 
 
 class TestLazyJointCone:
-    """Construction and queries build no joint generator; ``joint_cone``
-    is built on first read, equal to the eagerly built cone, and kept."""
+    """Construction and the certified and master queries build no joint
+    generator; ``joint_cone`` is built on first read, by a query that falls
+    back on it or by any other reader, equal to the eagerly built cone, and
+    kept."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("setting", sorted(FAMILY_SETTINGS))
     def test_queries_build_no_product_gamble(self, setting, seed, monkeypatch):
+        """Only a fallback builds product ``Gamble``s: the joint cone's
+        generators, once, for every fallback and every later read."""
         args, f, event = seeded_query(seed, setting)
         negated = -f
-        built = []
+        built, fallbacks = [], []
         original = spaces._gamble
 
         def spy(space, den, nums):
@@ -778,15 +783,18 @@ class TestLazyJointCone:
 
         # Every Gamble, from any constructor or operator, is made by spaces._gamble.
         monkeypatch.setattr(spaces, "_gamble", spy)
+        monkeypatch.setattr(
+            independence, "lower_prevision", lambda cone, *rest: fallbacks.append(cone) or lower_prevision(cone, *rest)
+        )
         ine = IndependentNaturalExtension(*args)
         ine.lower(f)
         ine.lower(f, event)
-        assert built == []
-        ine.upper(f)
-        assert built == [negated]  # upper(f) = -lower(-f) negates f, and builds nothing else
-        assert "joint_cone" not in vars(ine)
-        ine.joint_cone
-        assert len(built) == 1 + len(ine.joint_cone.generators)
+        ine.upper(f)  # upper(f) = -lower(-f) negates f
+        if not fallbacks:
+            assert built == [negated] and "joint_cone" not in vars(ine)
+        joint = ine.joint_cone
+        assert all(cone is joint for cone in fallbacks) and ine.joint_cone is joint
+        assert Counter(built) == Counter([negated, *joint.generators])
 
     @pytest.mark.parametrize("setting", sorted(FAMILY_SETTINGS))
     def test_an_ine_on_a_live_product_builds_none(self, setting, monkeypatch):
@@ -814,7 +822,6 @@ class TestLazyJointCone:
         joint = ine.joint_cone
         assert joint.generators == reference.generators
         assert joint.scaled_rows == reference.scaled_rows
-        assert ine.scaled_rows is joint.scaled_rows
         assert ine.joint_cone is joint
         assert values == (
             lower_prevision(reference, f),
@@ -838,7 +845,7 @@ class TestLazyJointCone:
         for _ in range(2):
             ine.lower(f), ine.upper(f), ine.lower(f, event)
             left.lower(left.space.zero() + 1), right.upper(right.space.zero() - 1)
-            assert ine.scaled_rows == rows_of(ine.joint_cone)
+            assert ine.joint_cone.scaled_rows == rows_of(ine.joint_cone)
             assert left.cone.scaled_rows == rows_of(left.cone)
             assert right.cone.scaled_rows == rows_of(right.cone)
 
@@ -919,6 +926,15 @@ def outcome(query):
         return query()
     except BeyondSupportError as exc:
         return type(exc)
+
+
+def joint_lp(ine, f, event):
+    """The joint LP's lower prevision of f given the event: the query on
+    ``joint_cone`` with the vertex gate closed, so that it solves the LP
+    however small the joint cone is."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cones, "VERTEX_CAP", 0)
+        return lower_prevision(ine.joint_cone, f, event)
 
 
 @pytest.fixture
@@ -1026,8 +1042,8 @@ class TestMarginalExtensionPath:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(independence, "_min_attained", spy)
-            assert outcome(lambda: ine.lower(f, event)) == outcome(lambda: lower_prevision(ine, f, event))
-            assert outcome(lambda: ine.upper(f, event)) == outcome(lambda: -lower_prevision(ine, -f, event))
+            assert outcome(lambda: ine.lower(f, event)) == outcome(lambda: joint_lp(ine, f, event))
+            assert outcome(lambda: ine.upper(f, event)) == outcome(lambda: -joint_lp(ine, -f, event))
         # A route's cylinder is decided by the marginal extension alone.
         assert not any(_routes_cover(ine.space, families, tested_event) for tested_event in tested)
 
@@ -1053,12 +1069,13 @@ class TestMarginalExtensionPath:
         monkeypatch.setattr(LinearProgram, "solve", spy)
         values = ine.lower(f), ine.upper(f), ine.lower(f, event)
         assert solves == []
-        assert "scaled_rows" not in vars(ine)
+        assert "joint_cone" not in vars(ine)
         assert None not in certified and len(certified) == 3
         nested = nested_evaluation(p2, f, ine.space, "right")
         assert values[0] == values[1] == p1.expectation(nested)
         assert values[2] == p1(nested, base)
-        assert values == (lower_prevision(ine, f), -lower_prevision(ine, -f), lower_prevision(ine, f, event))
+        joint = ine.joint_cone
+        assert values == (lower_prevision(joint, f), -lower_prevision(joint, -f), lower_prevision(joint, f, event))
 
     def test_a_product_pmf_that_fails_one_column_certifies_nothing(self, certified):
         """Left X = {a, b} with P(a) >= 1/2 and the atoms family, right
@@ -1072,11 +1089,11 @@ class TestMarginalExtensionPath:
         right = ConditionalLowerPrevision.from_entries(y, [])
         ine = IndependentNaturalExtension(left, right, EventFamily.atoms(x), EventFamily.custom(y, [y.event(["c"])]))
         f = ine.space.gamble([2, 1, 0, 1])
-        assert ine.lower(f) == lower_prevision(ine, f) == 1
+        assert ine.lower(f) == lower_prevision(ine.joint_cone, f) == 1
         assert certified == [None]
         # Without the column the same product pmf certifies LB.
         plain = IndependentNaturalExtension(left, right, EventFamily.atoms(x), EventFamily.empty(y))
-        assert plain.lower(f) == lower_prevision(plain, f) == Fraction(1, 2)
+        assert plain.lower(f) == lower_prevision(plain.joint_cone, f) == Fraction(1, 2)
         assert certified == [None, Fraction(1, 2)]
 
     def test_a_common_inner_vertex_certifies_where_the_first_minimisers_fail(self, monkeypatch, certified):
@@ -1092,7 +1109,7 @@ class TestMarginalExtensionPath:
         f = ine.space.gamble([2, 1, 0, 0])
         assert right.cone.credal_vertices == ((1, 0), (0, 1))
         monkeypatch.setattr(independence, "TIE_COMBINATIONS", 1)
-        assert ine.lower(f) == lower_prevision(ine, f) == Fraction(1, 2)
+        assert ine.lower(f) == lower_prevision(ine.joint_cone, f) == Fraction(1, 2)
         assert certified == [Fraction(1, 2)]
 
     def test_a_tied_inner_minimiser_certifies_where_the_first_fails(self, monkeypatch, certified):
@@ -1110,7 +1127,7 @@ class TestMarginalExtensionPath:
             left, right, EventFamily.atoms(x), EventFamily.custom(y, [y.event(["c", "e"])])
         )
         f = ine.space.gamble([2, 1, 1, 0, 1, 2])
-        assert ine.lower(f) == lower_prevision(ine, f) == Fraction(1, 2)
+        assert ine.lower(f) == lower_prevision(ine.joint_cone, f) == Fraction(1, 2)
         assert certified == [Fraction(1, 2)]
         monkeypatch.setattr(independence, "TIE_COMBINATIONS", 1)
         assert ine.lower(f) == Fraction(1, 2)
@@ -1133,8 +1150,8 @@ class TestMarginalExtensionPath:
         event = cylinder_event(x.event(["b"]), ine.space, "left")
         assert ine.lower(f, event) == 0
         assert certified == [0] and attained == [] and solves == []
-        assert "scaled_rows" not in vars(ine)
-        assert lower_prevision(ine, f, event) == 0
+        assert "joint_cone" not in vars(ine)
+        assert lower_prevision(ine.joint_cone, f, event) == 0
 
     def test_a_vertex_product_certifies_a_non_cylinder_minimum(self, attained, solves):
         """Left P(a) >= 1/2 on {a, b}, right vacuous on {c, d}, both
@@ -1150,8 +1167,8 @@ class TestMarginalExtensionPath:
         diagonal = ine.space.event(["a|c", "b|d"])
         assert ine.lower(f, diagonal) == 0
         assert attained == [True] and solves == []
-        assert "scaled_rows" not in vars(ine)
-        assert lower_prevision(ine, f, diagonal) == 0
+        assert "joint_cone" not in vars(ine)
+        assert lower_prevision(ine.joint_cone, f, diagonal) == 0
 
     def test_a_product_with_mass_above_the_minimum_certifies_nothing(self, attained, solves):
         """A linear left marginal (1/2, 1/2), a vacuous right one and empty
@@ -1163,8 +1180,30 @@ class TestMarginalExtensionPath:
         right = ConditionalLowerPrevision.from_entries(y, [])
         ine = IndependentNaturalExtension(left, right, EventFamily.empty(x), EventFamily.empty(y))
         f = ine.space.gamble([0, 1, 1, 1])
-        assert ine.lower(f) == lower_prevision(ine, f) == Fraction(1, 2)
-        assert attained == [False] and solves != []
+        value = ine.lower(f)
+        assert attained == [False] and "joint_cone" in vars(ine)  # the fallback read it
+        assert value == lower_prevision(ine.joint_cone, f) == Fraction(1, 2)
+
+    def test_a_fallback_within_the_vertex_gate_solves_no_lp(self, attained, solves):
+        """Left P(a), P(b) >= 1/3, right P(c), P(d) >= 1/4, both families
+        empty, so there is no route and no master.  Every marginal vertex
+        has full support, so no vertex product certifies min f, and the
+        query falls back on the 2x2 joint cone.  Its 4 generators put it
+        within the vertex gate, so it answers from its own credal vertices
+        with no LP, and the value is the joint LP's: 1/3, all the mass it
+        can on (a, c) and 1/3 on (b, d)."""
+        x, y = Space("X", ("a", "b")), Space("Y", ("c", "d"))
+        left, right = (
+            ConditionalLowerPrevision.from_entries(space, [(indicator(atom), None, bound) for atom in space.atoms()])
+            for space, bound in ((x, Fraction(1, 3)), (y, Fraction(1, 4)))
+        )
+        ine = IndependentNaturalExtension(left, right, EventFamily.empty(x), EventFamily.empty(y))
+        f = ine.space.gamble([0, 3, 2, 1])
+        solves.clear()  # the marginals' coherence checks
+        value = ine.lower(f)
+        assert attained == [False] and solves == []
+        assert ine.joint_cone.vertex_bound <= cones.VERTEX_CAP
+        assert value == joint_lp(ine, f, None) == Fraction(1, 3) and solves != []
 
     def test_a_marginal_past_the_vertex_bound_still_certifies(self, attained, solves):
         """A linear left marginal on 5 outcomes has one credal vertex, but
@@ -1184,7 +1223,7 @@ class TestMarginalExtensionPath:
         f = ine.space.gamble([0, 1] * x.size)
         assert ine.lower(f) == 0
         assert attained == [True] and solves == []
-        assert lower_prevision(ine, f) == 0
+        assert lower_prevision(ine.joint_cone, f) == 0
 
     @pytest.mark.parametrize("seed", range(20))
     def test_without_vertices_every_query_takes_the_lp(self, seed, monkeypatch, certified):
@@ -1197,8 +1236,8 @@ class TestMarginalExtensionPath:
         ine = IndependentNaturalExtension(left, right, EventFamily.atoms(spaces[0]), EventFamily.atoms(spaces[1]))
         f = random_gamble(rng, ine.space)
         event = cylinder_event(random_nonempty_event(rng, spaces[1]), ine.space, "right")
-        assert outcome(lambda: ine.lower(f)) == outcome(lambda: lower_prevision(ine, f))
-        assert outcome(lambda: ine.upper(f, event)) == outcome(lambda: -lower_prevision(ine, -f, event))
+        assert outcome(lambda: ine.lower(f)) == outcome(lambda: lower_prevision(ine.joint_cone, f))
+        assert outcome(lambda: ine.upper(f, event)) == outcome(lambda: -lower_prevision(ine.joint_cone, -f, event))
         assert set(certified) == {None}
         assert left.cone.credal_vertices is None and right.cone.credal_vertices is None
 
@@ -1250,8 +1289,8 @@ class TestMasterLP:
         _, ine, f, event = path_query(seed, left_kind, right_kind, event_kind, gamble_kind, size=5)
         with pytest.MonkeyPatch.context() as patch:
             _without_certificates(patch)
-            assert outcome(lambda: ine.lower(f, event)) == outcome(lambda: lower_prevision(ine, f, event))
-            assert outcome(lambda: ine.upper(f, event)) == outcome(lambda: -lower_prevision(ine, -f, event))
+            assert outcome(lambda: ine.lower(f, event)) == outcome(lambda: joint_lp(ine, f, event))
+            assert outcome(lambda: ine.upper(f, event)) == outcome(lambda: -joint_lp(ine, -f, event))
 
     def test_the_master_answers_most_queries(self, monkeypatch, mastered):
         """Over 300 drawn queries with both certificates off, the master
@@ -1261,14 +1300,15 @@ class TestMasterLP:
         for seed in range(300):
             kinds = [rng.choice(sorted(table)) for table in (PATH_FAMILIES, PATH_FAMILIES, PATH_EVENTS, PATH_GAMBLES)]
             _, ine, f, event = path_query(seed, *kinds, size=5)
-            assert outcome(lambda: ine.lower(f, event)) == outcome(lambda: lower_prevision(ine, f, event))
+            assert outcome(lambda: ine.lower(f, event)) == outcome(lambda: lower_prevision(ine.joint_cone, f, event))
         answered = sum(v is not None for v in mastered)
         assert len(mastered) > 100 and answered > 3 * len(mastered) // 4
 
     def test_a_beyond_support_event_falls_back_to_the_joint_lp(self, mastered, solves):
         """The right marginal gives c lower probability one, so its one
         vertex is the point mass on c.  No vertex reaches a section of
-        X x {d}, so the master gives up and the joint LP raises."""
+        X x {d}, so the master gives up and the joint cone raises; it is
+        within the vertex gate, so it solves no LP."""
         x, y = Space("X", ("a", "b")), Space("Y", ("c", "d"))
         left = ConditionalLowerPrevision.from_entries(x, [(indicator(x.event(["a"])), None, Fraction(1, 3))])
         right = ConditionalLowerPrevision.from_entries(y, [(indicator(y.event(["c"])), None, Fraction(1))])
@@ -1277,7 +1317,7 @@ class TestMasterLP:
         solves.clear()
         with pytest.raises(BeyondSupportError):
             ine.lower(ine.space.gamble([1, 2, 3, 4]), event)
-        assert mastered == [None] and solves != []
+        assert mastered == [None] and "joint_cone" in vars(ine) and solves == []
 
     def test_an_inner_cone_past_the_gate_takes_the_joint_lp(self, monkeypatch, mastered):
         ine, f = rich_ine_query(0)
@@ -1285,7 +1325,7 @@ class TestMasterLP:
         joint = []
         monkeypatch.setattr(independence, "lower_prevision", lambda *args: joint.append(args) or lower_prevision(*args))
         value = ine.lower(f)
-        assert mastered == [] and len(joint) == 1 and value == lower_prevision(ine, f)
+        assert mastered == [] and len(joint) == 1 and value == lower_prevision(ine.joint_cone, f)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_a_vacuous_outer_marginal(self, seed, monkeypatch, mastered):
@@ -1298,8 +1338,8 @@ class TestMasterLP:
         ine = IndependentNaturalExtension(left, right, EventFamily.atoms(x), EventFamily.custom(y, [random_nonempty_event(rng, y)]))
         f = random_gamble(rng, ine.space)
         event = random_nonempty_event(rng, ine.space)
-        assert ine.lower(f) == lower_prevision(ine, f)
-        assert ine.upper(f, event) == -lower_prevision(ine, -f, event)
+        assert ine.lower(f) == lower_prevision(ine.joint_cone, f)
+        assert ine.upper(f, event) == -lower_prevision(ine.joint_cone, -f, event)
         assert len(mastered) == 2 and None not in mastered
 
     @pytest.mark.parametrize("seed", range(10))
@@ -1315,8 +1355,8 @@ class TestMasterLP:
         assert ine._master[0] is right.cone and ine._master[3] == ine.space.sections("right")
         f = random_gamble(rng, ine.space)
         event = random_nonempty_event(rng, ine.space)
-        assert ine.lower(f) == lower_prevision(ine, f)
-        assert ine.lower(f, event) == lower_prevision(ine, f, event)
+        assert ine.lower(f) == lower_prevision(ine.joint_cone, f)
+        assert ine.lower(f, event) == lower_prevision(ine.joint_cone, f, event)
         assert len(mastered) == 2 and None not in mastered
 
     def test_no_row_is_added_twice(self, monkeypatch, mastered):

@@ -12,13 +12,14 @@ import copy
 import math
 import operator
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from desirables import cones
-from desirables.cones import DesirableCone
+from desirables.cones import DesirableCone, PmfWitness
 from desirables.prevision import BeyondSupportError, LinearPrevision
 from desirables.simplex import scaled_row
 from desirables.spaces import (
@@ -187,6 +188,39 @@ class TestCanonicalForm:
         assert space.gamble([str(v) for v in fv]) == g
         assert pickle.loads(pickle.dumps(g)) == g
         assert copy.deepcopy(g) == g
+
+
+#: Values with an exact ratio that are neither ints nor ``Fraction``s.
+INEXACT = pytest.mark.parametrize("value", [0.5, Decimal("0.5")], ids=["float", "Decimal"])
+
+
+class TestInexactValuesAreRefused:
+    """``scaled_row`` makes every integer row from values, and takes ints
+    and ``Fraction``s alone: a float or a ``Decimal`` raises ``TypeError``
+    wherever it is given, and becomes no ratio."""
+
+    @INEXACT
+    def test_scaled_row(self, value):
+        with pytest.raises(TypeError):
+            scaled_row([Fraction(1, 2), value])
+        assert scaled_row([Fraction(1, 2), 1, Fraction(-2, 3)]) == (6, (3, 6, -4))
+
+    @INEXACT
+    def test_gamble(self, value):
+        with pytest.raises(TypeError):
+            Gamble(SPACES[1], [1, value, 0])
+
+    @INEXACT
+    def test_linear_prevision(self, value):
+        with pytest.raises(TypeError):
+            LinearPrevision(SPACES[1], (Fraction(1, 4), value, Fraction(1, 4)))
+
+    @INEXACT
+    def test_pmf_witness(self, value):
+        with pytest.raises(TypeError):
+            PmfWitness(SPACES[1], (Fraction(1, 4), value, Fraction(1, 4)))
+        witness = PmfWitness(SPACES[1], (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
+        assert (witness.den, witness.nums) == (4, (1, 2, 1))
 
 
 class TestNoFractionArithmetic:

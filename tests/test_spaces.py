@@ -51,6 +51,38 @@ class TestSpaceBasics:
             AB.gamble({"a": 1})
 
 
+class TestSpaceEquality:
+    """One space object equals itself without a field read; other spaces
+    are equal when they are of one class and equal field by field."""
+
+    def test_one_object_is_equal_without_reading_its_fields(self, monkeypatch):
+        prod = product_space(AB, ABC)
+        gc.collect()  # no dropped product's key is hashed below
+        reads = []
+        for cls in (Space, ProductSpace):
+            original = vars(cls)["_fields"]
+            monkeypatch.setattr(cls, "_fields", lambda self, original=original: reads.append(self) or original(self))
+        assert AB == AB and prod == prod
+        assert not AB != AB and not prod != prod
+        assert reads == []
+        assert prod == ProductSpace("X*Y", AB, ABC) and reads
+
+    def test_other_spaces_compare_field_by_field(self):
+        twin = Space("X", ("a", "b"))
+        assert twin is not AB and twin == AB and hash(twin) == hash(AB)
+        assert Space("W", AB.outcomes) != AB and Space("X", ("b", "a")) != AB
+        assert AB != "X" and AB != ("X", ("a", "b"))
+
+    def test_a_product_compares_its_factors_too(self):
+        prod = ProductSpace("P", AB, ABC)
+        flat = Space("P", prod.outcomes)
+        assert prod != flat and flat != prod
+        renamed = ProductSpace("P", Space("W", AB.outcomes), ABC)
+        assert renamed.outcomes == prod.outcomes and renamed != prod
+        twin = ProductSpace("P", Space("X", ("a", "b")), ABC)
+        assert twin is not prod and twin == prod and hash(twin) == hash(prod)
+
+
 class TestIndicator:
     def test_empty_event(self):
         assert indicator(AB.event([])).values == (Fraction(0), Fraction(0))
