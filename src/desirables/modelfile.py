@@ -6,6 +6,19 @@ strings in canonical form ("p/q" in lowest terms with positive
 denominator, or "p"), never JSON numbers, so no value ever passes through
 floating point.  Serialization is canonical: parsing a canonical file and
 serializing the result reproduces it byte for byte.
+
+``parse_model`` is one pass from the JSON text to integer rows.  Each
+rational string is checked once per call: a memo local to the call maps
+every canonical string met so far to its integers (p, q), so a repeated
+value costs one dict read.  Only strings are keys, so any other JSON value
+still reaches the check and is refused with ``ModelFormatError``, and a
+non-canonical spelling of a value met before is a new key and is refused
+too.  Gamble values are read in file order, so the first bad one is the
+one named, and the context of a message ("gamble 'g' value at 'a'") is
+formatted only on the branch that raises.  Each gamble's row is then laid
+out in outcome order over the lcm of its denominators, with no
+``Fraction`` made.  ``Model.to_prevision`` builds each entry's cone
+generator as one integer row too (``AssessmentEntry.boundary_gamble``).
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ from typing import Optional
 
 from .independence import ALL_NONEMPTY, ATOMS, CUSTOM, EventFamily
 from .prevision import Assessment, AssessmentEntry, ConditionalLowerPrevision
-from .spaces import Event, Gamble, Space
+from .spaces import Event, Gamble, Space, _gamble
 
 _RATIONAL_RE = re.compile(r"(-?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?\Z")
 
@@ -31,29 +44,37 @@ class ModelFormatError(ValueError):
     reference, or a non-canonical rational."""
 
 
-def parse_rational(text: object, where: str) -> Fraction:
-    """The rational that the canonical string ``text`` spells: "p/q" with q
-    > 1 and gcd(p, q) = 1, or "p", with no "-0"."""
-    return Fraction(*parse_ratio(text, where))
+class _Refused(ModelFormatError):
+    """A value that is not a canonical rational string, raised without
+    its context, which the caller adds."""
 
 
 def parse_ratio(text: object, where: str) -> tuple[int, int]:
-    """``parse_rational`` as the integers (p, q), q = 1 for "p".  The check
-    is made on the integers themselves, so nothing is normalised and
-    printed back."""
+    """The integers (p, q) of the rational that the canonical string
+    ``text`` spells: "p/q" with q > 1 and gcd(p, q) = 1, or "p" (q = 1),
+    with no "-0".  The check is made on the integers themselves, so
+    nothing is normalised and printed back."""
+    try:
+        return _ratio(text)
+    except _Refused as exc:
+        raise ModelFormatError(f"{where}: {exc}") from None
+
+
+def _ratio(text: object) -> tuple[int, int]:
+    """``parse_ratio`` without the context: raises ``_Refused``."""
     match = _RATIONAL_RE.match(text) if isinstance(text, str) else None
     if match is None:
-        raise ModelFormatError(f"{where}: rational values must be canonical strings, got {text!r}")
+        raise _Refused(f"rational values must be canonical strings, got {text!r}")
     sign, num, den = match.groups()
     try:
         n = int(num)
         d = int(den) if den else 1
     except ValueError as exc:  # more digits than int() converts
-        raise ModelFormatError(f"{where}: {exc}") from None
+        raise _Refused(str(exc)) from None
     if sign:
         n = -n
     if (den is None and sign and not n) or (den is not None and (d == 1 or gcd(n, d) != 1)):
-        raise ModelFormatError(f"{where}: {text!r} is not in lowest terms (expected {Fraction(n, d)})")
+        raise _Refused(f"{text!r} is not in lowest terms (expected {Fraction(n, d)})")
     return n, d
 
 
@@ -132,14 +153,11 @@ class Model:
 
     def to_assessment(self) -> Assessment:
         space = self.assessment_space()
+        full = space.full_event()
         entries = []
         for rec in self.assessments:
             gamble = self.gamble(rec.gamble_id)
-            event = (
-                space.full_event()
-                if rec.event_id is None
-                else self.event_or_all(rec.event_id, space)
-            )
+            event = full if rec.event_id is None else self.event_or_all(rec.event_id, space)
             entries.append(
                 AssessmentEntry(gamble=gamble, event=event, lower=rec.lower, linear=rec.linear)
             )
@@ -150,11 +168,13 @@ class Model:
 
 
 def _expect(obj: dict, key: str, kind, where: str, optional: bool = False, default=None):
+    value = obj.get(key)
+    if value.__class__ is kind:  # json.loads makes exact str, list, dict and bool
+        return value
     if key not in obj:
         if optional:
             return default
         raise ModelFormatError(f"{where}: missing key {key!r}")
-    value = obj[key]
     if not isinstance(value, kind):
         raise ModelFormatError(f"{where}: key {key!r} has the wrong type")
     return value
@@ -163,9 +183,8 @@ def _expect(obj: dict, key: str, kind, where: str, optional: bool = False, defau
 def _check_keys(obj: object, allowed: set[str], where: str) -> None:
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{where} must be a JSON object")
-    extra = set(obj) - allowed
-    if extra:
-        raise ModelFormatError(f"{where}: unknown keys {sorted(extra)}")
+    if not allowed.issuperset(obj):
+        raise ModelFormatError(f"{where}: unknown keys {sorted(set(obj) - allowed)}")
 
 
 def parse_model(text: str) -> Model:
@@ -176,6 +195,7 @@ def parse_model(text: str) -> Model:
     _check_keys(doc, {"spaces", "gambles", "events", "assessments", "families"}, "model")
 
     model = Model()
+    ratios: dict[str, tuple[int, int]] = {}  # the canonical strings met so far
 
     for item in _expect(doc, "spaces", list, "model", optional=True, default=[]):
         where = "spaces entry"
@@ -203,18 +223,28 @@ def parse_model(text: str) -> Model:
         gid = _expect(item, "id", str, where)
         if gid in model.gambles:
             raise ModelFormatError(f"duplicate gamble id {gid!r}")
-        space = space_of(item, f"gamble {gid!r}")
-        values = _expect(item, "values", dict, f"gamble {gid!r}")
-        parsed = {
-            outcome: parse_ratio(v, f"gamble {gid!r} value at {outcome!r}")
-            for outcome, v in values.items()
-        }
+        where = f"gamble {gid!r}"
+        space = space_of(item, where)
+        values = _expect(item, "values", dict, where)
+        row = []
         try:
-            ratios = space.in_order(parsed)
-        except ValueError as exc:
-            raise ModelFormatError(f"gamble {gid!r}: {exc}") from None
-        den = lcm(*[d for _, d in ratios])
-        model.gambles[gid] = Gamble.from_ints(space, den, [n * (den // d) for n, d in ratios])
+            for outcome, text in values.items():  # in file order, so the first bad value raises
+                ratio = ratios.get(text) if isinstance(text, str) else None
+                if ratio is None:
+                    ratio = ratios[text] = _ratio(text)
+                row.append(ratio)
+        except _Refused as exc:
+            raise ModelFormatError(f"{where} value at {outcome!r}: {exc}") from None
+        if tuple(values) != space.outcomes:
+            try:
+                row = space.in_order(dict(zip(values, row)))
+            except ValueError as exc:
+                raise ModelFormatError(f"{where}: {exc}") from None
+        # Over den = lcm of the d the row is in lowest terms: for each prime
+        # of den, the d holding its highest power leaves den // d prime to
+        # it, and that d's n is prime to it too, since n / d is reduced.
+        den = lcm(*[d for _, d in row])
+        model.gambles[gid] = _gamble(space, den, tuple([n * (den // d) for n, d in row]))
 
     for item in _expect(doc, "events", list, "model", optional=True, default=[]):
         where = "events entry"
@@ -224,14 +254,15 @@ def parse_model(text: str) -> Model:
             raise ModelFormatError(f"event id {eid!r} is reserved for the whole space")
         if eid in model.events:
             raise ModelFormatError(f"duplicate event id {eid!r}")
-        space = space_of(item, f"event {eid!r}")
-        members = _expect(item, "members", list, f"event {eid!r}")
+        where = f"event {eid!r}"
+        space = space_of(item, where)
+        members = _expect(item, "members", list, where)
         if not all(isinstance(x, str) for x in members):
-            raise ModelFormatError(f"event {eid!r}: members must be strings")
+            raise ModelFormatError(f"{where}: members must be strings")
         try:
             model.events[eid] = Event(space, frozenset(members))
         except ValueError as exc:
-            raise ModelFormatError(f"event {eid!r}: {exc}") from None
+            raise ModelFormatError(f"{where}: {exc}") from None
 
     for idx, item in enumerate(_expect(doc, "assessments", list, "model", optional=True, default=[])):
         where = f"assessments[{idx}]"
@@ -247,7 +278,10 @@ def parse_model(text: str) -> Model:
                 raise ModelFormatError(f"{where}: event and gamble are on different spaces")
             if model.events[espec].is_empty:
                 raise ModelFormatError(f"{where}: conditioning event is empty")
-        lower = parse_rational(_expect(item, "lower", str, where), where)
+        text = _expect(item, "lower", str, where)
+        if text not in ratios:
+            ratios[text] = parse_ratio(text, where)
+        lower = Fraction(*ratios[text])
         linear = _expect(item, "linear", bool, where, optional=True, default=False)
         model.assessments.append(
             AssessmentRecord(

@@ -61,6 +61,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -164,7 +165,15 @@ class AssessmentEntry:
         self.event.require_nonempty()
 
     def boundary_gamble(self) -> Gamble:
-        return (self.gamble - self.lower) * indicator(self.event)
+        """The generator [f - v] * I_B of this entry, built as one integer
+        row: over L = lcm(den, q) for f = nums / den and v = p / q, its
+        numerators are (a * L/den - p * L/q) * mask, reduced once."""
+        f, p, q = self.gamble, self.lower.numerator, self.lower.denominator
+        den = lcm(f.den, q)
+        m, c = den // f.den, p * (den // q)
+        return Gamble.from_ints(
+            f.space, den, [(a * m - c) * b for a, b in zip(f.nums, self.event.mask)]
+        )
 
 
 @dataclass(frozen=True)
@@ -253,10 +262,11 @@ class ConditionalLowerPrevision:
         generators = []
         owners = []  # generator index -> (entry index, sign)
         for k, e in enumerate(assessment.entries):
-            generators.append(e.boundary_gamble())
+            generator = e.boundary_gamble()
+            generators.append(generator)
             owners.append((k, 1))
             if e.linear:
-                generators.append(-e.boundary_gamble())
+                generators.append(-generator)
                 owners.append((k, -1))
         self.cone = DesirableCone(self.space, tuple(generators))
         self._owners = tuple(owners)

@@ -71,7 +71,8 @@ class Space:
     """A finite possibility space: an ordered tuple of distinct outcome labels.
 
     A space equals itself with no field read; other spaces of its class
-    compare and hash field by field (``_fields``), as a dataclass does."""
+    compare field by field (``_fields``), as a dataclass does, and its hash
+    is that of its fields, taken once when it is built."""
 
     name: str
     outcomes: tuple[str, ...]
@@ -82,6 +83,13 @@ class Space:
         if len(set(self.outcomes)) != len(self.outcomes):
             raise ValueError(f"duplicate outcomes in space {self.name!r}")
         object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.outcomes)})
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def __setstate__(self, state: dict) -> None:
+        """Unpickled: the hash is taken again, since a string's hash differs
+        between processes."""
+        self.__dict__.update(state)
+        object.__setattr__(self, "_hash", hash(self._fields()))
 
     def _fields(self) -> tuple:
         return self.name, self.outcomes
@@ -92,7 +100,7 @@ class Space:
         return self is other or self._fields() == other._fields()
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return self._hash  # type: ignore[attr-defined]
 
     @property
     def size(self) -> int:

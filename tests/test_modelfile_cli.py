@@ -9,15 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from desirables import cli
 from desirables.cli import main
+from desirables.cones import DesirableCone
 from desirables.independence import EventFamily
 from desirables.modelfile import (
     Model,
     ModelFormatError,
     parse_model,
-    parse_rational,
+    parse_ratio,
     serialize_model,
 )
-from desirables.spaces import Space
+from desirables.spaces import Space, indicator
 
 CREDAL = """{
   "spaces": [
@@ -72,14 +73,14 @@ def sure_loss_path(tmp_path):
 
 class TestRationalStrings:
     def test_canonical_accepted(self):
-        assert parse_rational("-1/2", "t") == Fraction(-1, 2)
-        assert parse_rational("3", "t") == 3
-        assert parse_rational("0", "t") == 0
+        assert parse_ratio("-1/2", "t") == (-1, 2)
+        assert parse_ratio("3", "t") == (3, 1)
+        assert parse_ratio("0", "t") == (0, 1)
 
     @pytest.mark.parametrize("bad", ["2/4", "1.5", "1/0", "01", "-0", " 1", "1/-2", 3, None])
     def test_non_canonical_rejected(self, bad):
         with pytest.raises(ModelFormatError):
-            parse_rational(bad, "t")
+            parse_ratio(bad, "t")
 
     @pytest.mark.parametrize(
         "bad, expected",
@@ -87,12 +88,13 @@ class TestRationalStrings:
     )
     def test_not_in_lowest_terms_names_the_canonical_form(self, bad, expected):
         with pytest.raises(ModelFormatError) as err:
-            parse_rational(bad, "t")
+            parse_ratio(bad, "t")
+        assert err.type is ModelFormatError
         assert str(err.value) == f"t: {bad!r} is not in lowest terms (expected {expected})"
 
     def test_more_digits_than_int_converts_rejected(self):
         with pytest.raises(ModelFormatError):
-            parse_rational("1" * 5000, "t")
+            parse_ratio("1" * 5000, "t")
 
 
 class TestParsing:
@@ -204,6 +206,236 @@ class TestParsing:
         assert f"'{entry['id']}'" in capsys.readouterr().err
 
 
+# -- exact error text -------------------------------------------------------
+
+# Every raise site of ``parse_model``, each reached by one edit of this
+# document: "X" is the assessment space, "Y" a second one.
+_BASE = {
+    "spaces": [{"id": "X", "outcomes": ["a", "b"]}, {"id": "Y", "outcomes": ["c"]}],
+    "gambles": [{"id": "g", "space": "X", "values": {"a": "1/2", "b": "-1"}}],
+    "events": [
+        {"id": "e", "space": "X", "members": ["a"]},
+        {"id": "none", "space": "X", "members": []},
+        {"id": "y", "space": "Y", "members": ["c"]},
+    ],
+    "assessments": [{"gamble": "g", "event": "e", "lower": "0", "linear": False}],
+    "families": [{"id": "F", "space": "X", "kind": "custom", "events": ["e"]}],
+}
+
+
+def _set(*path_and_value):
+    """An edit that sets the position at ``path`` to ``value``."""
+    *path, value = path_and_value
+
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return edit
+
+
+def _drop(*path):
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+
+    return edit
+
+
+def _add(section, entry):
+    return lambda doc: doc[section].append(entry)
+
+
+_TOO_LONG = "1" * 5000
+
+
+def _int_error(text):
+    try:
+        int(text)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_MESSAGES = [
+    ("model-not-object", lambda doc: doc.clear(), "[]", "model must be a JSON object"),
+    ("model-unknown-key", _set("extra", 1), None, "model: unknown keys ['extra']"),
+    ("model-section-type", _set("spaces", {}), None, "model: key 'spaces' has the wrong type"),
+    # spaces
+    ("space-not-object", _set("spaces", 0, 1), None, "spaces entry must be a JSON object"),
+    ("space-unknown-key", _set("spaces", 0, "name", "X"), None, "spaces entry: unknown keys ['name']"),
+    ("space-no-id", _drop("spaces", 0, "id"), None, "spaces entry: missing key 'id'"),
+    ("space-outcomes-type", _set("spaces", 0, "outcomes", "ab"), None,
+     "spaces entry: key 'outcomes' has the wrong type"),
+    ("space-duplicate", _set("spaces", 1, "id", "X"), None, "duplicate space id 'X'"),
+    ("space-outcome-not-string", _set("spaces", 0, "outcomes", [1, "b"]), None,
+     "space 'X': outcomes must be strings"),
+    ("space-no-outcomes", _set("spaces", 0, "outcomes", []), None,
+     "space 'X': a possibility space needs at least one outcome"),
+    ("space-repeated-outcome", _set("spaces", 0, "outcomes", ["a", "a"]), None,
+     "space 'X': duplicate outcomes in space 'X'"),
+    # gambles
+    ("gamble-not-object", _set("gambles", 0, []), None, "gambles entry must be a JSON object"),
+    ("gamble-no-id", _drop("gambles", 0, "id"), None, "gambles entry: missing key 'id'"),
+    ("gamble-duplicate", _add("gambles", {"id": "g", "space": "X", "values": {"a": "0", "b": "0"}}),
+     None, "duplicate gamble id 'g'"),
+    ("gamble-no-space", _drop("gambles", 0, "space"), None, "gamble 'g': missing key 'space'"),
+    ("gamble-unknown-space", _set("gambles", 0, "space", "Z"), None, "gamble 'g': unknown space id 'Z'"),
+    ("gamble-values-type", _set("gambles", 0, "values", ["1", "2"]), None,
+     "gamble 'g': key 'values' has the wrong type"),
+    ("value-not-lowest", _set("gambles", 0, "values", "a", "2/4"), None,
+     "gamble 'g' value at 'a': '2/4' is not in lowest terms (expected 1/2)"),
+    ("value-number", _set("gambles", 0, "values", "b", 0.5), None,
+     "gamble 'g' value at 'b': rational values must be canonical strings, got 0.5"),
+    ("value-null", _set("gambles", 0, "values", "b", None), None,
+     "gamble 'g' value at 'b': rational values must be canonical strings, got None"),
+    ("value-list", _set("gambles", 0, "values", "b", ["1"]), None,
+     "gamble 'g' value at 'b': rational values must be canonical strings, got ['1']"),
+    ("value-dict", _set("gambles", 0, "values", "b", {"p": "1"}), None,
+     "gamble 'g' value at 'b': rational values must be canonical strings, got {'p': '1'}"),
+    ("value-spaced", _set("gambles", 0, "values", "b", " 1"), None,
+     "gamble 'g' value at 'b': rational values must be canonical strings, got ' 1'"),
+    ("value-too-long", _set("gambles", 0, "values", "b", _TOO_LONG), None,
+     f"gamble 'g' value at 'b': {_int_error(_TOO_LONG)}"),
+    ("two-bad-values", _set("gambles", 0, "values", {"a": "-0", "b": "3/1"}), None,
+     "gamble 'g' value at 'a': '-0' is not in lowest terms (expected 0)"),
+    ("two-bad-values-in-file-order", _set("gambles", 0, "values", {"b": "3/1", "a": "-0"}), None,
+     "gamble 'g' value at 'b': '3/1' is not in lowest terms (expected 3)"),
+    ("repeat-after-canonical", _set("gambles", 0, "values", "b", "2/4"), None,
+     "gamble 'g' value at 'b': '2/4' is not in lowest terms (expected 1/2)"),
+    ("repeat-in-a-later-gamble",
+     _add("gambles", {"id": "h", "space": "X", "values": {"a": "-1", "b": "-2/2"}}), None,
+     "gamble 'h' value at 'b': '-2/2' is not in lowest terms (expected -1)"),
+    ("value-missing-outcome", _drop("gambles", 0, "values", "b"), None,
+     "gamble 'g': gamble is missing outcomes ['b'] of space 'X'"),
+    ("value-unknown-outcome", _set("gambles", 0, "values", "z", "1"), None,
+     "gamble 'g': gamble assigns unknown outcomes ['z']"),
+    # events
+    ("event-not-object", _set("events", 0, "e"), None, "events entry must be a JSON object"),
+    ("event-no-id", _drop("events", 0, "id"), None, "events entry: missing key 'id'"),
+    ("event-reserved", _set("events", 0, "id", "ALL"), None,
+     "event id 'ALL' is reserved for the whole space"),
+    ("event-duplicate", _set("events", 1, "id", "e"), None, "duplicate event id 'e'"),
+    ("event-unknown-space", _set("events", 0, "space", "Z"), None, "event 'e': unknown space id 'Z'"),
+    ("event-members-type", _set("events", 0, "members", "a"), None,
+     "event 'e': key 'members' has the wrong type"),
+    ("event-member-not-string", _set("events", 0, "members", [0]), None,
+     "event 'e': members must be strings"),
+    ("event-unknown-member", _set("events", 0, "members", ["a", "z"]), None,
+     "event 'e': event members ['z'] not in space 'X'"),
+    # assessments
+    ("entry-not-object", _set("assessments", 0, None), None, "assessments[0] must be a JSON object"),
+    ("entry-unknown-key", _set("assessments", 0, "upper", "1"), None,
+     "assessments[0]: unknown keys ['upper']"),
+    ("entry-unknown-gamble", _set("assessments", 0, "gamble", "h"), None,
+     "assessments[0]: unknown gamble id 'h'"),
+    ("entry-no-event", _drop("assessments", 0, "event"), None, "assessments[0]: missing key 'event'"),
+    ("entry-unknown-event", _set("assessments", 0, "event", "z"), None,
+     "assessments[0]: unknown event id 'z'"),
+    ("entry-other-space", _set("assessments", 0, "event", "y"), None,
+     "assessments[0]: event and gamble are on different spaces"),
+    ("entry-empty-event", _set("assessments", 0, "event", "none"), None,
+     "assessments[0]: conditioning event is empty"),
+    ("entry-no-lower", _drop("assessments", 0, "lower"), None, "assessments[0]: missing key 'lower'"),
+    ("entry-lower-number", _set("assessments", 0, "lower", 0.25), None,
+     "assessments[0]: key 'lower' has the wrong type"),
+    ("entry-lower-not-canonical", _set("assessments", 0, "lower", "0.25"), None,
+     "assessments[0]: rational values must be canonical strings, got '0.25'"),
+    ("entry-lower-repeats-a-value", _set("assessments", 0, "lower", "2/4"), None,
+     "assessments[0]: '2/4' is not in lowest terms (expected 1/2)"),
+    ("entry-linear-type", _set("assessments", 0, "linear", "no"), None,
+     "assessments[0]: key 'linear' has the wrong type"),
+    # families
+    ("family-not-object", _set("families", 0, "F"), None, "families entry must be a JSON object"),
+    ("family-reserved", _set("families", 0, "id", "atoms"), None,
+     "family id 'atoms' is reserved for the builtin family"),
+    ("family-duplicate", _add("families", {"id": "F", "space": "X", "kind": "atoms"}), None,
+     "duplicate family id 'F'"),
+    ("family-unknown-space", _set("families", 0, "space", "Z"), None,
+     "family 'F': unknown space id 'Z'"),
+    ("family-no-kind", _drop("families", 0, "kind"), None, "family 'F': missing key 'kind'"),
+    ("family-kind", _set("families", 0, "kind", "some"), None,
+     "family 'F': kind must be atoms, all, or custom"),
+    ("family-events-type", _set("families", 0, "events", "e"), None,
+     "family 'F': key 'events' has the wrong type"),
+    ("family-custom-without-events", _drop("families", 0, "events"), None,
+     "family 'F': custom families list their events"),
+    ("family-unknown-event", _set("families", 0, "events", ["e", 3]), None,
+     "family 'F': unknown event id 3"),
+    ("family-event-other-space", _set("families", 0, "events", ["y"]), None,
+     "family 'F': family event on a different space"),
+    ("family-builtin-with-events", _set("families", 0, "kind", "atoms"), None,
+     "family 'F': only custom families list events"),
+]
+
+
+class TestErrorMessages:
+    """The exact text of every ``ModelFormatError`` that ``parse_model``
+    and ``parse_ratio`` raise: the CLI prints it after "model error: " and
+    exits 3."""
+
+    def test_the_base_document_parses(self):
+        model = parse_model(json.dumps(_BASE))
+        assert model.to_prevision().assessment.entries[0].lower == 0
+
+    @pytest.mark.parametrize(
+        "edit, text, expected", [case[1:] for case in _MESSAGES], ids=[case[0] for case in _MESSAGES]
+    )
+    def test_each_raise_site(self, edit, text, expected):
+        doc = json.loads(json.dumps(_BASE))
+        edit(doc)
+        with pytest.raises(ModelFormatError) as err:
+            parse_model(json.dumps(doc) if text is None else text)
+        assert err.type is ModelFormatError
+        assert str(err.value) == expected
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+            ('{"spaces": [}', "invalid JSON: Expecting value: line 1 column 13 (char 12)"),
+        ],
+    )
+    def test_invalid_json(self, text, expected):
+        with pytest.raises(ModelFormatError) as err:
+            parse_model(text)
+        assert str(err.value) == expected
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (3, "t: rational values must be canonical strings, got 3"),
+            ([1], "t: rational values must be canonical strings, got [1]"),
+            ("1/0", "t: rational values must be canonical strings, got '1/0'"),
+            ("01", "t: rational values must be canonical strings, got '01'"),
+            ("1/-2", "t: rational values must be canonical strings, got '1/-2'"),
+            (_TOO_LONG, f"t: {_int_error(_TOO_LONG)}"),
+            ("1/" + _TOO_LONG, f"t: {_int_error(_TOO_LONG)}"),
+        ],
+        ids=["int", "list", "zero-den", "leading-zero", "negative-den", "long-num", "long-den"],
+    )
+    def test_parse_ratio_refuses_a_non_canonical_string(self, text, expected):
+        """The lowest-terms messages are pinned in ``TestRationalStrings``."""
+        with pytest.raises(ModelFormatError) as err:
+            parse_ratio(text, "t")
+        assert err.type is ModelFormatError
+        assert str(err.value) == expected
+
+    def test_the_cli_prints_the_message_and_exits_3(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(_BASE))
+        doc["gambles"][0]["values"]["b"] = "2/4"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", "-m", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "model error: gamble 'g' value at 'b': '2/4' is not in lowest terms (expected 1/2)\n"
+
+
 # Keys and scalars of the model-file schema, so that fuzzed documents reach
 # past the top-level checks.
 _KEYS = ["spaces", "gambles", "events", "assessments", "families", "id", "outcomes", "space",
@@ -308,6 +540,35 @@ class TestParsingFuzz:
     @given(_canonical_documents())
     def test_canonical_documents_round_trip(self, text):
         assert serialize_model(parse_model(text)) == text
+
+
+class TestParsingDifferential:
+    """A parsed file agrees with the ``Gamble`` algebra: each gamble is
+    ``space.gamble`` of its values, and each cone generator is the entry's
+    [f - v] * I_B, built here with ``Gamble`` operations as the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_canonical_documents())
+    def test_rows_and_generators(self, text):
+        doc = json.loads(text)
+        model = parse_model(text)
+        for g in doc["gambles"]:
+            space = model.spaces[g["space"]]
+            assert model.gambles[g["id"]] == space.gamble({x: Fraction(v) for x, v in g["values"].items()})
+        # The same values in reverse outcome order give the same gambles.
+        for g in doc["gambles"]:
+            g["values"] = dict(reversed(g["values"].items()))
+        assert parse_model(json.dumps(doc)).gambles == model.gambles
+        try:
+            prev = model.to_prevision()
+        except (ModelFormatError, ValueError):  # entries on two spaces, or two values for one pair
+            return
+        oracle = []
+        for e in prev.assessment.entries:
+            generator = (e.gamble - e.lower) * indicator(e.event)
+            oracle += [generator, -generator] if e.linear else [generator]
+        assert prev.cone.generators == tuple(oracle)
+        assert prev.cone.scaled_rows == DesirableCone(prev.space, tuple(oracle)).scaled_rows
 
 
 class TestCheckCommand:

@@ -3,6 +3,10 @@
 import dataclasses
 import gc
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 
@@ -72,6 +76,34 @@ class TestSpaceEquality:
         assert twin is not AB and twin == AB and hash(twin) == hash(AB)
         assert Space("W", AB.outcomes) != AB and Space("X", ("b", "a")) != AB
         assert AB != "X" and AB != ("X", ("a", "b"))
+
+    def test_the_hash_is_taken_once_from_the_fields(self, monkeypatch):
+        prod = ProductSpace("P", AB, ABC)
+        assert hash(AB) == hash(("X", ("a", "b")))
+        assert hash(prod) == hash(("P", prod.outcomes, AB, ABC))
+        reads = []
+        for cls in (Space, ProductSpace):
+            original = vars(cls)["_fields"]
+            monkeypatch.setattr(cls, "_fields", lambda self, original=original: reads.append(self) or original(self))
+        assert hash(AB) == hash(Space("X", ("a", "b"))) and hash(prod) == hash(prod)
+        assert len(reads) == 1 and reads[0] is not AB  # the new space's, when it was built
+
+    def test_an_unpickled_space_hashes_as_this_process_does(self):
+        """A string's hash differs between processes, so a space pickled in
+        one with another hash seed hashes here like an equal space built
+        here."""
+        script = (
+            "import pickle, sys; from desirables.spaces import Space, product_space; "
+            "x = Space('X', ('a', 'b')); "
+            "sys.stdout.write(pickle.dumps((x, product_space(x, Space('Y', ('c',))))).hex())"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        x, prod = pickle.loads(bytes.fromhex(out.stdout))
+        here = ProductSpace("X*Y", AB, Space("Y", ("c",)))
+        assert x == AB and hash(x) == hash(AB) and x.index("b") == 1
+        assert prod == here and hash(prod) == hash(here)
+        assert {AB: 1}[x] == 1
 
     def test_a_product_compares_its_factors_too(self):
         prod = ProductSpace("P", AB, ABC)
