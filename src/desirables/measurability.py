@@ -5,9 +5,10 @@ cone
 
     { c0 * 1 + sum_i c_i * indicator(B_i) : c0 >= 0, c_i >= 0, B_i in family },
 
-decided exactly by LP feasibility.  On a finite space this cone is
-polyhedral and hence closed, so uniform limits add nothing and cone
-membership is the whole story.
+decided exactly: in one pass over the gamble when the family's events
+are pairwise disjoint, by LP feasibility otherwise.  On a finite space
+this cone is polyhedral and hence closed, so uniform limits add nothing
+and cone membership is the whole story.
 
 The constructive side builds staircase approximants from level sets: with
 alpha = max(g) + 1 and levels k*alpha/n, the gamble
@@ -29,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from itertools import compress
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .simplex import EQUAL, LinearProgram, LPStatus
 from .spaces import Event, Gamble, Space, SpaceMismatchError
@@ -82,6 +84,22 @@ class SimpleGambleCone:
     def __post_init__(self) -> None:
         _require_family_on(self.space, self.family)
 
+    def _check(self, g: Gamble) -> None:
+        """The argument checks of a membership question, in this order: g
+        non-negative, then on this cone's space."""
+        _require_nonneg(g)
+        if g.space != self.space:
+            raise SpaceMismatchError("gamble on a different space")
+
+    def _program(self, g: Gamble, events: tuple[Event, ...]) -> LinearProgram:
+        """The feasibility LP of g = c0 + sum_i c_i * indicator(events[i])
+        over c >= 0, one equality row per outcome."""
+        n = 1 + len(events)
+        lp = LinearProgram(n, [0] * n)
+        for v, *inside in zip(g.nums, *(e.mask for e in events)):
+            lp.add_scaled((1, (1, *inside)), EQUAL, (v, g.den))
+        return lp
+
     def coefficients(
         self, g: Gamble
     ) -> Optional[tuple[Fraction, tuple[tuple[Event, Fraction], ...]]]:
@@ -89,15 +107,9 @@ class SimpleGambleCone:
         exactly, or None when g lies outside the cone.  The events are the
         family's generator events: for the all-events family the atoms,
         whose indicators span the same cone as those of every subset."""
-        _require_nonneg(g)
-        if g.space != self.space:
-            raise SpaceMismatchError("gamble on a different space")
+        self._check(g)
         events = self.family.generator_events()
-        n = 1 + len(events)
-        lp = LinearProgram(n, [0] * n)
-        for v, *inside in zip(g.nums, *(e.mask for e in events)):
-            lp.add_scaled((1, (1, *inside)), EQUAL, (v, g.den))
-        result = lp.solve()
+        result = self._program(g, events).solve()
         if result.status is not LPStatus.OPTIMAL:
             return None
         c0 = result.point[0]
@@ -105,11 +117,52 @@ class SimpleGambleCone:
         return c0, coeffs
 
     def contains(self, g: Gamble) -> bool:
-        return self.coefficients(g) is not None
+        """Whether g lies in the cone, with no certificate.  When the
+        family's generator events, repeats removed, are pairwise disjoint
+        (the atoms, the all-events family, the empty family and disjoint
+        custom ones), one pass decides: g must be constant on each event
+        and on the set U of outcomes that no event holds, and, when U is
+        non-empty, no event's value may be below U's, which is c0.
+        Otherwise the status of the LP that ``coefficients`` solves
+        decides, and no point is read from it.  The argument checks are
+        those of ``coefficients``, in its order."""
+        self._check(g)
+        events = self.family.generator_events()
+        masks = dict.fromkeys(e.mask for e in events)
+        counts = [sum(column) for column in zip(*masks)] or [0] * self.space.size
+        if max(counts) > 1:
+            return self._program(g, events).solve().status is LPStatus.OPTIMAL
+        return _constant_on_disjoint_blocks(g.nums, masks, counts)
+
+
+def _constant_on_disjoint_blocks(
+    nums: tuple[int, ...], masks: Iterable[tuple[int, ...]], counts: list[int]
+) -> bool:
+    """The one-pass membership rule of ``SimpleGambleCone.contains`` for
+    pairwise disjoint non-empty blocks ``masks``, on a gamble's ints: a
+    positive denominator changes neither constancy nor order.  ``counts``
+    holds how many blocks hold each outcome, 0 or 1."""
+    values = []
+    for mask in masks:
+        block = set(compress(nums, mask))
+        if len(block) > 1:
+            return False
+        values += block
+    rest = set(compress(nums, [c == 0 for c in counts]))
+    if not rest:
+        return True
+    if len(rest) > 1:
+        return False
+    (c0,) = rest
+    return all(v >= c0 for v in values)
 
 
 def is_measurable(g: Gamble, family: "EventFamily") -> bool:
-    """Exact decision: does g belong to the family's simple cone?"""
+    """Exact decision: does g belong to the family's simple cone?  This is
+    ``SimpleGambleCone(g.space, family).contains(g)``: one pass over g when
+    the family's generator events are pairwise disjoint (g constant on
+    each and on the outcomes none holds, whose value, when there are such
+    outcomes, is below no event's), the LP's status otherwise."""
     return SimpleGambleCone(g.space, family).contains(g)
 
 
@@ -260,10 +313,13 @@ def generated_field(family: "EventFamily") -> frozenset[frozenset[str]]:
     """The smallest family of subsets containing the family members and
     closed under complement and intersection (hence union): every union of
     the field's atoms, the classes of outcomes that lie in the same
-    members.  The atoms are counted first, and past ``MAX_FIELD_ATOMS`` of
-    them this raises ``FamilyTooLargeError`` instead of listing 2^k sets."""
+    members.  The members are read as the family's generator events, so
+    the all-events family gives its atoms, which generate the same field,
+    and not its 2^n - 1 subsets.  The atoms are counted first, and past
+    ``MAX_FIELD_ATOMS`` of them this raises ``FamilyTooLargeError``
+    instead of listing 2^k sets."""
     space = family.space
-    masks = [e.mask for e in family.events()]
+    masks = [e.mask for e in family.generator_events()]
     classes: dict[tuple[int, ...], list[str]] = {}
     for k, x in enumerate(space.outcomes):
         classes.setdefault(tuple(m[k] for m in masks), []).append(x)

@@ -541,6 +541,11 @@ class LinearPrevision:
     def conditional(self, f: Gamble, event: Event) -> Fraction:
         """Renormalised expectation; defined only when the event has
         positive probability."""
+        return Fraction(*self._conditional_ratio(f, event))
+
+    def _conditional_ratio(self, f: Gamble, event: Event) -> tuple[int, int]:
+        """The conditional expectation of f on the event as two ints, the
+        second positive, with ``conditional``'s checks in its order."""
         if f.space != self.space:
             raise SpaceMismatchError("gamble on a different space")
         if event.space != self.space:
@@ -550,7 +555,7 @@ class LinearPrevision:
         mass = sum(inside)
         if mass == 0:
             raise BeyondSupportError(event)
-        return Fraction(sum(map(mul, inside, f.nums)), mass * f.den)
+        return sum(map(mul, inside, f.nums)), mass * f.den
 
     def __call__(self, f: Gamble, event: Optional[Event] = None) -> Fraction:
         """The expectation of f, or its conditional expectation on the event
@@ -582,12 +587,20 @@ def envelope_assessment(
 ) -> Assessment:
     """Assess each (gamble, event) pair at the lower envelope of the given
     pmfs; every event must have positive probability under each pmf.  The
-    result is coherent by construction."""
+    result is coherent by construction.  The pmfs' conditional
+    expectations are compared as integer ratios, by cross-multiplying, and
+    each entry makes one ``Fraction``, its least."""
     entries = []
     for f, event in pairs:
         ev = event if event is not None else space.full_event()
-        value = min(p(f, ev) for p in pmfs)
-        entries.append(AssessmentEntry(gamble=f, event=ev, lower=value))
+        least = None
+        for p in pmfs:
+            num, den = p._conditional_ratio(f, ev)
+            if least is None or num * least[1] < least[0] * den:
+                least = num, den
+        if least is None:
+            raise ValueError("the lower envelope of no pmfs is undefined")
+        entries.append(AssessmentEntry(gamble=f, event=ev, lower=Fraction(*least)))
     return Assessment(space, tuple(entries))
 
 

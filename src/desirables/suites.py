@@ -6,6 +6,12 @@ identical arguments produce identical reports.  Random coherent models are
 lower envelopes of strictly positive mass functions, which are coherent by
 construction and keep every conditioning event representable.
 
+Random gambles are drawn as integer rows: each value's numerator and
+denominator are drawn as ints, in the order ``Fraction(p, q)`` would take
+them, brought to their lcm, and made one ``Gamble.from_ints``, so no
+``Fraction`` is made per value and every gamble is the one the
+``Fraction`` draws give.
+
 Suites: ``axioms`` (the eight standard coherence properties plus the
 natural-extension fixed point), ``independence`` (marginal preservation,
 family monotonicity, strong-product domination), ``factorisation``
@@ -20,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from .independence import (
@@ -62,15 +69,20 @@ def random_fraction(rng: random.Random, span: int = 6, max_den: int = 3) -> Frac
     return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
 
 
+def _random_row(rng: random.Random, space: Space, low: int, high: int, max_den: int) -> Gamble:
+    """Per outcome, a numerator in [low, high] and then a denominator in
+    [1, max_den], brought to their lcm: one row and one gamble."""
+    ratios = [(rng.randint(low, high), rng.randint(1, max_den)) for _ in space.outcomes]
+    den = lcm(*{q for _, q in ratios})
+    return Gamble.from_ints(space, den, [p * (den // q) for p, q in ratios])
+
+
 def random_gamble(rng: random.Random, space: Space, span: int = 6, max_den: int = 3) -> Gamble:
-    return Gamble(space, tuple(random_fraction(rng, span, max_den) for _ in space.outcomes))
+    return _random_row(rng, space, -span, span, max_den)
 
 
 def random_nonneg_gamble(rng: random.Random, space: Space) -> Gamble:
-    return Gamble(
-        space,
-        tuple(Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in space.outcomes),
-    )
+    return _random_row(rng, space, 0, 4, 3)
 
 
 def random_nonempty_event(rng: random.Random, space: Space) -> Event:
@@ -129,14 +141,21 @@ def random_family(rng: random.Random, space: Space) -> EventFamily:
 
 def random_measurable_gamble(rng: random.Random, space: Space, family: EventFamily) -> Gamble:
     """c0 plus two non-negative multiples of family indicators: measurable
-    by construction (constant when the family is empty)."""
-    g = space.constant(Fraction(rng.randint(0, 3), rng.randint(1, 2)))
+    by construction (constant when the family is empty).  Each coefficient
+    is a numerator in [0, 3] and then a denominator in [1, 2], and each
+    multiple's event is drawn after its coefficient."""
+    terms = [(rng.randint(0, 3), rng.randint(1, 2), (1,) * space.size)]
     events = family.events()
     if events:
         for _ in range(2):
-            c = Fraction(rng.randint(0, 3), rng.randint(1, 2))
-            g = g + indicator(rng.choice(events)) * c
-    return g
+            p, q = rng.randint(0, 3), rng.randint(1, 2)
+            terms.append((p, q, rng.choice(events).mask))
+    den = lcm(*(q for _, q, _ in terms))
+    nums = [0] * space.size
+    for p, q, mask in terms:
+        c = p * (den // q)
+        nums = [a + c * inside for a, inside in zip(nums, mask)]
+    return Gamble.from_ints(space, den, nums)
 
 
 def random_partition(rng: random.Random, space: Space) -> list[Event]:

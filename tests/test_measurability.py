@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from desirables import independence
+from desirables import independence, measurability
 from desirables.independence import EventFamily
 from desirables.measurability import (
     MAX_FIELD_ATOMS,
@@ -30,7 +30,7 @@ from desirables.measurability import (
     split_into_disjoint,
     MeasurabilityError,
 )
-from desirables.spaces import Event, Space, SpaceMismatchError, indicator
+from desirables.spaces import Event, Gamble, Space, SpaceMismatchError, indicator
 from desirables.suites import random_family, random_measurable_gamble, random_nonneg_gamble, random_space
 from oracles import split_into_disjoint_by_labels
 
@@ -77,6 +77,101 @@ class TestSimpleCone:
         g = X4.gamble([1, 2, 1, 0])
         assert is_measurable(g, fam)
         assert split_into_disjoint(level_set(g, Fraction(2)), fam) is None
+
+
+@st.composite
+def membership_cases(draw):
+    """A non-negative gamble and an atoms, all-events, empty, disjoint,
+    repeated-event or overlapping family on 1-6 outcomes.  Half the gambles
+    are built in the family's cone, and some of those are then nudged at
+    one outcome, so members and non-members both occur often."""
+    space = Space("M", tuple(f"m{i}" for i in range(draw(st.integers(1, 6)))))
+    labels = st.sampled_from(space.outcomes)
+    kind = draw(st.sampled_from(["atoms", "all", "empty", "disjoint", "repeated", "overlapping"]))
+    if kind in ("atoms", "all", "empty"):
+        family = {"atoms": EventFamily.atoms, "all": EventFamily.all_nonempty, "empty": EventFamily.empty}[kind](space)
+    elif kind == "overlapping":
+        members = draw(st.lists(st.frozensets(labels, min_size=1), min_size=1, max_size=5))
+        family = EventFamily.custom(space, [Event(space, m) for m in members])
+    else:
+        order = draw(st.permutations(space.outcomes))
+        cuts = sorted(draw(st.sets(st.integers(1, space.size), max_size=space.size)) | {space.size})
+        blocks = [frozenset(order[a:b]) for a, b in zip([0, *cuts], cuts)]
+        blocks = [b for b, keep in zip(blocks, draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))) if keep]
+        if kind == "repeated":
+            blocks += draw(st.lists(st.sampled_from(blocks), max_size=3)) if blocks else []
+        family = EventFamily.custom(space, [Event(space, b) for b in blocks])
+    values = st.integers(0, 6)
+    if draw(st.booleans()):
+        nums = [draw(values)] * space.size
+        for event in draw(st.lists(st.sampled_from(family.generator_events()), max_size=3)) if family.generator_events() else []:
+            c = draw(values)
+            nums = [a + c * inside for a, inside in zip(nums, event.mask)]
+        if draw(st.booleans()):
+            k = draw(st.integers(0, space.size - 1))
+            nums[k] = max(0, nums[k] + draw(st.sampled_from([-1, 1])))
+    else:
+        nums = draw(st.lists(values, min_size=space.size, max_size=space.size))
+    return Gamble.from_ints(space, draw(st.integers(1, 4)), nums), family
+
+
+class TestMembershipWithoutCertificate:
+    """``contains`` decides with no certificate: in one pass on disjoint
+    families, on the LP's status otherwise.  It must agree with the
+    certificate that ``coefficients`` publishes."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(membership_cases())
+    def test_contains_agrees_with_coefficients(self, case):
+        g, family = case
+        cone = SimpleGambleCone(g.space, family)
+        assert cone.contains(g) == (cone.coefficients(g) is not None)
+        assert is_measurable(g, family) == cone.contains(g)
+
+    @pytest.mark.parametrize(
+        "values, member",
+        [
+            ([2, 2, 3, 3, 1], True),  # blocks {0, 1} at 2 and {2, 3} at 3, the rest at 1
+            ([2, 2, 3, 3, 3], False),  # block {0, 1} below the rest
+            ([2, 2, 3, 3, "3/2"], True),
+            ([2, 1, 3, 3, 1], False),  # not constant on block {0, 1}
+        ],
+    )
+    def test_disjoint_rule(self, values, member):
+        x = Space("D", tuple("abcde"))
+        family = EventFamily.custom(x, (x.event("ab"), x.event("cd"), x.event("ab")))
+        g = x.gamble(values)
+        assert is_measurable(g, family) is member
+
+    def test_disjoint_families_solve_no_lp(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(measurability.LinearProgram, "solve", lambda lp, *a: solves.append(lp))
+        x = Space("D", tuple("abcd"))
+        for family in (
+            EventFamily.atoms(x),
+            EventFamily.all_nonempty(x),
+            EventFamily.empty(x),
+            EventFamily.custom(x, (x.event("ab"), x.event("c"), x.event("ab"))),
+        ):
+            is_measurable(x.gamble([1, 1, 2, 0]), family)
+        assert solves == []
+
+    def test_a_family_on_another_space_raises_at_construction(self):
+        x, w = Space("X", ("a", "b")), Space("W", ("a", "b"))
+        with pytest.raises(SpaceMismatchError, match="family on a different space"):
+            SimpleGambleCone(x, EventFamily.atoms(w))
+
+    @pytest.mark.parametrize("kind", ["atoms", "overlapping"])
+    def test_a_negative_gamble_raises_before_a_gamble_on_another_space(self, kind):
+        x, w = Space("X", ("a", "b", "c")), Space("W", ("a", "b", "c"))
+        family = EventFamily.atoms(x) if kind == "atoms" else EventFamily.custom(x, (x.event("ab"), x.event("bc")))
+        cone = SimpleGambleCone(x, family)
+        for ask in (cone.contains, cone.coefficients):
+            with pytest.raises(ValueError, match="non-negative gambles only") as err:
+                ask(w.gamble([-1, 0, 0]))
+            assert type(err.value) is ValueError
+            with pytest.raises(SpaceMismatchError, match="gamble on a different space"):
+                ask(w.gamble([1, 0, 0]))
 
 
 class TestFamilyOnAnotherSpace:
@@ -258,6 +353,20 @@ class TestGeneratedField:
             assert is_measurable(g, field_family) == measurable_by_field_criterion(
                 g, field_family
             )
+
+
+    def test_all_events_field_is_built_from_the_atoms(self, monkeypatch):
+        """At 12 outcomes the all-events family has 4095 members; its field
+        is read from its 12 atoms, so no more events than that are built."""
+        x12 = Space("T", tuple(f"t{i}" for i in range(12)))
+        built = []
+        original = Event.__post_init__
+        monkeypatch.setattr(Event, "__post_init__", lambda e: (built.append(e), original(e)))
+        field = generated_field(EventFamily.all_nonempty(x12))
+        assert len(built) <= 12
+        monkeypatch.undo()
+        assert field == generated_field(EventFamily.atoms(x12))
+        assert len(field) == 2**12
 
 
 class TestFieldSizeGuard:
